@@ -23,7 +23,7 @@ positivity on the ray.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -70,12 +70,14 @@ class RootPair:
     """The two trinomial roots for one eigencomponent at fixed n.
 
     Roots are quadratic irrationals; each carries the exact data
-    (base = (n-2)^2/d_k, radical coefficient (n-2)/d_k, radicand Delta_k)
-    plus rational enclosures for display and candidate selection.
+    (base = (n-2)^2/d_k, radical coefficient (n-2)/d_k, radicand Delta_k,
+    and u_k/nu_k^2 for the trinomial check) plus rational enclosures for
+    display and candidate selection.
     """
 
     k: int
     d_value: Fraction
+    u_over_nu2: Fraction
     delta_value: Fraction
     base: Fraction            # (n-2)^2 / d_k
     radical_coeff: Fraction   # (n-2) / d_k
@@ -98,9 +100,8 @@ class RootPair:
         return self.base + self.radical_coeff * self.x_enclosure.upper
 
     def refined(self, width: Fraction) -> "RootPair":
-        return RootPair(self.k, self.d_value, self.delta_value, self.base,
-                        self.radical_coeff,
-                        sqrt_enclosure(self.delta_value, width))
+        return replace(self,
+                       x_enclosure=sqrt_enclosure(self.delta_value, width))
 
 
 @dataclass(frozen=True)
@@ -160,21 +161,17 @@ class ScanReport:
 _DEFAULT_WIDTH = Fraction(1, 10 ** 30)
 
 
-def _rows_at(omega: int, n: int) -> list[SpectralRow]:
+def roots_at(omega: int, n: int,
+             width: Fraction = _DEFAULT_WIDTH) -> list[RootPair]:
+    """Exact root data for every eigencomponent at integer dimension n."""
     if omega < 2:
         raise HypothesisViolated(f"omega={omega} below the certified range")
     if n < 2 * omega + 6:
         raise HypothesisViolated(
             f"n={n} violates n >= 2*omega+6 = {2 * omega + 6}")
-    return list(spectral_family(omega))
-
-
-def roots_at(omega: int, n: int,
-             width: Fraction = _DEFAULT_WIDTH) -> list[RootPair]:
-    """Exact root data for every eigencomponent at integer dimension n."""
     pairs = []
     nf = Fraction(n)
-    for row in _rows_at(omega, n):
+    for row in spectral_family(omega):
         d_val = Fraction(row.d(nf))
         delta_val = Fraction(row.delta(nf))
         if d_val <= 0 or delta_val <= 0:
@@ -183,6 +180,7 @@ def roots_at(omega: int, n: int,
         pairs.append(RootPair(
             k=row.k,
             d_value=d_val,
+            u_over_nu2=Fraction(row.u_over_nu(nf)) / Fraction(row.nu(nf)),
             delta_value=delta_val,
             base=Fraction((n - 2) ** 2) / d_val,
             radical_coeff=Fraction(n - 2) / d_val,
@@ -197,18 +195,9 @@ def trinomial_value(row_d: Fraction, row_u_over_nu2: Fraction,
             + Fraction(n - 2) * row_u_over_nu2 / 2)
 
 
-def _trinomial_data(omega: int, n: int) -> list[tuple[Fraction, Fraction]]:
-    nf = Fraction(n)
-    out = []
-    for row in _rows_at(omega, n):
-        u_over_nu2 = Fraction(row.u_over_nu(nf)) / Fraction(row.nu(nf))
-        out.append((Fraction(row.d(nf)), u_over_nu2))
-    return out
-
-
-def _candidate_valid(omega: int, n: int, c: Fraction) -> bool:
-    return all(trinomial_value(d, u2, n, c) < 0
-               for d, u2 in _trinomial_data(omega, n))
+def _candidate_valid(pairs: Sequence[RootPair], n: int, c: Fraction) -> bool:
+    return all(trinomial_value(p.d_value, p.u_over_nu2, n, c) < 0
+               for p in pairs)
 
 
 def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
@@ -246,9 +235,9 @@ def certify_at(omega: int, n: int,
         if lower < upper:
             candidate = (lower + upper) / 2
             simple = candidate.limit_denominator(10 ** 12)
-            if lower < simple < upper and _candidate_valid(omega, n, simple):
+            if lower < simple < upper and _candidate_valid(pairs, n, simple):
                 candidate = simple
-            if _candidate_valid(omega, n, candidate):
+            if _candidate_valid(pairs, n, candidate):
                 return IntervalCertificate(omega=omega, n=n, pairs=current,
                                            nonempty=True, chosen_c=candidate,
                                            mu_branch=mu_branch,

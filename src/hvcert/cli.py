@@ -25,13 +25,13 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
 from .certify import (
+    HypothesisViolated,
     IntervalCertificate,
     MuBranch,
     certify_at,
@@ -40,7 +40,7 @@ from .certify import (
     smallest_failing_n,
     symbolic_certificate,
 )
-from .spectral import spectral_family
+from .spectral import SpectralRangeError, spectral_family
 
 ENV_OUTPUT_DIR = "HVCERT_OUTPUT_DIR"
 
@@ -62,7 +62,6 @@ class RunConfig:
     n: Optional[tuple[int, int]] = None
     symbolic: bool = False
     mu_branch: str = MuBranch.DEG_EQUALS_OMEGA.value
-    rel_tol: float = 1e-10
     format: str = "json"
     output: Optional[str] = None
     jobs: int = 1
@@ -81,6 +80,14 @@ class RunConfig:
             if d.get(key) is not None:
                 d[key] = tuple(d[key])
         return RunConfig(**d)
+
+    def echo(self) -> dict:
+        """to_dict without the fields that cannot change a verdict (the
+        parallelism degree and the output path), so that a report is
+        byte-identical whatever their values."""
+        d = self.to_dict()
+        del d["jobs"], d["output"]
+        return d
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -147,7 +154,7 @@ def symbolic_entry(omega: int, ok: bool, status: str) -> dict:
 
 def report_payload(config: RunConfig, entries: list[dict], summary: dict) -> dict:
     return {"tool_version": __version__,
-            "config_echo": config.to_dict(),
+            "config_echo": config.echo(),
             "entries": entries,
             "summary": summary}
 
@@ -227,6 +234,8 @@ def emit_report(payload: dict, fmt: str, path: Optional[str]) -> int:
         text = emit_json(payload)
     elif fmt == "csv":
         text = emit_csv(payload)
+    elif fmt == "markdown" and payload["config_echo"]["command"] == "coeffs":
+        text = _coeffs_markdown(payload)
     elif fmt == "markdown":
         text = emit_markdown(payload)
     else:
@@ -259,6 +268,8 @@ def _evaluate_cells(cells: list[tuple[int, int, str]],
     the parallelism degree (deterministic reduction)."""
     if jobs <= 1 or len(cells) < 4:
         return [_cell(c) for c in cells]
+    # imported here so that serial commands do not pay for the import
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(cells) // (4 * jobs))
         return list(pool.map(_cell, cells, chunksize=chunk))
@@ -344,10 +355,7 @@ def cmd_coeffs(config: RunConfig) -> tuple[dict, int]:
                 for root, res in expansion.simple_poles],
         })
     summary = {"omega": omega, "coefficients": rows}
-    payload = report_payload(config, [], summary)
-    if config.format == "markdown":
-        return payload, 0
-    return payload, 0
+    return report_payload(config, [], summary), 0
 
 
 def _coeffs_markdown(payload: dict) -> str:
@@ -454,7 +462,7 @@ def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read report {input_path}: {exc}") from exc
-    payload["config_echo"] = config.to_dict() | {
+    payload["config_echo"] = config.echo() | {
         "source": payload.get("config_echo")}
     return payload, 0
 
@@ -479,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                             f"${ENV_OUTPUT_DIR} when set); default stdout")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rel-tol", type=float, default=1e-10)
 
     p = sub.add_parser("certify", help="certify cells or whole rays")
     p.add_argument("--omega", required=True)
@@ -515,6 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     omega = parse_range(args.omega) if getattr(args, "omega", None) else None
     n = parse_range(args.n) if getattr(args, "n", None) else None
     return RunConfig(
@@ -523,7 +532,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         n=n,
         symbolic=getattr(args, "symbolic", False),
         mu_branch=getattr(args, "mu_branch", MuBranch.DEG_EQUALS_OMEGA.value),
-        rel_tol=args.rel_tol,
         format=args.format,
         output=args.output,
         jobs=args.jobs,
@@ -550,23 +558,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload, status = cmd_report(config, args.input)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {config.command!r}")
-    except UsageError as exc:
+    except (UsageError, HypothesisViolated, SpectralRangeError) as exc:
         print(f"hvcert: {exc}", file=sys.stderr)
         return 2
-
-    if config.command == "coeffs" and config.format == "markdown":
-        text = _coeffs_markdown(payload)
-        target = _resolve_output(config.output)
-        if target is None:
-            sys.stdout.write(text)
-            return status
-        try:
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"hvcert: cannot write {target}: {exc}", file=sys.stderr)
-            return 2
-        return status
 
     emit_status = emit_report(payload, config.format, config.output)
     return emit_status if emit_status else status

@@ -21,6 +21,7 @@ f^2 coefficient of the test-function expansion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,114 +99,14 @@ def spectral_row(omega: int, k: int) -> SpectralRow:
                        u_over_nu=u_over_nu, delta=delta)
 
 
+@functools.cache
 def spectral_family(omega: int) -> tuple[SpectralRow, ...]:
+    """All rows k = 1..floor(omega/2), built once per omega (the rows are
+    frozen, so every caller may share them)."""
     if omega < 2:
         raise SpectralRangeError(
             f"omega={omega} has an empty eigencomponent family")
     return tuple(spectral_row(omega, k) for k in range(1, omega // 2 + 1))
-
-
-# ---------------------------------------------------------------------------
-# Polynomials in an auxiliary variable x over Q[n]
-# ---------------------------------------------------------------------------
-
-class PolyInX:
-    """Polynomial in x whose coefficients are Polynomials in n.
-
-    Minimal ring support: just enough to expand the two lemma polynomials
-    and substitute x = nu_k.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [c if isinstance(c, Polynomial) else Polynomial._coerce(c)
-              for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def x():
-        return PolyInX([Polynomial(), Polynomial([1])])
-
-    @staticmethod
-    def const(p) -> "PolyInX":
-        return PolyInX([p])
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, PolyInX):
-            return other
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return PolyInX([other])
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return PolyInX(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyInX([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return PolyInX([])
-        out = [Polynomial() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PolyInX(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        result = PolyInX([Polynomial([1])])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def derivative_x(self) -> "PolyInX":
-        return PolyInX([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def substitute(self, value: Polynomial) -> Polynomial:
-        """Evaluate at x = value(n), collapsing to a Polynomial in n."""
-        result = Polynomial()
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
-
-    @property
-    def degree_x(self) -> int:
-        return len(self.coeffs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +115,8 @@ class PolyInX:
 
 @dataclass(frozen=True)
 class LemmaPolynomial:
-    """P(x) over Q[n] with U_k = P(nu_k) governing the sign of Delta_k.
+    """P(x) = A x^2 + B x + C over Q[n], with U_k = P(nu_k) governing the
+    sign of Delta_k.
 
     P(x) = [(n-1)(n-2)x - n(n-2)^2 + (w+2)^2(n^2+n+2)]
            * [(n-3)(x-n+1) - (n-1)^2 - (n-1)(w+2)^2]
@@ -225,32 +127,33 @@ class LemmaPolynomial:
     """
 
     omega: int
-    P: PolyInX
-    Pprime: PolyInX
-
-    def pprime_closed_form(self) -> PolyInX:
-        w2 = (self.omega + 2) ** 2
-        x = PolyInX.x()
-        return (-2 * (_N - 2) * x
-                + PolyInX.const(-2 * _N * (_N - 2) ** 3
-                                + w2 * (2 * (_N ** 2 - 3 * _N - 2))))
+    A: Polynomial
+    B: Polynomial
+    C: Polynomial
 
     def pprime_matches_closed_form(self) -> bool:
-        return self.Pprime == self.pprime_closed_form()
+        """P'(x) = 2A x + B against the closed form, coefficient by
+        coefficient in x."""
+        w2 = (self.omega + 2) ** 2
+        return (2 * self.A == -2 * (_N - 2)
+                and self.B == (-2 * _N * (_N - 2) ** 3
+                               + w2 * (2 * (_N ** 2 - 3 * _N - 2))))
 
     def at(self, value: Polynomial) -> Polynomial:
-        return self.P.substitute(value)
+        """P(value(n)) as a Polynomial in n, by Horner."""
+        return (self.A * value + self.B) * value + self.C
 
 
 def lemma_polynomial(omega: int) -> LemmaPolynomial:
     w2 = (omega + 2) ** 2
-    x = PolyInX.x()
-    first = ((_N - 1) * (_N - 2)) * x + PolyInX.const(
-        -_N * (_N - 2) ** 2 + w2 * (_N ** 2 + _N + 2))
-    second = (_N - 3) * x + PolyInX.const(
-        (_N - 3) * (-(_N - 1)) - (_N - 1) ** 2 - w2 * (_N - 1))
-    P = first * second - PolyInX.const((_N - 2) ** 3) * (x * x - (_N - 1) * x)
-    lp = LemmaPolynomial(omega=omega, P=P, Pprime=P.derivative_x())
+    # the two linear factors a1 x + a0 and b1 x + b0, multiplied out
+    a1 = (_N - 1) * (_N - 2)
+    a0 = -_N * (_N - 2) ** 2 + w2 * (_N ** 2 + _N + 2)
+    b1 = _N - 3
+    b0 = (_N - 3) * (-(_N - 1)) - (_N - 1) ** 2 - w2 * (_N - 1)
+    cube = (_N - 2) ** 3
+    lp = LemmaPolynomial(omega=omega, A=a1 * b1 - cube,
+                         B=a1 * b0 + a0 * b1 + cube * (_N - 1), C=a0 * b0)
     if not lp.pprime_matches_closed_form():  # pragma: no cover
         raise AlgebraError("P' does not match its closed form")
     return lp
@@ -317,16 +220,13 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
 # The even quadratic P_2
 # ---------------------------------------------------------------------------
 
-def p2_closed_form() -> PolyInX:
+def p2_closed_form(X: Fraction) -> Polynomial:
     """P_2(X) = 4 X^2 (n^2+n+2) - 4 n (n-2)^2, X standing for omega+2."""
-    X = PolyInX.x()
-    return (4 * (_N ** 2 + _N + 2)) * X * X + PolyInX.const(
-        -4 * _N * (_N - 2) ** 2)
+    return 4 * X * X * (_N ** 2 + _N + 2) - 4 * _N * (_N - 2) ** 2
 
 
-def p2_expanded() -> PolyInX:
-    """The four-product definition of P_2, expanded over Q[n, X]."""
-    X = PolyInX.x()
+def p2_expanded(X: Fraction) -> Polynomial:
+    """The four-product definition of P_2 at a rational X, over Q[n]."""
     # with X = omega + 2:
     #   omega - n + 4 = X + 2 - n      2 omega + n + 4 = 2X + n
     #   2 omega + n + 2 = 2X + n - 2   n - 2 omega - 6 = n - 2X - 2
@@ -334,18 +234,23 @@ def p2_expanded() -> PolyInX:
     t1 = (X + (2 - _N)) ** 2 * (2 * X + _N) * (2 * X + (_N - 2))
     t2 = 2 * X * (X + (2 - _N)) * (2 * X + (_N - 2)) * ((_N - 2) - 2 * X)
     t3 = X * X * ((_N) - 2 * X) * ((_N - 2) - 2 * X)
-    t4 = PolyInX.const(_N * (_N + 2)) * (2 * X + (_N - 2)) * ((_N - 2) - 2 * X)
+    t4 = _N * (_N + 2) * (2 * X + (_N - 2)) * ((_N - 2) - 2 * X)
     return t1 + t2 + t3 - t4
 
 
 def p2_identity_check() -> bool:
-    """Exact equality of the expanded P_2 with 4X^2(n^2+n+2) - 4n(n-2)^2."""
-    return p2_expanded() == p2_closed_form()
+    """Exact equality of the expanded P_2 with 4X^2(n^2+n+2) - 4n(n-2)^2.
+
+    Both sides have degree at most 4 in X over Q[n], so agreement at the
+    five points X = 0..4 proves the identity.
+    """
+    return all(p2_expanded(Fraction(X)) == p2_closed_form(Fraction(X))
+               for X in range(5))
 
 
 def p2_value(omega: int) -> Polynomial:
     """P_2(omega+2) as a Polynomial in n."""
-    return p2_closed_form().substitute(Polynomial.constant(omega + 2))
+    return p2_closed_form(Fraction(omega + 2))
 
 
 # ---------------------------------------------------------------------------

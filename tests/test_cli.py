@@ -59,10 +59,25 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_unwritable_output(self, capsys, tmp_path):
-        code = main(["coeffs", "--omega", "5",
-                     "--output", str(tmp_path / "no" / "such" / "dir.json")])
-        assert code == 2
+        target = str(tmp_path / "no" / "such" / "dir.json")
+        for fmt in ("json", "markdown"):
+            code = main(["coeffs", "--omega", "5", "--format", fmt,
+                         "--output", target])
+            assert code == 2, fmt
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--omega", "1", "--n", "10..12"],
+        ["certify", "--omega", "2", "--symbolic"],
+        ["scan", "--omega", "5", "--n", "16..20", "--jobs", "0"],
+        ["coeffs", "--omega", "1"],
+    ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1"])
+    def test_out_of_range_input_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hvcert: ")
+        assert captured.err.count("\n") == 1
 
     def test_report_missing_input(self, capsys):
         assert main(["report", "--input", "/nonexistent.json"]) == 2
@@ -88,10 +103,8 @@ class TestDeterminism:
         base = ["scan", "--omega", "5", "--n", "16..40"]
         assert main(base + ["--jobs", "1", "--output", str(a)]) == 0
         assert main(base + ["--jobs", "3", "--output", str(b)]) == 0
-        # entries agree; the config echo records the differing degree
-        da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        assert da["entries"] == db["entries"]
-        assert da["summary"] == db["summary"]
+        # neither the parallelism degree nor the output path is echoed
+        assert a.read_bytes() == b.read_bytes()
 
     def test_newline_terminated(self, tmp_path):
         out = tmp_path / "r.json"

@@ -174,6 +174,18 @@ class TestLemmaPolynomial:
         for omega in range(2, 21):
             assert lemma_polynomial(omega).pprime_matches_closed_form()
 
+    def test_value_at_nu_matches_rows(self):
+        # P(nu_k) = (nu_k - n + 1) d_k [(n-2) u_k/nu_k - (n-2)^3 nu_k/d_k]
+        for omega in (2, 5, 9):
+            lp = lemma_polynomial(omega)
+            for row in spectral_family(omega):
+                p_at_nu = lp.at(row.nu)
+                for n in (F(7), F(30), F(101, 3)):
+                    nu, d = row.nu(n), row.d(n)
+                    expected = (nu - n + 1) * d * ((n - 2) * row.u(n) / nu
+                                                   - (n - 2) ** 3 * nu / d)
+                    assert p_at_nu(n) == expected
+
     def test_certified_for_all_omega(self):
         for omega in range(2, 16):
             ok, witness = check_lemma_poly(omega)
