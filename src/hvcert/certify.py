@@ -326,23 +326,19 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
                 omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
                 pair_checks=(), ok=False,
                 failure=("lower_bound", omega, row.k))
-        # Delta_k - a (n + b/(2a))^2 > 0 on the ray, after clearing the
-        # denominator (which is a product of factors positive for n >= n0).
+        # Delta_k - a (n + b/(2a))^2 > 0 on the ray: its numerator and its
+        # denominator must both be proved positive there.  The denominator
+        # is monic, so it cannot be negative on the whole ray; an unproved
+        # denominator sign fails the bound.
         diff = row.delta - RationalFunction.from_polynomial(
             Polynomial._coerce((_N + b / (2 * a)) ** 2).scale(a))
         den_ok, _ = nonnegative_on_ray(diff.den, n0)
-        numerator = diff.num if den_ok else -diff.num
-        ok, wit = nonnegative_on_ray(numerator, n0)
+        ok, wit = nonnegative_on_ray(diff.num, n0)
         check = LowerBoundCheck(k=row.k, a=a, b=b, expansion=exp, witness=wit)
         lower_bounds.append(check)
-        if not ok:
-            return SymbolicCertificate(
-                omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
-                pair_checks=(), ok=False,
-                failure=("lower_bound", omega, row.k))
         # the linear bound must itself be positive on the ray for the
         # sqrt(a) under-approximation below to stay a lower bound
-        if n0 + b / (2 * a) <= 0:
+        if not (den_ok and ok) or n0 + b / (2 * a) <= 0:
             return SymbolicCertificate(
                 omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
                 pair_checks=(), ok=False,

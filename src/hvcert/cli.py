@@ -36,8 +36,6 @@ from .certify import (
     MuBranch,
     certify_at,
     delta_partial_fraction,
-    dimension_cover_check,
-    smallest_failing_n,
     symbolic_certificate,
 )
 from .spectral import SpectralRangeError, spectral_family
@@ -234,7 +232,7 @@ def emit_report(payload: dict, fmt: str, path: Optional[str]) -> int:
         text = emit_json(payload)
     elif fmt == "csv":
         text = emit_csv(payload)
-    elif fmt == "markdown" and payload["config_echo"]["command"] == "coeffs":
+    elif fmt == "markdown" and "coefficients" in payload["summary"]:
         text = _coeffs_markdown(payload)
     elif fmt == "markdown":
         text = emit_markdown(payload)

@@ -73,9 +73,6 @@ def i_truncated(a: float, b: float, delta: float, epsilon: float) -> float:
     return value
 
 
-truncation_order = i_truncated
-
-
 def truncation_bound(a: float, b: float, delta: float, epsilon: float) -> float:
     """Upper bound eps^(2a-b-1) / ((2a-b-1) delta^(2a-b-1)) on I_a^b - I_a^b(eps)."""
     e = 2 * a - b - 1

@@ -8,11 +8,11 @@ For a vanishing order ``omega`` of the Weyl tensor and an index
 and the derived quantities are
 
     d_k      = 4[(n-1)(n-2) nu_k - n(n-2)^2 + (omega+2)^2 (n^2+n+2)]
-    c_k      = (n-2)^2 / d_k
     u_k/nu_k = (n-3)/(4(n-2)) - [(n-1)^2 + (n-1)(omega+2)^2] / (4(n-2)(nu_k-n+1))
     Delta_k  = (n-2)^2 - d_k u_k / nu_k^2
 
-all as exact rational functions of the dimension n.  This module also
+all as exact rational functions of the dimension n, each built from the
+two linear factors of the auxiliary polynomial P below.  This module also
 houses the two purely polynomial lemmas used downstream: the decreasing
 auxiliary polynomial P(x) whose negativity at x = nu_k yields Delta_k > 0
 on the ray n >= 2 omega + 6, and the even quadratic P_2 collecting the
@@ -56,10 +56,7 @@ def nu_polynomial(omega: int, k: int) -> Polynomial:
 
 
 def d_polynomial(omega: int, k: int) -> Polynomial:
-    _check_range(omega, k)
-    nu = nu_polynomial(omega, k)
-    return 4 * ((_N - 1) * (_N - 2) * nu - _N * (_N - 2) ** 2
-                + (omega + 2) ** 2 * (_N ** 2 + _N + 2))
+    return 4 * lemma_polynomial(omega).a(nu_polynomial(omega, k))
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,6 @@ class SpectralRow:
     k: int
     nu: Polynomial
     d: Polynomial
-    c: RationalFunction
     u_over_nu: RationalFunction
     delta: RationalFunction
 
@@ -85,17 +81,12 @@ class SpectralRow:
 
 
 def spectral_row(omega: int, k: int) -> SpectralRow:
-    _check_range(omega, k)
+    lp = lemma_polynomial(omega)
     nu = nu_polynomial(omega, k)
-    d = d_polynomial(omega, k)
-    c = RationalFunction(Polynomial._coerce((_N - 2) ** 2), d)
-    u_over_nu = (RationalFunction((_N - 3), 4 * (_N - 2))
-                 - RationalFunction((_N - 1) ** 2 + (omega + 2) ** 2 * (_N - 1),
-                                    4 * (_N - 2) * (nu - _N + 1)))
-    nu_rf = RationalFunction.from_polynomial(nu)
-    delta = (RationalFunction.from_polynomial((_N - 2) ** 2)
-             - RationalFunction.from_polynomial(d) * u_over_nu / nu_rf)
-    return SpectralRow(omega=omega, k=k, nu=nu, d=d, c=c,
+    shifted = nu - _N + 1
+    u_over_nu = RationalFunction(lp.b(nu), 4 * (_N - 2) * shifted)
+    delta = RationalFunction(-lp.at(nu), (_N - 2) * nu * shifted)
+    return SpectralRow(omega=omega, k=k, nu=nu, d=d_polynomial(omega, k),
                        u_over_nu=u_over_nu, delta=delta)
 
 
@@ -115,21 +106,33 @@ def spectral_family(omega: int) -> tuple[SpectralRow, ...]:
 
 @dataclass(frozen=True)
 class LemmaPolynomial:
-    """P(x) = A x^2 + B x + C over Q[n], with U_k = P(nu_k) governing the
-    sign of Delta_k.
+    """P(x) = a(x) b(x) - (n-2)^3 x (x-n+1) = A x^2 + B x + C over Q[n],
+    with linear factors a(x) = a1 x + a0 and b(x) = b1 x + b0:
 
-    P(x) = [(n-1)(n-2)x - n(n-2)^2 + (w+2)^2(n^2+n+2)]
-           * [(n-3)(x-n+1) - (n-1)^2 - (n-1)(w+2)^2]
-           - (n-2)^3 (x^2 - (n-1)x)
+    a(x) = (n-1)(n-2)x - n(n-2)^2 + (w+2)^2(n^2+n+2)
+    b(x) = (n-3)(x-n+1) - (n-1)^2 - (n-1)(w+2)^2
 
-    and its x-derivative collapses to the closed form
+    Every spectral row is read off them: d_k = 4 a(nu_k),
+    u_k/nu_k = b(nu_k) / (4(n-2)(nu_k-n+1)) and
+    Delta_k = -P(nu_k) / ((n-2) nu_k (nu_k-n+1)), so U_k = P(nu_k) governs
+    the sign of Delta_k.  The x-derivative collapses to the closed form
     P'(x) = -2(n-2)x - 2n(n-2)^3 + 2(n^2-3n-2)(w+2)^2.
     """
 
     omega: int
+    a1: Polynomial
+    a0: Polynomial
+    b1: Polynomial
+    b0: Polynomial
     A: Polynomial
     B: Polynomial
     C: Polynomial
+
+    def a(self, value: Polynomial) -> Polynomial:
+        return self.a1 * value + self.a0
+
+    def b(self, value: Polynomial) -> Polynomial:
+        return self.b1 * value + self.b0
 
     def pprime_matches_closed_form(self) -> bool:
         """P'(x) = 2A x + B against the closed form, coefficient by
@@ -144,15 +147,17 @@ class LemmaPolynomial:
         return (self.A * value + self.B) * value + self.C
 
 
+@functools.cache
 def lemma_polynomial(omega: int) -> LemmaPolynomial:
     w2 = (omega + 2) ** 2
-    # the two linear factors a1 x + a0 and b1 x + b0, multiplied out
     a1 = (_N - 1) * (_N - 2)
     a0 = -_N * (_N - 2) ** 2 + w2 * (_N ** 2 + _N + 2)
     b1 = _N - 3
     b0 = (_N - 3) * (-(_N - 1)) - (_N - 1) ** 2 - w2 * (_N - 1)
     cube = (_N - 2) ** 3
-    lp = LemmaPolynomial(omega=omega, A=a1 * b1 - cube,
+    # a(x) b(x) - (n-2)^3 (x^2 - (n-1)x), multiplied out in x
+    lp = LemmaPolynomial(omega=omega, a1=a1, a0=a0, b1=b1, b0=b0,
+                         A=a1 * b1 - cube,
                          B=a1 * b0 + a0 * b1 + cube * (_N - 1), C=a0 * b0)
     if not lp.pprime_matches_closed_form():  # pragma: no cover
         raise AlgebraError("P' does not match its closed form")
@@ -187,9 +192,10 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
     lp = lemma_polynomial(omega)
     ok = True
 
+    rows = spectral_family(omega)
     d_wits = []
-    for k in range(1, omega // 2 + 1):
-        good, w = nonnegative_on_ray(d_polynomial(omega, k), n0)
+    for row in rows:
+        good, w = nonnegative_on_ray(row.d, n0)
         ok = ok and good
         d_wits.append(w)
 
@@ -204,8 +210,8 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
     ok = ok and good
 
     per_k = []
-    for k in range(1, omega // 2 + 1):
-        good, w = nonnegative_on_ray(-lp.at(nu_polynomial(omega, k)), n0)
+    for row in rows:
+        good, w = nonnegative_on_ray(-lp.at(row.nu), n0)
         ok = ok and good
         per_k.append(w)
 

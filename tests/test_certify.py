@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from hvcert import certify
+from hvcert.algebra import Polynomial, RationalFunction
 from hvcert.certify import (
     MuBranch,
     certify_at,
@@ -104,6 +106,24 @@ class TestSymbolicCertificate:
         assert not cert.ok
         assert cert.failure is not None
         assert cert.failure[0] == "pair"
+
+    def test_unproved_denominator_sign_fails(self, monkeypatch):
+        # Delta = n^2 - 1/(n-20) has the pole n = 20 on the ray n >= 12:
+        # Delta - n^2 = -1/(n-20) changes sign there, so the lower bound
+        # Delta > n^2 must not be reported as proved
+        class RowWithPoleOnRay:
+            omega, k, d = 3, 1, Polynomial([1])
+            delta = RationalFunction(Polynomial([-1, 0, -20, 1]),
+                                     Polynomial([-20, 1]))
+
+            def delta_pole_candidates(self):
+                return (F(20),)
+
+        monkeypatch.setattr(certify, "spectral_family",
+                            lambda omega: (RowWithPoleOnRay(),))
+        cert = symbolic_certificate(3)
+        assert not cert.ok
+        assert cert.failure == ("lower_bound", 3, 1)
 
     def test_lower_bound_structure(self):
         cert = symbolic_certificate(5)

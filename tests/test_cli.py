@@ -153,6 +153,15 @@ class TestFormats:
         text = capsys.readouterr().out
         assert text.splitlines()[0] == "omega,n,nonempty,x,y,chosen_c,status"
 
+    def test_report_reemits_coeffs_markdown(self, tmp_path, capsys):
+        src = tmp_path / "coeffs.json"
+        assert main(["coeffs", "--omega", "5", "--output", str(src)]) == 0
+        assert main(["coeffs", "--omega", "5", "--format", "markdown"]) == 0
+        direct = capsys.readouterr().out
+        assert main(["report", "--input", str(src),
+                     "--format", "markdown"]) == 0
+        assert capsys.readouterr().out == direct
+
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HVCERT_OUTPUT_DIR", str(tmp_path))
         assert main(["certify", "--omega", "4", "--symbolic",

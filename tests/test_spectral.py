@@ -114,6 +114,24 @@ class TestUOverNu:
                                     8 * poly(-2, 1) * poly(2, 1))
         assert row.u_over_nu == expected
 
+    def test_rows_match_definitions(self):
+        # u_k/nu_k and Delta_k from their definitions, by RationalFunction
+        # arithmetic, against the rows built from the factors of P
+        n = Polynomial.x()
+        for omega in range(2, 21):
+            w2 = (omega + 2) ** 2
+            for row in spectral_family(omega):
+                nu = row.nu
+                d = 4 * ((n - 1) * (n - 2) * nu - n * (n - 2) ** 2
+                         + w2 * (n * n + n + 2))
+                u_over_nu = (RationalFunction(n - 3, 4 * (n - 2))
+                             - RationalFunction((n - 1) ** 2 + (n - 1) * w2,
+                                                4 * (n - 2) * (nu - n + 1)))
+                delta = (RationalFunction((n - 2) ** 2)
+                         - RationalFunction(d) * u_over_nu / RationalFunction(nu))
+                assert row.u_over_nu == u_over_nu, (omega, row.k)
+                assert row.delta == delta, (omega, row.k)
+
     def test_u_last_negative_even_omega(self):
         for omega in range(2, 16, 2):
             assert u_last_negative(omega)
