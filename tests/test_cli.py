@@ -168,3 +168,19 @@ class TestFormats:
                      "--output", "r.json"]) == 0
         capsys.readouterr()
         assert (tmp_path / "r.json").exists()
+
+
+class TestOracleCommands:
+    def test_integrals_ok(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["integrals", "--seed", "1", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["ok"] is True
+
+    def test_sphere_check_ok_and_repeatable(self, tmp_path):
+        # the second run in this process reuses the memoized harmonics,
+        # b tensors and compiled samplers of the first
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["sphere-check", "--output", str(a)]) == 0
+        assert main(["sphere-check", "--output", str(b)]) == 0
+        assert json.loads(a.read_text())["summary"]["ok"] is True
+        assert a.read_bytes() == b.read_bytes()

@@ -10,6 +10,7 @@ import sympy as sp
 
 from hvcert.spectral import d_polynomial, spectral_family
 from hvcert.sphere import (
+    PHI,
     THETA,
     ExcludedEigenvalue,
     HarmonicSpec,
@@ -19,6 +20,7 @@ from hvcert.sphere import (
     annulus_curvature_check,
     annulus_mean_curvature,
     b_divergence_residual,
+    b_derivative_exprs,
     b_double_divergence_residual,
     b_tensor,
     b_tensor_exprs,
@@ -58,6 +60,31 @@ class TestGridAndHarmonics:
             for b in specs[i + 1:]:
                 assert abs(grid.mean(sampled[a] * sampled[b])) < 1e-10, (a, b)
 
+    @staticmethod
+    def ynm_reference(l, m):
+        # the textbook definition: sqrt(4 pi) times Y_l^|m|, or sqrt(2)
+        # times its real or imaginary part, with sympy's Condon-Shortley
+        # phase
+        y = sp.Ynm(l, abs(m), THETA, PHI).expand(func=True)
+        if m > 0:
+            y = sp.sqrt(2) * sp.re(y)
+        elif m < 0:
+            y = sp.sqrt(2) * sp.im(y)
+        return sp.sqrt(4 * sp.pi) * y
+
+    def test_closed_form_matches_ynm(self):
+        for l in range(5):
+            for m in range(-l, l + 1):
+                diff = real_harmonic(l, m) - self.ynm_reference(l, m)
+                assert sp.simplify(diff) == 0, (l, m)
+
+    def test_closed_form_matches_ynm_on_grid(self, grid):
+        for l in (5, 6):
+            for m in range(-l, l + 1):
+                got = grid.sample(real_harmonic(l, m))
+                ref = grid.sample(self.ynm_reference(l, m))
+                assert np.max(np.abs(got - ref)) < 1e-12, (l, m)
+
     def test_low_degrees_excluded(self):
         with pytest.raises(ExcludedEigenvalue):
             HarmonicSpec(1, 0)
@@ -81,6 +108,15 @@ class TestCovariantCalculus:
 
 
 class TestBTensor:
+    def test_memoized_read_only(self):
+        spec = HarmonicSpec(2, 0)
+        b = b_tensor_exprs(spec, 3)
+        assert b_tensor_exprs(HarmonicSpec(2, 0), 3) is b
+        with pytest.raises(TypeError):
+            b["tt"] = 0
+        with pytest.raises(TypeError):
+            b_derivative_exprs(spec, 3)["ttt"] = 0
+
     def test_trace_free(self, grid):
         for l in range(2, 6):
             assert b_trace_residual(HarmonicSpec(l, 1), 3, grid) < 1e-10
