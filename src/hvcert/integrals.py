@@ -7,8 +7,9 @@ The one-dimensional integrals
 carry every coefficient of the eps-expansion of the Yamabe functional at a
 concentrated Aubin bubble.  When 2a - b > 1 the limit has the Beta closed
 form I_a^b = Beta((b+1)/2, a - (b+1)/2) / 2; all identity checks here pit
-that closed form against adaptive quadrature and against each other
-through the integration-by-parts recurrences.
+that closed form against tanh-sinh quadrature (mpmath) and against each
+other through the integration-by-parts recurrences.  Gamma values come from
+`math`, in log space where they would overflow a float.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate, special
+from mpmath import fp, mp
+
+# math.gamma overflows past 171.62
+_GAMMA_MAX = 170.0
+# largest multiplication factor m in i_closed; beyond it, the lgamma form
+_GAUSS_MAX_M = 16
 
 
 class DivergentIntegral(ValueError):
@@ -32,45 +37,98 @@ class QuadratureFailure(RuntimeError):
         self.achieved = achieved
 
 
-def i_closed(a: float, b: float) -> float:
-    """Exact value of I_a^b via the Euler Beta function."""
-    if b <= -1:
-        raise DivergentIntegral(f"b={b} <= -1 diverges at 0")
-    if 2 * a - b <= 1:
-        raise DivergentIntegral(f"2a-b={2 * a - b} <= 1 diverges at infinity")
-    return 0.5 * special.beta((b + 1) / 2, a - (b + 1) / 2)
+def _quad(f, nodes: list, what: str, dps: int | None = None) -> float:
+    """Tanh-sinh quadrature of f over consecutive nodes, failing closed.
 
-
-def i_quadrature(a: float, b: float, rel_tol: float = 1e-12) -> float:
-    """I_a^b by adaptive quadrature on the substituted compact interval.
-
-    The substitution t = s/(1-s) maps [0, inf) to [0, 1) and keeps the
-    integrand bounded for convergent parameters.
+    With `dps` the rule runs in mpmath's multiprecision context at that many
+    digits, otherwise in its float context.  The error estimate must be at
+    most 1e-8 of the value.
     """
-    if b <= -1 or 2 * a - b <= 1:
-        raise DivergentIntegral(f"(a={a}, b={b}) not convergent")
-
-    def integrand(s):
-        t = s / (1 - s)
-        return t ** b / (1 + t * t) ** a / (1 - s) ** 2
-
-    value, err = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0,
-                                epsrel=rel_tol, limit=200)
+    if dps is None:
+        value, err = fp.quad(f, nodes, error=True)
+    else:
+        with mp.workdps(dps):
+            value, err = mp.quad(f, nodes, error=True)
+        value, err = float(value), float(err)
     if value != 0 and err / abs(value) > 1e-8:
-        raise QuadratureFailure("I_a^b quadrature did not converge",
+        raise QuadratureFailure(f"{what} quadrature did not converge",
                                 achieved=err / abs(value))
     return value
 
 
+def _decade_nodes(first: float, stop: float) -> list[float]:
+    """0, first, 10 first, 100 first, ... below stop, then stop."""
+    nodes = [0.0]
+    s = first
+    while s < stop:
+        nodes.append(s)
+        s *= 10
+    nodes.append(stop)
+    return nodes
+
+
+def i_closed(a: float, b: float) -> float:
+    """Exact value of I_a^b via the Euler Beta function.
+
+    B(p, q) = G(p) G(q) / G(a) with p = (b+1)/2, q = a - p, which is the
+    m = 1 case of Gauss's multiplication formula
+
+        B(p, q) = (2 pi)^((1-m)/2) m^(-1/2)
+                  prod_{k<m} G((p+k)/m) G((q+k)/m) / G((a+k)/m).
+
+    m is the smallest power of two that keeps every Gamma argument below
+    170, where math.gamma is finite and accurate to about 1 ulp; dividing
+    by a power of two rounds no argument, so the result stays within a few
+    ulp.  A running frexp scale keeps the product from over- or
+    underflowing.  The lgamma form exp(lgamma(p) + lgamma(q) - lgamma(a))
+    would lose about |lgamma(a)| ulp (5e-13 relative just past a = 170,
+    3e-11 at a = 2e4), so it is used only beyond m = 16, for a > 2705.
+    """
+    if b <= -1:
+        raise DivergentIntegral(f"b={b} <= -1 diverges at 0")
+    if 2 * a - b <= 1:
+        raise DivergentIntegral(f"2a-b={2 * a - b} <= 1 diverges at infinity")
+    p = (b + 1) / 2
+    q = a - p
+    m = 1
+    while (a + m - 1) / m > _GAMMA_MAX and m <= _GAUSS_MAX_M:
+        m *= 2
+    if m > _GAUSS_MAX_M:
+        return 0.5 * math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(a))
+    mantissa, exponent = 0.5, 0
+    for k in range(m):
+        mantissa, e = math.frexp(mantissa * math.gamma((p + k) / m)
+                                 / math.gamma((a + k) / m)
+                                 * math.gamma((q + k) / m))
+        exponent += e
+    scale = (2 * math.pi) ** ((1 - m) / 2) / math.sqrt(m)
+    return math.ldexp(mantissa * scale, exponent)
+
+
+def i_quadrature(a: float, b: float, rel_tol: float = 1e-12) -> float:
+    """I_a^b by tanh-sinh quadrature on [0, 1] and [1, inf).
+
+    The rule runs at 8 more digits than rel_tol asks for (20 at the
+    default), so its float result and error estimate are not limited by
+    the rounding of the integrand.
+    """
+    if b <= -1 or 2 * a - b <= 1:
+        raise DivergentIntegral(f"(a={a}, b={b}) not convergent")
+    dps = math.ceil(-math.log10(rel_tol)) + 8
+    return _quad(lambda t: t ** b / (1 + t * t) ** a, [0, 1, mp.inf],
+                 "I_a^b", dps)
+
+
 def i_truncated(a: float, b: float, delta: float, epsilon: float) -> float:
-    """I_a^b(eps): the defining integral truncated at t = delta/epsilon."""
+    """I_a^b(eps): the defining integral truncated at t = delta/epsilon.
+
+    The interval is split at t = 1, 10, 100, ... so each piece holds a
+    decade of the algebraic tail.
+    """
     if epsilon <= 0 or delta <= 0:
         raise ValueError("delta and epsilon must be positive")
-    upper = delta / epsilon
-    value, err = integrate.quad(lambda t: t ** b / (1 + t * t) ** a,
-                                0.0, upper, epsabs=0.0, epsrel=1e-12,
-                                limit=400)
-    return value
+    return _quad(lambda t: t ** b / (1 + t * t) ** a,
+                 _decade_nodes(1.0, delta / epsilon), "I_a^b(eps)", 20)
 
 
 def truncation_bound(a: float, b: float, delta: float, epsilon: float) -> float:
@@ -122,28 +180,37 @@ def rela_shorthand_report(n: int) -> dict:
 # Sphere volumes and best constants
 # ---------------------------------------------------------------------------
 
-def sphere_volume(n: int) -> float:
-    """Volume of the round unit n-sphere: 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
+def _log_sphere_volume(n: int) -> float:
+    """log omega_n = log 2 + ((n+1)/2) log pi - lgamma((n+1)/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return 2 * math.pi ** ((n + 1) / 2) / special.gamma((n + 1) / 2)
+    return math.log(2) + (n + 1) / 2 * math.log(math.pi) - math.lgamma((n + 1) / 2)
+
+
+def sphere_volume(n: int) -> float:
+    """Volume of the round unit n-sphere: 2 pi^((n+1)/2) / Gamma((n+1)/2).
+
+    Computed in log space, so it underflows to 0.0 (for n above about
+    1500) rather than overflowing in Gamma.
+    """
+    return math.exp(_log_sphere_volume(n))
 
 
 def best_constant(n: int, p: float) -> float:
     """The sharp Sobolev constant K(n, p) for the embedding gradient ->
-    L^{np/(n-p)} norm, in the Aubin-Talenti closed form."""
+    L^{np/(n-p)} norm, in the Aubin-Talenti closed form.  The Gamma ratio
+    and omega_{n-1} are taken in log space, so K stays finite for large n."""
     if not 1 < p < n:
         raise ValueError(f"need 1 < p < n, got p={p}, n={n}")
     first = (p - 1) / (n - p) * ((n - p) / (n * (p - 1))) ** (1 / p)
-    second = (special.gamma(n + 1)
-              / (special.gamma(n / p) * special.gamma(n + 1 - n / p)
-                 * sphere_volume(n - 1))) ** (1 / n)
-    return first * second
+    log_second = (math.lgamma(n + 1) - math.lgamma(n / p)
+                  - math.lgamma(n + 1 - n / p) - _log_sphere_volume(n - 1))
+    return first * math.exp(log_second / n)
 
 
 def best_constant_l1(n: int) -> float:
     """K(n, 1) = (1/n) (n / omega_{n-1})^{1/n} (the p -> 1 limit case)."""
-    return (n / sphere_volume(n - 1)) ** (1 / n) / n
+    return math.exp((math.log(n) - _log_sphere_volume(n - 1)) / n) / n
 
 
 def hardy_constant(n: int, q: float) -> float:
@@ -157,7 +224,7 @@ def k2_inverse_square(n: int) -> float:
     """K(n,2)^{-2} = n(n-2) omega_n^{2/n} / 4."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return n * (n - 2) * sphere_volume(n) ** (2 / n) / 4
+    return n * (n - 2) * math.exp(2 / n * _log_sphere_volume(n)) / 4
 
 
 def inte_identity_check(n: int, rel_tol: float = 1e-10) -> bool:
@@ -203,15 +270,6 @@ class RadialProfile:
         return -(n - 2) * e ** ((n - 2) / 2) * r / (r * r + e * e) ** (n / 2)
 
 
-def _split_points(profile: RadialProfile) -> list[float]:
-    pts = []
-    s = profile.epsilon
-    while s < profile.delta:
-        pts.append(s)
-        s *= 10
-    return pts
-
-
 def radial_yamabe(profile: RadialProfile) -> float:
     """||grad u_eps||_2^2 / ||u_eps||_N^2 on the flat delta-ball.
 
@@ -222,7 +280,7 @@ def radial_yamabe(profile: RadialProfile) -> float:
     n = profile.n
     N = 2 * n / (n - 2)
     w = sphere_volume(n - 1)
-    pts = _split_points(profile)
+    nodes = _decade_nodes(profile.epsilon, profile.delta)
 
     def grad2(r):
         g = profile.gradient(r)
@@ -231,13 +289,12 @@ def radial_yamabe(profile: RadialProfile) -> float:
     def uN(r):
         return profile.value(r) ** N * r ** (n - 1)
 
-    kwargs = dict(epsabs=0.0, epsrel=1e-12, limit=600, points=pts)
-    num, err_n = integrate.quad(grad2, 0.0, profile.delta, **kwargs)
-    den, err_d = integrate.quad(uN, 0.0, profile.delta, **kwargs)
-    for val, err, name in ((num, err_n, "gradient"), (den, err_d, "norm")):
-        if val <= 0 or err / val > 1e-8:
-            raise QuadratureFailure(f"{name} integral did not converge",
-                                    achieved=err / max(val, 1e-300))
+    num = _quad(grad2, nodes, "gradient")
+    den = _quad(uN, nodes, "norm")
+    for val, name in ((num, "gradient"), (den, "norm")):
+        if val <= 0:
+            raise QuadratureFailure(f"{name} integral is not positive",
+                                    achieved=math.inf)
     return (w * num) / (w * den) ** (2 / N)
 
 

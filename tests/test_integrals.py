@@ -1,13 +1,23 @@
 """Bubble integrals I_a^b, sharp constants, the concentration limit, and
 the f^2 coefficient identity."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 import sympy as sp
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
+from hvcert import integrals
 from hvcert.integrals import (
     DivergentIntegral,
+    QuadratureFailure,
     RadialProfile,
     best_constant,
     best_constant_l1,
@@ -72,6 +82,63 @@ class TestBubbleIntegrals:
                 for eps in (1e-1, 1e-2, 1e-3)]
         assert gaps[0] > gaps[1] > gaps[2] >= 0
 
+    @pytest.mark.parametrize("case", ["i_quadrature", "i_truncated",
+                                      "radial_yamabe"])
+    def test_large_error_estimate_fails_closed(self, monkeypatch, case):
+        # each quadrature reports (value, error estimate); an estimate of
+        # the size of the value must raise, never return the value
+        monkeypatch.setattr(integrals.mp, "quad",
+                            lambda f, nodes, error: (mpmath.mpf(1), mpmath.mpf(1)))
+        monkeypatch.setattr(integrals.fp, "quad",
+                            lambda f, nodes, error: (1.0, 1.0))
+        run = {"i_quadrature": lambda: i_quadrature(4, 2),
+               "i_truncated": lambda: i_truncated(4, 2, 1.0, 1e-2),
+               "radial_yamabe": lambda: radial_yamabe(RadialProfile(5, 1e-3, 1.0))}
+        with pytest.raises(QuadratureFailure) as failure:
+            run[case]()
+        assert failure.value.achieved == 1.0
+
+
+# Multiples of 1/64: p = (b+1)/2 and q = a - p are then exact floats, so
+# the comparison measures the Gamma evaluation rather than the rounding of
+# a - (b+1)/2, which alone costs about q psi(q) ulp (1e-13 near q = 170).
+# a <= 170 takes math.gamma directly, 170 < a <= 2700 the multiplication
+# formula with m = 2..16.
+@st.composite
+def convergent_pair(draw):
+    num_a = draw(st.one_of(st.integers(33, 170 * 64),
+                           st.integers(170 * 64 + 1, 2700 * 64)))
+    num_b = draw(st.integers(-63, 2 * num_a - 65))   # b > -1, 2a - b > 1
+    return num_a / 64, num_b / 64
+
+
+class TestClosedFormAccuracy:
+    @given(convergent_pair())
+    @example((170.0, 0.0))
+    @example((170.015625, 3.0))
+    @example((171.0, 1.0))
+    @example((341.5, 0.5))
+    @example((1859.0, 3.0))
+    @example((1000.0, 1000.0))
+    def test_matches_mpmath_beta(self, pair):
+        a, b = pair
+        with mpmath.workdps(40):
+            p = (mpmath.mpf(b) + 1) / 2
+            reference = mpmath.beta(p, a - p) / 2
+        assume(reference >= sys.float_info.min)   # a normal float
+        got = i_closed(a, b)
+        assert abs(got - reference) <= 1e-13 * reference, (a, b)
+
+    @pytest.mark.parametrize("a, b", [(2706.0, 3.0), (5000.0, 9998.5),
+                                      (20000.0, 21.0)])
+    def test_lgamma_form_past_multiplication(self, a, b):
+        # beyond m = 16 the lgamma form loses about |lgamma(a)| ulp:
+        # about 3e-11 relative at a = 2e4
+        with mpmath.workdps(40):
+            p = (mpmath.mpf(b) + 1) / 2
+            reference = mpmath.beta(p, a - p) / 2
+        assert abs(i_closed(a, b) - reference) <= 1e-9 * reference
+
 
 class TestConstants:
     def test_sphere_volumes(self):
@@ -94,6 +161,36 @@ class TestConstants:
         for n in range(3, 10):
             assert k2_inverse_square(n) == pytest.approx(
                 best_constant(n, 2) ** -2, rel=1e-12)
+
+
+class TestLargeDimension:
+    """n in the thousands is the paper's regime (omega = 16 fails from
+    n = 1859): the constants stay finite and agree with 50-digit values."""
+
+    @pytest.mark.parametrize("n", [3, 50, 171, 400, 2000])
+    def test_against_mpmath(self, n):
+        with mpmath.workdps(50):
+            def omega(m):
+                h = mpmath.mpf(m + 1) / 2
+                return 2 * mpmath.pi ** h / mpmath.gamma(h)
+
+            want_volume = omega(n)
+            want_k2 = n * (n - 2) * omega(n) ** (mpmath.mpf(2) / n) / 4
+            want_k = (mpmath.sqrt(mpmath.mpf(n - 2) / n) / (n - 2)
+                      * (mpmath.gamma(n + 1)
+                         / (mpmath.gamma(mpmath.mpf(n) / 2)
+                            * mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+                            * omega(n - 1))) ** (mpmath.mpf(1) / n))
+            want_l1 = (n / omega(n - 1)) ** (mpmath.mpf(1) / n) / n
+        for got, want in ((k2_inverse_square(n), want_k2),
+                          (best_constant(n, 2), want_k),
+                          (best_constant_l1(n), want_l1)):
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-12 * want, n
+        if want_volume >= sys.float_info.min:
+            assert abs(sphere_volume(n) - want_volume) <= 1e-12 * want_volume
+        else:
+            assert sphere_volume(n) == 0.0   # omega_2000 ~ 1e-2068 underflows
 
 
 class TestInteIdentity:
@@ -183,3 +280,25 @@ class TestExpansionBracket:
         assert a.value == pytest.approx((20 - 2) ** 2)
         b = expansion_bracket(20, 3, 0.0, 0.0, 1.0, 0.0)
         assert b.value == pytest.approx(4 * 19 * 18)
+
+
+class TestImports:
+    """The integral oracle runs on math and mpmath alone."""
+
+    @pytest.mark.parametrize("code", [
+        "import hvcert.integrals",
+        "from hvcert.cli import main; "
+        "assert main(['integrals', '--seed', '1', '--output', sys.argv[1]]) == 0",
+    ], ids=["import", "integrals-command"])
+    def test_no_scipy_or_numpy(self, tmp_path, code):
+        src = str(Path(integrals.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        script = (f"import sys; {code}; import json; print(json.dumps(sorted("
+                  "m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))))")
+        done = subprocess.run([sys.executable, "-c", script,
+                               str(tmp_path / "report.json")],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == []
