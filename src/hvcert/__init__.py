@@ -16,7 +16,6 @@ from .algebra import (
     RationalFunction,
     PartialFractionExpansion,
     SqrtEnclosure,
-    UndecidedTie,
     count_roots_on_ray,
     nonnegative_on_ray,
     partial_fractions,
@@ -58,7 +57,6 @@ __all__ = [
     "RationalFunction",
     "PartialFractionExpansion",
     "SqrtEnclosure",
-    "UndecidedTie",
     "count_roots_on_ray",
     "nonnegative_on_ray",
     "partial_fractions",

@@ -7,8 +7,7 @@ partial-fraction decompositions over distinct linear factors, certified
 rational enclosures of square roots, and a Sturm-based decision procedure
 for strict positivity of a polynomial on a ray ``[n0, +oo)``.
 
-No floating point is used anywhere in this module; floats are accepted
-only as conveniences when seeding Newton iterations internally.
+No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class InvalidFactorization(AlgebraError):
 
 class NegativeRadicand(AlgebraError):
     """sqrt_enclosure called on a negative rational."""
-
-
-class UndecidedTie(AlgebraError):
-    """Enclosure refinement hit the width cap without separating signs."""
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -470,45 +465,24 @@ class SqrtEnclosure:
         return (self.lower + self.upper) / 2
 
 
-def _isqrt_fraction_seed(x: Fraction) -> Fraction:
-    """An upper seed u >= sqrt(x) built from integer square roots."""
-    # sqrt(p/q) <= (isqrt(p)+1)/isqrt(q) once isqrt(q) >= 1
-    p, q = x.numerator, x.denominator
-    return Fraction(math.isqrt(p) + 1, max(math.isqrt(q), 1))
-
-
 def sqrt_enclosure(x: RationalLike, width: RationalLike) -> SqrtEnclosure:
-    """Rational bounds l <= sqrt(x) <= u with u - l <= width, exact."""
+    """Rational bounds l <= sqrt(x) <= u on the grid of step 1/D,
+    D = ceil(1/width): l = s/D and u = (s+1)/D with s = isqrt(floor(x D^2)),
+    so u - l = 1/D <= width.  A rational square gives l = u = sqrt(x)."""
     x = _as_fraction(x)
     width = _as_fraction(width)
     if x < 0:
         raise NegativeRadicand(f"negative radicand {x}")
     if width <= 0:
         raise AlgebraError("width must be positive")
-    if x == 0:
-        return SqrtEnclosure(Fraction(0), Fraction(0), x)
     # exact square shortcut
     pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
     if pn * pn == x.numerator and pd * pd == x.denominator:
         r = Fraction(pn, pd)
         return SqrtEnclosure(r, r, x)
-    u = _isqrt_fraction_seed(x)
-    if u * u < x:  # defensive; the seed construction should prevent this
-        u = u + 1
-    lower = x / u
-    while u - lower > width:
-        u = (u + x / u) / 2
-        lower = x / u
-        # keep intermediate fractions from ballooning: round the upper bound
-        # up to a controlled denominator while preserving u >= sqrt(x)
-        if u.denominator.bit_length() > 4 * max(64, width.denominator.bit_length()):
-            u = _round_up(u, 2 * width.denominator.bit_length() + 64)
-    return SqrtEnclosure(lower, u, x)
-
-
-def _round_up(v: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(-((-v.numerator * scale) // v.denominator), scale)
+    grid = -(-width.denominator // width.numerator)
+    s = math.isqrt(x.numerator * grid * grid // x.denominator)
+    return SqrtEnclosure(Fraction(s, grid), Fraction(s + 1, grid), x)
 
 
 # ---------------------------------------------------------------------------
@@ -593,48 +567,48 @@ def nonnegative_on_ray(p: Polynomial,
 
 
 # ---------------------------------------------------------------------------
-# Sign decision for A + sum c_i sqrt(x_i)
+# Sign decision for A + c_1 sqrt(x_1) + c_2 sqrt(x_2)
 # ---------------------------------------------------------------------------
 
-_WIDTH_CAP = Fraction(1, 10 ** 200)
+def _sign(v: Fraction) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_with_sqrt(b: Fraction, c: Fraction, x: Fraction) -> int:
+    """Exact sign of b + c*sqrt(x) for x > 0: when b and c*sqrt(x) have
+    opposite signs, the larger of b^2 and c^2 x wins."""
+    sb, sc = _sign(b), _sign(c)
+    if sb == 0 or sb == sc:
+        return sc
+    if sc == 0:
+        return sb
+    return sb * _sign(b * b - c * c * x)
 
 
 def sign_with_sqrts(constant: RationalLike,
-                    sqrt_terms: Sequence[tuple[RationalLike, RationalLike]],
-                    initial_width: RationalLike = Fraction(1, 10 ** 30)) -> int:
-    """Exact sign of constant + sum_i c_i*sqrt(x_i), c_i and x_i rational.
+                    sqrt_terms: Sequence[tuple[RationalLike, RationalLike]]) -> int:
+    """Exact sign of A + c_1*sqrt(x_1) + c_2*sqrt(x_2), A, c_i, x_i rational.
 
-    Enclosures are refined geometrically; if the interval still straddles
-    zero at width 1e-200 the computation aborts with UndecidedTie rather
-    than guessing.  (With every radicand a perfect square the decision is
-    exact at width zero, so a genuine zero is still reported as 0.)
+    At most two radicals, of any sign.  The sign is decided by squaring (at
+    most twice), with no enclosure, so a genuine tie returns 0.
     """
+    if len(sqrt_terms) > 2:
+        raise AlgebraError("at most two radicals are supported")
     constant = _as_fraction(constant)
     terms = [(_as_fraction(c), _as_fraction(x)) for c, x in sqrt_terms]
+    if any(x < 0 for _, x in terms):
+        raise NegativeRadicand("negative radicand")
     terms = [(c, x) for c, x in terms if c != 0 and x != 0]
     if not terms:
-        return (constant > 0) - (constant < 0)
-    width = _as_fraction(initial_width)
-    while True:
-        lo = constant
-        hi = constant
-        exact = True
-        for c, x in terms:
-            enc = sqrt_enclosure(x, width)
-            if enc.lower != enc.upper:
-                exact = False
-            if c > 0:
-                lo += c * enc.lower
-                hi += c * enc.upper
-            else:
-                lo += c * enc.upper
-                hi += c * enc.lower
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if exact:
-            return 0
-        if width <= _WIDTH_CAP:
-            raise UndecidedTie("undecided - possible tie at width cap 1e-200")
-        width = max(width * width, _WIDTH_CAP) if width < 1 else width / 2
+        return _sign(constant)
+    (c1, x1), *rest = terms
+    first = _sign_with_sqrt(constant, c1, x1)
+    if not rest:
+        return first
+    c2, x2 = rest[0]
+    second = _sign(c2)
+    if first == 0 or first == second:
+        return second
+    # opposite signs: compare (A + c_1 sqrt(x_1))^2 with c_2^2 x_2
+    return first * _sign_with_sqrt(constant * constant + c1 * c1 * x1
+                                   - c2 * c2 * x2, 2 * constant * c1, x1)

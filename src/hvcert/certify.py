@@ -34,7 +34,6 @@ from .algebra import (
     RationalFunction,
     RayPositivityWitness,
     SqrtEnclosure,
-    UndecidedTie,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -144,7 +143,8 @@ class SymbolicCertificate:
     lower_bounds: tuple[LowerBoundCheck, ...]
     pair_checks: tuple[PairCheck, ...]
     ok: bool
-    failure: Optional[tuple] = None   # ("lower_bound", omega, k) or ("pair", omega, i, j)
+    # ("lower_bound", omega, k), ("d_order", omega, k) or ("pair", omega, i, j)
+    failure: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -242,21 +242,12 @@ def certify_at(omega: int, n: int,
                                            nonempty=True, chosen_c=candidate,
                                            mu_branch=mu_branch,
                                            status="certified")
-        else:
-            # candidate construction failed; decide emptiness exactly
-            try:
-                verdict = _exact_nonempty(current, n)
-            except UndecidedTie:
-                return IntervalCertificate(omega=omega, n=n, pairs=current,
-                                           nonempty=False, chosen_c=None,
-                                           mu_branch=mu_branch,
-                                           status="undecided")
-            if verdict is False:
-                return IntervalCertificate(omega=omega, n=n, pairs=current,
-                                           nonempty=False, chosen_c=None,
-                                           mu_branch=mu_branch,
-                                           status="empty")
-            # nonempty but enclosures too loose; fall through and refine
+        elif not _exact_nonempty(current, n):
+            # candidate construction failed; emptiness is decided exactly
+            return IntervalCertificate(omega=omega, n=n, pairs=current,
+                                       nonempty=False, chosen_c=None,
+                                       mu_branch=mu_branch, status="empty")
+        # nonempty but enclosures too loose; refine
         width = width * width
         current = tuple(p.refined(width) for p in current)
     return IntervalCertificate(omega=omega, n=n, pairs=current,
@@ -345,8 +336,18 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
                 failure=("lower_bound", omega, row.k))
         lb_data[row.k] = (a, b, sqrt_enclosure(a, _SQRT_A_WIDTH).lower)
 
-    pair_checks = []
+    # the pair checks scale the sqrt(Delta) lower bounds by d_i and d_j and
+    # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray
     d_polys = {row.k: row.d for row in rows}
+    ks = sorted(d_polys)
+    gaps = [d_polys[k] - d_polys[nxt] for k, nxt in zip(ks, ks[1:])]
+    for k, gap in zip(ks, gaps + [d_polys[ks[-1]]]):
+        if not nonnegative_on_ray(gap, n0)[0]:
+            return SymbolicCertificate(
+                omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
+                pair_checks=(), ok=False, failure=("d_order", omega, k))
+
+    pair_checks = []
     for i in range(1, omega // 2 + 1):
         for j in range(i + 1, omega // 2 + 1):
             a_i, b_i, sa_i = lb_data[i]

@@ -1,19 +1,22 @@
 """Exact polynomial arithmetic, partial fractions, Sturm positivity,
 and square-root enclosures."""
 
+import decimal
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hvcert.algebra import (
+    AlgebraError,
     InvalidFactorization,
     NegativeRadicand,
     PartialFractionExpansion,
     Polynomial,
     RationalFunction,
-    UndecidedTie,
     count_roots_on_ray,
     nonnegative_on_ray,
     partial_fractions,
@@ -213,6 +216,42 @@ class TestSqrtEnclosure:
         assert enc.lower ** 2 <= x <= enc.upper ** 2
         assert enc.upper - enc.lower <= Fraction(1, 10 ** 15)
 
+    @given(st.fractions(min_value=0, max_value=10 ** 6,
+                        max_denominator=10 ** 6),
+           st.integers(min_value=0, max_value=30))
+    @settings(max_examples=200, deadline=None)
+    def test_endpoints_on_decimal_grid(self, x, k):
+        # lower = floor(sqrt(x) 10^k) / 10^k, with the floor taken from an
+        # 80-digit decimal square root rather than an integer square root
+        assume(not (math.isqrt(x.numerator) ** 2 == x.numerator
+                    and math.isqrt(x.denominator) ** 2 == x.denominator))
+        enc = sqrt_enclosure(x, Fraction(1, 10 ** k))
+        assert enc.upper - enc.lower == Fraction(1, 10 ** k)
+        ctx = decimal.Context(prec=80)
+        root = ctx.sqrt(ctx.divide(decimal.Decimal(x.numerator),
+                                   decimal.Decimal(x.denominator)))
+        floor = int(ctx.scaleb(root, k).to_integral_value(decimal.ROUND_FLOOR))
+        assert enc.lower == Fraction(floor, 10 ** k)
+
+
+small_rationals = st.fractions(min_value=-100, max_value=100,
+                               max_denominator=100)
+radicands = st.fractions(min_value=0, max_value=100, max_denominator=100)
+
+
+def sympy_sign(constant, terms):
+    """Sign of constant + sum c sqrt(x): sympy's equals(0) for ties, then
+    a 60-digit evaluation."""
+    expr = sp.Rational(constant.numerator, constant.denominator)
+    for c, x in terms:
+        c, x = Fraction(c), Fraction(x)
+        expr += (sp.Rational(c.numerator, c.denominator)
+                 * sp.sqrt(sp.Rational(x.numerator, x.denominator)))
+    if expr.equals(0):
+        return 0
+    value = expr.evalf(60)
+    return 1 if value > 0 else -1 if value < 0 else 0
+
 
 class TestSignWithSqrts:
     def test_plain_rational(self):
@@ -234,19 +273,51 @@ class TestSignWithSqrts:
         assert sign_with_sqrts(Fraction(3, 2),
                                [(Fraction(-1), Fraction(9, 4))]) == 0
 
-    def test_irrational_tie_raises(self):
-        # sqrt(2) - sqrt(2) with distinct radicand encodings cannot be
-        # resolved by interval refinement alone
-        with pytest.raises(UndecidedTie):
-            sign_with_sqrts(Fraction(0),
-                            [(Fraction(1), Fraction(2)),
-                             (Fraction(-1), Fraction(2))])
+    def test_irrational_tie_is_zero(self):
+        # sqrt(2) - sqrt(2) is an exact tie, decided by squaring
+        assert sign_with_sqrts(Fraction(0),
+                               [(Fraction(1), Fraction(2)),
+                                (Fraction(-1), Fraction(2))]) == 0
 
-    def test_tie_message_mentions_possible_tie(self):
-        with pytest.raises(UndecidedTie, match="possible tie"):
-            sign_with_sqrts(Fraction(0),
-                            [(Fraction(1), Fraction(2)),
-                             (Fraction(-1), Fraction(2))])
+    def test_tie_across_radicand_encodings_is_zero(self):
+        # sqrt(8) - 2 sqrt(2) and sqrt(1/2) - sqrt(2)/2 with distinct
+        # radicands, in both orders
+        assert sign_with_sqrts(0, [(1, 8), (-2, 2)]) == 0
+        assert sign_with_sqrts(0, [(-2, 2), (1, 8)]) == 0
+        assert sign_with_sqrts(0, [(1, Fraction(1, 2)),
+                                   (Fraction(-1, 2), 2)]) == 0
+
+    def test_three_radicals_rejected(self):
+        with pytest.raises(AlgebraError):
+            sign_with_sqrts(0, [(1, 2), (1, 3), (1, 5)])
+
+    @given(small_rationals,
+           st.lists(st.tuples(small_rationals.filter(bool),
+                              radicands.filter(bool)), max_size=2),
+           st.integers(min_value=0, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy(self, constant, terms, digits):
+        # digits > 0 replaces the constant by a rational near
+        # -sum c sqrt(x), so the squarings decide near-ties
+        if digits:
+            near = sum(float(c) * math.sqrt(x) for c, x in terms)
+            constant = -Fraction(near).limit_denominator(10 ** digits)
+        assert sign_with_sqrts(constant, terms) == sympy_sign(constant, terms)
+
+    @given(small_rationals.filter(bool),
+           st.fractions(min_value=Fraction(1, 100), max_value=100,
+                        max_denominator=100),
+           radicands.filter(bool), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_constructed_ties_are_zero(self, c, m, x, swap):
+        # c sqrt(m^2 x) - c m sqrt(x) = 0
+        terms = [(c, m * m * x), (-c * m, x)]
+        if swap:
+            terms.reverse()
+        assert sympy_sign(0, terms) == 0
+        assert sign_with_sqrts(0, terms) == 0
+        # a rational root against the constant: c m - c sqrt(m^2) = 0
+        assert sign_with_sqrts(c * m, [(-c, m * m)]) == 0
 
     def test_tight_but_decidable(self):
         # 665857/470832 is a continued-fraction convergent of sqrt 2;

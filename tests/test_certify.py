@@ -125,6 +125,24 @@ class TestSymbolicCertificate:
         assert not cert.ok
         assert cert.failure == ("lower_bound", 3, 1)
 
+    def test_unproved_d_order_fails(self, monkeypatch):
+        # omega = 5's rows relabelled k = 2, 1, so d_1 < d_2: the pair
+        # checks take only i < j and scale by d_i, d_j, which is sound only
+        # when d_1 > d_2 > 0 is proved on the ray
+        class Relabelled:
+            def __init__(self, row, k):
+                self.omega, self.k = row.omega, k
+                self.d, self.delta = row.d, row.delta
+                self.delta_pole_candidates = row.delta_pole_candidates
+
+        first, second = spectral_family(5)
+        monkeypatch.setattr(
+            certify, "spectral_family",
+            lambda omega: (Relabelled(first, 2), Relabelled(second, 1)))
+        cert = symbolic_certificate(5)
+        assert not cert.ok
+        assert cert.failure == ("d_order", 5, 1)
+
     def test_lower_bound_structure(self):
         cert = symbolic_certificate(5)
         for lb in cert.lower_bounds:

@@ -2,6 +2,7 @@
 JSON/CSV round trip."""
 
 import json
+import math
 
 import pytest
 
@@ -12,6 +13,7 @@ from hvcert.cli import (
     parse_csv_entries,
     rational_payload,
 )
+from hvcert.spectral import spectral_family
 from fractions import Fraction
 
 
@@ -134,6 +136,30 @@ class TestFormats:
         xs = [Fraction(v["exact"]) for v in entry["x"]]
         ys = [Fraction(v["exact"]) for v in entry["y"]]
         assert max(xs) < c < min(ys)
+
+    def test_root_midpoints_within_enclosure_width(self, capsys):
+        # every reported x_k, y_k lies within 1e-30 of the true root
+        # [(n-2)^2 -/+ (n-2) sqrt(Delta_k)] / d_k, bracketed here to 50
+        # digits by an integer square root
+        assert main(["scan", "--omega", "16", "--n", "1857..1860"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [e["n"] for e in entries] == [1857, 1858, 1859, 1860]
+        rows = spectral_family(16)
+        scale, tol = 10 ** 50, Fraction(1, 10 ** 30)
+        for entry in entries:
+            n = entry["n"]
+            assert len(entry["x"]) == len(entry["y"]) == len(rows)
+            for row, x, y in zip(rows, entry["x"], entry["y"]):
+                d, delta = Fraction(row.d(n)), Fraction(row.delta(n))
+                p, q = delta.numerator, delta.denominator
+                r = math.isqrt(p * q * scale * scale)
+                lo, hi = Fraction(r, q * scale), Fraction(r + 1, q * scale)
+                base, coeff = Fraction((n - 2) ** 2) / d, Fraction(n - 2) / d
+                for value, root_lo, root_hi in (
+                        (x, base - coeff * hi, base - coeff * lo),
+                        (y, base + coeff * lo, base + coeff * hi)):
+                    mid = Fraction(value["exact"])
+                    assert root_lo - tol <= mid <= root_hi + tol
 
     def test_coeffs_markdown_table(self, capsys):
         assert main(["coeffs", "--omega", "5", "--format", "markdown"]) == 0
