@@ -37,12 +37,10 @@ from .spectral import (
 from .certify import (
     IntervalCertificate,
     MuBranch,
-    ScanReport,
     SymbolicCertificate,
     certify_at,
     delta_partial_fraction,
     dimension_cover_check,
-    scan,
     smallest_failing_n,
     symbolic_certificate,
 )
@@ -74,12 +72,10 @@ __all__ = [
     "spectral_row",
     "IntervalCertificate",
     "MuBranch",
-    "ScanReport",
     "SymbolicCertificate",
     "certify_at",
     "delta_partial_fraction",
     "dimension_cover_check",
-    "scan",
     "smallest_failing_n",
     "symbolic_certificate",
     "__version__",

@@ -15,9 +15,10 @@ exactly: a candidate c is read off numeric enclosures, then validated by
 a purely rational a-posteriori trinomial check; genuine emptiness is
 proved through exact sign decisions on the pairwise quantities
 (n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j).  The symbolic
-certificate covers all n >= 2 omega + 6 at once via the partial-fraction
-lower bound sqrt(Delta_k) > sqrt(a_k) (n + b_k/(2 a_k)) and Sturm
-positivity on the ray.
+certificate covers all n >= 2 omega + 6 at once via the lower bound
+sqrt(Delta_k) > sqrt(a_k) (n + b_k/(2 a_k)), where a_k n^2 + b_k n + c_k
+is the polynomial part of Delta_k (one polynomial division), and Sturm
+positivity on the ray.  Scans over many cells run through hvcert.cli.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .algebra import (
     AlgebraError,
     PartialFractionExpansion,
     Polynomial,
-    RationalFunction,
     RayPositivityWitness,
     SqrtEnclosure,
     nonnegative_on_ray,
@@ -132,7 +132,6 @@ class LowerBoundCheck:
     k: int
     a: Fraction
     b: Fraction
-    expansion: PartialFractionExpansion
     witness: RayPositivityWitness
 
 
@@ -147,22 +146,14 @@ class SymbolicCertificate:
     failure: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    entries: tuple[IntervalCertificate, ...]
-    summary: dict
-    failures: tuple[tuple[int, int], ...]
-
-
 # ---------------------------------------------------------------------------
 # Per-dimension certificates
 # ---------------------------------------------------------------------------
 
-_DEFAULT_WIDTH = Fraction(1, 10 ** 30)
+_WIDTH = Fraction(1, 10 ** 30)
 
 
-def roots_at(omega: int, n: int,
-             width: Fraction = _DEFAULT_WIDTH) -> list[RootPair]:
+def roots_at(omega: int, n: int) -> list[RootPair]:
     """Exact root data for every eigencomponent at integer dimension n."""
     if omega < 2:
         raise HypothesisViolated(f"omega={omega} below the certified range")
@@ -184,7 +175,7 @@ def roots_at(omega: int, n: int,
             delta_value=delta_val,
             base=Fraction((n - 2) ** 2) / d_val,
             radical_coeff=Fraction(n - 2) / d_val,
-            x_enclosure=sqrt_enclosure(delta_val, width)))
+            x_enclosure=sqrt_enclosure(delta_val, _WIDTH)))
     return pairs
 
 
@@ -227,7 +218,7 @@ def certify_at(omega: int, n: int,
                                    mu_branch=mu_branch,
                                    status="covered_by_prior_branch")
 
-    width = _DEFAULT_WIDTH
+    width = _WIDTH
     current = pairs
     for _ in range(6):
         lower = max(p.x_upper for p in current)
@@ -288,16 +279,6 @@ def delta_partial_fraction(row: SpectralRow) -> PartialFractionExpansion:
     return partial_fractions(row.delta, factors)
 
 
-def _quadratic_part(exp: PartialFractionExpansion) -> tuple[Fraction, Fraction]:
-    poly = exp.polynomial_part
-    if poly.degree != 2:
-        raise InternalConsistencyError("polynomial part is not quadratic")
-    return poly.coeffs[2], poly.coeffs[1]
-
-
-_SQRT_A_WIDTH = Fraction(1, 10 ** 30)
-
-
 def symbolic_certificate(omega: int) -> SymbolicCertificate:
     """Assemble the all-n certificate for one omega, or report the first
     failing ingredient as a value (omega = 16 is expected to fail)."""
@@ -310,22 +291,26 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
     lower_bounds = []
     lb_data = {}
     for row in rows:
-        exp = delta_partial_fraction(row)
-        a, b = _quadratic_part(exp)
+        den = row.delta.den
+        q, r = row.delta.num.divmod(den)
+        if q.degree != 2:
+            raise InternalConsistencyError(
+                f"polynomial part of Delta is not quadratic for "
+                f"omega={omega}, k={row.k}")
+        c, b, a = q.coeffs
         if a <= 0:
             return SymbolicCertificate(
                 omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
                 pair_checks=(), ok=False,
                 failure=("lower_bound", omega, row.k))
-        # Delta_k - a (n + b/(2a))^2 > 0 on the ray: its numerator and its
-        # denominator must both be proved positive there.  The denominator
-        # is monic, so it cannot be negative on the whole ray; an unproved
-        # denominator sign fails the bound.
-        diff = row.delta - RationalFunction.from_polynomial(
-            Polynomial._coerce((_N + b / (2 * a)) ** 2).scale(a))
-        den_ok, _ = nonnegative_on_ray(diff.den, n0)
-        ok, wit = nonnegative_on_ray(diff.num, n0)
-        check = LowerBoundCheck(k=row.k, a=a, b=b, expansion=exp, witness=wit)
+        # Delta_k - a (n + b/(2a))^2 = (r + den (c - b^2/(4a))) / den > 0 on
+        # the ray: its numerator and its denominator must both be proved
+        # positive there.  The denominator is monic, so it cannot be
+        # negative on the whole ray; an unproved denominator sign fails the
+        # bound.
+        den_ok, _ = nonnegative_on_ray(den, n0)
+        ok, wit = nonnegative_on_ray(r + den.scale(c - b * b / (4 * a)), n0)
+        check = LowerBoundCheck(k=row.k, a=a, b=b, witness=wit)
         lower_bounds.append(check)
         # the linear bound must itself be positive on the ray for the
         # sqrt(a) under-approximation below to stay a lower bound
@@ -334,7 +319,7 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
                 omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
                 pair_checks=(), ok=False,
                 failure=("lower_bound", omega, row.k))
-        lb_data[row.k] = (a, b, sqrt_enclosure(a, _SQRT_A_WIDTH).lower)
+        lb_data[row.k] = (a, b, sqrt_enclosure(a, _WIDTH).lower)
 
     # the pair checks scale the sqrt(Delta) lower bounds by d_i and d_j and
     # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray
@@ -370,39 +355,8 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Grid scans
+# The omega = 16 breakdown and the dimension cover
 # ---------------------------------------------------------------------------
-
-def scan(omega_range: Sequence[int], n_range: Sequence[int],
-         mu_branch: MuBranch = MuBranch.DEG_EQUALS_OMEGA) -> ScanReport:
-    """certify_at over a grid, deterministic ordering (omega major, n minor).
-
-    Cells with n < 2 omega + 6 are skipped; failures lists cells that are
-    empty or undecided.
-    """
-    entries = []
-    failures = []
-    summary = {}
-    for omega in sorted(set(omega_range)):
-        verdicts = []
-        for n in sorted(set(n_range)):
-            if n < 2 * omega + 6:
-                continue
-            cert = certify_at(omega, n, mu_branch)
-            entries.append(cert)
-            verdicts.append(cert)
-            if not cert.nonempty:
-                failures.append((omega, n))
-        if not verdicts:
-            summary[omega] = "no admissible n in range"
-        elif all(v.nonempty for v in verdicts):
-            summary[omega] = "all nonempty"
-        else:
-            bad = [v.n for v in verdicts if not v.nonempty]
-            summary[omega] = f"empty or undecided at {len(bad)} cells, smallest n={min(bad)}"
-    return ScanReport(entries=tuple(entries), summary=summary,
-                      failures=tuple(failures))
-
 
 def smallest_failing_n(omega: int = 16, n_lo: int = 38,
                        n_hi: int = 2000) -> Optional[int]:

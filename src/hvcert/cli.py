@@ -484,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output path (relative paths resolve against "
                             f"${ENV_OUTPUT_DIR} when set); default stdout")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("certify", help="certify cells or whole rays")
     p.add_argument("--omega", required=True)
@@ -507,6 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("integrals", help="run the integral identity suite")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomly drawn recurrence checks")
     common(p)
 
     p = sub.add_parser("sphere-check", help="run the sphere oracle suite")
@@ -533,7 +534,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         format=args.format,
         output=args.output,
         jobs=args.jobs,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
     )
 
 

@@ -258,32 +258,3 @@ def p2_value(omega: int) -> Polynomial:
     """P_2(omega+2) as a Polynomial in n."""
     return p2_closed_form(Fraction(omega + 2))
 
-
-# ---------------------------------------------------------------------------
-# Sign facts used by the interval certificates
-# ---------------------------------------------------------------------------
-
-def d_strictly_decreasing_in_k(omega: int) -> bool:
-    """d_k > d_{k+1} on the ray n >= 2 omega + 6, for every adjacent pair."""
-    n0 = 2 * omega + 6
-    for k in range(1, omega // 2):
-        diff = d_polynomial(omega, k) - d_polynomial(omega, k + 1)
-        ok, _ = nonnegative_on_ray(diff, n0)
-        if not ok:
-            return False
-    return True
-
-
-def u_last_negative(omega: int) -> bool:
-    """For even omega, u_{omega/2} < 0 for all n >= 2 omega + 6.
-
-    (The numerator of u_{omega/2} is in fact -4 - (n-1)(omega+2)^2 times a
-    positive prefactor, so this holds on the whole ray; the check is still
-    performed via the generic sign machinery.)
-    """
-    if omega % 2 != 0:
-        raise SpectralRangeError("u_last_negative applies to even omega only")
-    n0 = 2 * omega + 6
-    u = spectral_row(omega, omega // 2).u
-    ok_num, _ = nonnegative_on_ray(-u.num * u.den, n0)
-    return ok_num

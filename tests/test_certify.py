@@ -1,18 +1,19 @@
 """Interval certificates: per-dimension root intervals, the all-n symbolic
-certificate, scans, and the omega = 16 breakdown."""
+certificate, and the omega = 16 breakdown.  Scans run through hvcert.cli
+and are tested in test_cli.py."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from hvcert import certify
-from hvcert.algebra import Polynomial, RationalFunction
+from hvcert.algebra import Polynomial, RationalFunction, nonnegative_on_ray
 from hvcert.certify import (
     MuBranch,
     certify_at,
+    delta_partial_fraction,
     dimension_cover_check,
     roots_at,
-    scan,
     symbolic_certificate,
     trinomial_value,
 )
@@ -149,6 +150,37 @@ class TestSymbolicCertificate:
             assert lb.a > 0
             assert lb.witness.positive
 
+    def test_lower_bound_matches_partial_fractions(self, monkeypatch):
+        # (a, b) is read off the quotient of Delta's numerator by its
+        # denominator; the reference is the polynomial part of the
+        # partial-fraction expansion, and the numerator proved positive is
+        # a positive multiple of the numerator of Delta - a (n + b/(2a))^2
+        # built by RationalFunction arithmetic
+        proved = []
+
+        def recording(p, n0):
+            proved.append(p)
+            return nonnegative_on_ray(p, n0)
+
+        monkeypatch.setattr(certify, "nonnegative_on_ray", recording)
+        n = Polynomial.x()
+        for omega in range(3, 25):
+            proved.clear()
+            cert = symbolic_certificate(omega)
+            assert len(cert.lower_bounds) == omega // 2, omega
+            rows = {row.k: row for row in spectral_family(omega)}
+            for lb in cert.lower_bounds:
+                row = rows[lb.k]
+                poly = delta_partial_fraction(row).polynomial_part
+                assert (lb.a, lb.b) == (poly.coeffs[2], poly.coeffs[1])
+                square = (n + lb.b / (2 * lb.a)) ** 2
+                ref = (row.delta - RationalFunction.from_polynomial(
+                    square.scale(lb.a))).num
+                assert any(p.degree == ref.degree
+                           and p.scale(ref.leading / p.leading) == ref
+                           and ref.leading / p.leading > 0
+                           for p in proved), (omega, lb.k)
+
 
 class TestOmegaSixteen:
     def test_certified_just_below_threshold(self):
@@ -159,27 +191,6 @@ class TestOmegaSixteen:
         assert cert.status == "empty"
         assert not cert.nonempty
         assert cert.chosen_c is None
-
-
-class TestScan:
-    def test_small_scan_contents(self):
-        report = scan(range(5, 7), range(16, 41))
-        assert all(e.status == "certified" for e in report.entries)
-        assert report.failures == ()
-        # cells below the ray start are skipped
-        assert all(e.n >= 2 * e.omega + 6 for e in report.entries)
-
-    def test_deterministic(self):
-        a = scan(range(4, 6), range(14, 30))
-        b = scan(range(4, 6), range(14, 30))
-        assert a.entries == b.entries
-        assert a.summary == b.summary
-
-    def test_failure_listing(self):
-        report = scan([16], range(1857, 1861))
-        assert (16, 1859) in report.failures
-        assert (16, 1860) in report.failures
-        assert (16, 1857) not in report.failures
 
 
 class TestDimensionCover:

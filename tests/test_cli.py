@@ -51,10 +51,13 @@ class TestExitCodes:
         assert out["summary"]["failures"] == [["pair", 16, 1, 7]]
 
     def test_scan_with_empty_cells_still_succeeds(self, capsys):
-        assert main(["scan", "--omega", "16", "--n", "1858..1860",
+        assert main(["scan", "--omega", "16", "--n", "1857..1860",
                      "--jobs", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert out["summary"]["empty_cells"] == [[16, 1859], [16, 1860]]
         assert out["summary"]["smallest_empty"] == [16, 1859]
+        assert [e["status"] for e in out["entries"]] == [
+            "certified", "certified", "empty", "empty"]
 
     def test_usage_error(self, capsys):
         assert main(["scan", "--omega", "5..3", "--n", "16..20"]) == 2
@@ -81,6 +84,12 @@ class TestExitCodes:
         assert captured.err.startswith("hvcert: ")
         assert captured.err.count("\n") == 1
 
+    def test_seed_only_on_integrals(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--omega", "5", "--n", "16..20", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_report_missing_input(self, capsys):
         assert main(["report", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
@@ -99,6 +108,15 @@ class TestDeterminism:
         monkeypatch.setenv("HVCERT_OUTPUT_DIR", str(db))
         assert main(args) == 0
         assert (da / "r.json").read_bytes() == (db / "r.json").read_bytes()
+        # cells below the ray n >= 2 omega + 6 (omega = 6, n = 16, 17) are
+        # skipped; every other cell is certified, in omega-major order
+        report = json.loads((da / "r.json").read_text())
+        cells = [(e["omega"], e["n"]) for e in report["entries"]]
+        assert cells == ([(5, n) for n in range(16, 31)]
+                         + [(6, n) for n in range(18, 31)])
+        assert all(e["status"] == "certified" for e in report["entries"])
+        assert report["summary"]["empty_cells"] == []
+        assert report["config_echo"]["seed"] == 0
 
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

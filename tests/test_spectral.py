@@ -18,14 +18,12 @@ from hvcert.spectral import (
     SpectralRangeError,
     check_lemma_poly,
     d_polynomial,
-    d_strictly_decreasing_in_k,
     lemma_polynomial,
     nu_polynomial,
     p2_identity_check,
     p2_value,
     spectral_family,
     spectral_row,
-    u_last_negative,
 )
 
 
@@ -87,8 +85,17 @@ class TestDCoefficients:
         assert d_polynomial(7, 3) == 4 * poly(168, 74, 79, 2)
 
     def test_strictly_decreasing_in_k(self):
-        for omega in range(2, 16):
-            assert d_strictly_decreasing_in_k(omega)
+        # d_k = 4 a(nu_k) with a linear in x, so d_k - d_{k+1} is
+        # 4 (n-1)(n-2) (nu_k - nu_{k+1}), and nu_k - nu_{k+1} has positive
+        # coefficients; symbolic_certificate proves the same ordering on
+        # the ray with nonnegative_on_ray
+        n = Polynomial.x()
+        for omega in range(2, 25):
+            for k in range(1, omega // 2):
+                gap = nu_polynomial(omega, k) - nu_polynomial(omega, k + 1)
+                assert all(c > 0 for c in gap.coeffs), (omega, k)
+                assert (d_polynomial(omega, k) - d_polynomial(omega, k + 1)
+                        == 4 * (n - 1) * (n - 2) * gap)
 
 
 class TestUOverNu:
@@ -131,12 +138,6 @@ class TestUOverNu:
                          - RationalFunction(d) * u_over_nu / RationalFunction(nu))
                 assert row.u_over_nu == u_over_nu, (omega, row.k)
                 assert row.delta == delta, (omega, row.k)
-
-    def test_u_last_negative_even_omega(self):
-        for omega in range(2, 16, 2):
-            assert u_last_negative(omega)
-        with pytest.raises(SpectralRangeError):
-            u_last_negative(5)
 
 
 class TestDeltaExpansions:
