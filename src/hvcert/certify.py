@@ -263,19 +263,12 @@ def _exact_nonempty(pairs: Sequence[RootPair], n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def delta_partial_fraction(row: SpectralRow) -> PartialFractionExpansion:
-    """Partial fractions of Delta_k over its (at most three) linear poles."""
-    den = row.delta.den
-    factors = []
-    residual = den
-    for root in row.delta_pole_candidates():
-        fac = Polynomial.linear_root(root)
-        q, r = residual.divmod(fac)
-        if r.is_zero():
-            factors.append(fac)
-            residual = q
-    if residual.degree != 0:
-        raise InternalConsistencyError(
-            f"unexpected denominator {den} for omega={row.omega}, k={row.k}")
+    """Partial fractions of Delta_k over its three linear poles n = 2,
+    n = -m and n = 1 - m (m = omega - 2k + 1 >= 1, so they are distinct).
+    None of them cancels against -P(nu_k) for omega 2..40 (tested); where
+    one did, their product would not be den(Delta_k) and partial_fractions
+    would fail with InvalidFactorization."""
+    factors = [Polynomial.linear_root(r) for r in row.delta_pole_candidates()]
     return partial_fractions(row.delta, factors)
 
 

@@ -49,6 +49,15 @@ class UsageError(ValueError):
     """Malformed ranges or options; maps to exit code 2."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError for an unknown or missing option instead of
+    exiting, so main reports it like every other usage error.  Subparsers
+    inherit the class; --help and --version still exit 0."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -470,7 +479,7 @@ def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hvcert",
         description="certification toolkit for the interval-intersection "
                     "criterion of the Hebey-Vaugon conjecture")

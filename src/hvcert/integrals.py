@@ -21,7 +21,7 @@ from mpmath import fp, mp
 
 # math.gamma overflows past 171.62
 _GAMMA_MAX = 170.0
-# largest multiplication factor m in i_closed; beyond it, the lgamma form
+# largest multiplication factor m in i_closed; beyond it, mpmath's Beta
 _GAUSS_MAX_M = 16
 
 
@@ -82,7 +82,9 @@ def i_closed(a: float, b: float) -> float:
     ulp.  A running frexp scale keeps the product from over- or
     underflowing.  The lgamma form exp(lgamma(p) + lgamma(q) - lgamma(a))
     would lose about |lgamma(a)| ulp (5e-13 relative just past a = 170,
-    3e-11 at a = 2e4), so it is used only beyond m = 16, for a > 2705.
+    3e-11 at a = 2e4).  Beyond m = 16, for a > 2705, the value is mpmath's
+    Beta at int(log10 a) + 30 digits, enough that p + q does not round to
+    q, rounded once to a float; below the smallest float it is 0.0.
     """
     if b <= -1:
         raise DivergentIntegral(f"b={b} <= -1 diverges at 0")
@@ -94,7 +96,8 @@ def i_closed(a: float, b: float) -> float:
     while (a + m - 1) / m > _GAMMA_MAX and m <= _GAUSS_MAX_M:
         m *= 2
     if m > _GAUSS_MAX_M:
-        return 0.5 * math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(a))
+        with mp.workdps(int(math.log10(a)) + 30):
+            return float(mp.beta(p, q) / 2)
     mantissa, exponent = 0.5, 0
     for k in range(m):
         mantissa, e = math.frexp(mantissa * math.gamma((p + k) / m)

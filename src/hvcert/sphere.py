@@ -19,8 +19,13 @@ Sign conventions: Delta = -div grad, so the harmonics satisfy
 s^{ij} nabla_ij phi = -nu phi with nu = l(l+1).
 
 Coordinates are colatitude theta and longitude phi_c with round metric
-s = diag(1, sin^2 theta); the only nonzero Christoffels are
-Gamma^theta_{pp} = -sin theta cos theta and Gamma^p_{tp} = cot theta.
+s = diag(1, sin^2 theta).  The calculus is derived from that metric:
+christoffel(g, coords) gives the Christoffel symbols of a diagonal metric
+(the annulus check uses it too), and the gradient, Hessian, nabla b,
+both divergences and |nabla f|^2 are one covariant_derivative followed by
+contraction with s^{-1}.  The only nonzero symbols of s are
+Gamma^theta_{phi phi} = -sin theta cos theta and
+Gamma^phi_{theta phi} = Gamma^phi_{phi theta} = cot theta.
 """
 
 from __future__ import annotations
@@ -157,84 +162,98 @@ class HarmonicSpec:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic covariant calculus on the round S^2
+# Covariant calculus on the round S^2, derived from the metric
 # ---------------------------------------------------------------------------
 
-def gradient_exprs(f) -> tuple:
-    """Covector components (nabla_t f, nabla_p f)."""
-    return (sp.diff(f, _theta), sp.diff(f, _phi))
+def christoffel(g, coords) -> list:
+    """Gamma[a][b][c] = Gamma^a_{bc} of the diagonal metric diag(g) in the
+    coordinates coords:
 
-
-def grad_norm2_expr(f):
-    """|nabla f|^2 = (d_t f)^2 + (d_p f)^2 / sin^2(theta)."""
-    ft, fp = gradient_exprs(f)
-    return ft ** 2 + fp ** 2 / sp.sin(_theta) ** 2
-
-
-def covariant_hessian_exprs(f) -> dict:
-    """nabla_ij f on the round sphere, as symbolic components.
-
-    H_tt = d_t^2 f
-    H_tp = d_t d_p f - cot(theta) d_p f
-    H_pp = d_p^2 f + sin(theta) cos(theta) d_t f
+    Gamma^a_{bc} = (1/2) g^{aa} (d_b g_ac + d_c g_ab - d_a g_bc)
     """
-    st, ct = sp.sin(_theta), sp.cos(_theta)
-    H_tt = sp.diff(f, _theta, 2)
-    H_tp = sp.diff(f, _theta, _phi) - (ct / st) * sp.diff(f, _phi)
-    H_pp = sp.diff(f, _phi, 2) + st * ct * sp.diff(f, _theta)
-    return {"tt": H_tt, "tp": H_tp, "pp": H_pp}
+    dim = range(len(coords))
+
+    def symbol(a, b, c):
+        term = sp.Integer(0)
+        if a == b:
+            term += sp.diff(g[a], coords[c])
+        if a == c:
+            term += sp.diff(g[a], coords[b])
+        if b == c:
+            term -= sp.diff(g[b], coords[a])
+        return term / (2 * g[a])
+
+    return [[[symbol(a, b, c) for c in dim] for b in dim] for a in dim]
 
 
-def tensor_covariant_derivative_exprs(b: Mapping) -> dict:
-    """nabla_k b_ij for a symmetric 2-tensor given by components
-    {tt, tp, pp}; returns {kij: expr} with k, i, j in {t, p}.
+# Tensors on S^2 are mappings from index strings over _IDX to components;
+# _S is the round metric, _INV its inverse, _GAMMA[l + k + i] = Gamma^l_{ki}.
+_IDX = "tp"
+_S = {"tt": sp.Integer(1), "tp": sp.Integer(0), "pt": sp.Integer(0),
+      "pp": sp.sin(_theta) ** 2}
+_INV = {i: 1 / _S[i + i] for i in _IDX}
+_GAMMA = {l + k + i: gamma
+          for l, plane in zip(_IDX, christoffel((_S["tt"], _S["pp"]),
+                                                (_theta, _phi)))
+          for k, row in zip(_IDX, plane) for i, gamma in zip(_IDX, row)}
 
-    Only the two nonzero Christoffels of the round metric enter:
-    Gamma^t_pp = -sin cos, Gamma^p_tp = Gamma^p_pt = cot.
+
+def covariant_derivative(T: Mapping) -> dict:
+    """nabla_k T_I of a covariant tensor given by every component {I: expr},
+    I running over the index strings of one length over "tp" ("" for a
+    scalar); returns {k + I: expr}:
+
+    nabla_k T_{i_1..i_r} = d_k T_{i_1..i_r}
+                           - sum_s Gamma^l_{k i_s} T_{i_1..l..i_r}
     """
-    st, ct = sp.sin(_theta), sp.cos(_theta)
-    cot = ct / st
-    g_t_pp = -st * ct     # Gamma^theta_{phi phi}
-    btt, btp, bpp = b["tt"], b["tp"], b["pp"]
-
     out = {}
-    # k = theta: no Christoffel has a theta derivative index pair except
-    # Gamma^p_{tp}, which couples any phi index.
-    out["ttt"] = sp.diff(btt, _theta)
-    out["ttp"] = sp.diff(btp, _theta) - cot * btp
-    out["tpp"] = sp.diff(bpp, _theta) - 2 * cot * bpp
-    # k = phi:
-    #   nabla_p b_tt = d_p b_tt - 2 Gamma^p_{pt} b_pt
-    out["ptt"] = sp.diff(btt, _phi) - 2 * cot * btp
-    #   nabla_p b_tp = d_p b_tp - Gamma^t_{pp} b_tt... sign bookkeeping:
-    #   nabla_p b_tp = d_p b_tp - Gamma^l_{pt} b_lp - Gamma^l_{pp} b_tl
-    out["ptp"] = sp.diff(btp, _phi) - cot * bpp - g_t_pp * btt
-    #   nabla_p b_pp = d_p b_pp - 2 Gamma^l_{pp} b_lp
-    out["ppp"] = sp.diff(bpp, _phi) - 2 * g_t_pp * btp
-    # symmetry in the last two indices
-    out["tpt"] = out["ttp"]
-    out["ppt"] = out["ptp"]
+    for k, x_k in zip(_IDX, (_theta, _phi)):
+        for I, component in T.items():
+            value = sp.diff(component, x_k)
+            for s, i in enumerate(I):
+                for l in _IDX:
+                    value -= _GAMMA[l + k + i] * T[I[:s] + l + I[s + 1:]]
+            out[k + I] = value
     return out
 
 
+def _trace(T: Mapping, inv: Mapping, rest: str = ""):
+    """s^{ij} T_{ij rest}, contracting the first two indices with the
+    inverse metric inv (symbolic or sampled)."""
+    return sum(inv[i] * T[i + i + rest] for i in _IDX)
+
+
+def _contract(A: Mapping, B: Mapping, inv: Mapping):
+    """A_I B^I, every index raised with the inverse metric inv."""
+    return sum(math.prod(inv[i] for i in I) * A[I] * B[I] for I in A)
+
+
+def gradient_exprs(f) -> tuple:
+    """Covector components (nabla_t f, nabla_p f)."""
+    return tuple(covariant_derivative({"": f}).values())
+
+
+def grad_norm2_expr(f):
+    """|nabla f|^2 = s^{ij} nabla_i f nabla_j f."""
+    grad = covariant_derivative({"": f})
+    return _contract(grad, grad, _INV)
+
+
+def covariant_hessian_exprs(f) -> dict:
+    """nabla_ij f = nabla_i (nabla f)_j on the round sphere, as symbolic
+    components {tt, tp, pt, pp}."""
+    return covariant_derivative(covariant_derivative({"": f}))
+
+
 def divergence_exprs(spec: HarmonicSpec, n: int = 3) -> tuple:
-    """(nabla^i b_it, nabla^i b_ip) of b_tensor_exprs(spec, n), with the
-    index raised by s^{-1}."""
+    """(nabla^i b_it, nabla^i b_ip) of b_tensor_exprs(spec, n)."""
     T = b_derivative_exprs(spec, n)
-    inv_pp = 1 / sp.sin(_theta) ** 2
-    div_t = T["ttt"] + inv_pp * T["ppt"]
-    div_p = T["ttp"] + inv_pp * T["ppp"]
-    return div_t, div_p
+    return tuple(_trace(T, _INV, j) for j in _IDX)
 
 
 def covector_divergence_expr(v: tuple):
-    """nabla^j v_j for a covector (v_t, v_p):
-
-    nabla^j v_j = d_t v_t + cot(theta) v_t + d_p v_p / sin^2(theta)
-    """
-    vt, vp = v
-    st, ct = sp.sin(_theta), sp.cos(_theta)
-    return sp.diff(vt, _theta) + (ct / st) * vt + sp.diff(vp, _phi) / st ** 2
+    """nabla^j v_j for a covector (v_t, v_p)."""
+    return _trace(covariant_derivative(dict(zip(_IDX, v))), _INV)
 
 
 @lru_cache(maxsize=None)
@@ -249,19 +268,14 @@ def b_tensor_exprs(spec: HarmonicSpec, n: int = 3) -> MappingProxyType:
     f = spec.expr
     H = covariant_hessian_exprs(f)
     denom = sp.Integer((n - 2) * (nu + 1 - n))
-    st = sp.sin(_theta)
-    return MappingProxyType({
-        "tt": ((n - 1) * H["tt"] + nu * f) / denom,
-        "tp": ((n - 1) * H["tp"]) / denom,
-        "pp": ((n - 1) * H["pp"] + nu * f * st ** 2) / denom,
-    })
+    return MappingProxyType({I: ((n - 1) * H[I] + nu * f * _S[I]) / denom
+                             for I in H})
 
 
 @lru_cache(maxsize=None)
 def b_derivative_exprs(spec: HarmonicSpec, n: int = 3) -> MappingProxyType:
     """nabla_k b_ij of b_tensor_exprs(spec, n), memoized and read-only."""
-    return MappingProxyType(
-        tensor_covariant_derivative_exprs(b_tensor_exprs(spec, n)))
+    return MappingProxyType(covariant_derivative(b_tensor_exprs(spec, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,44 +296,9 @@ class ScalarField:
         return self.grid.mean(self.values)
 
 
-@dataclass
-class TensorField2:
-    """Symmetric rank-2 tensor with lower components sampled on the grid."""
-
-    grid: SphereGrid
-    tt: np.ndarray
-    tp: np.ndarray
-    pp: np.ndarray
-    exprs: Mapping | None = None
-
-    @staticmethod
-    def from_exprs(grid: SphereGrid, exprs: Mapping) -> "TensorField2":
-        tt, tp, pp = grid.sample_many((exprs["tt"], exprs["tp"], exprs["pp"]))
-        return TensorField2(grid=grid, tt=tt, tp=tp, pp=pp, exprs=exprs)
-
-    def trace(self) -> np.ndarray:
-        """s^{ij} b_ij = b_tt + b_pp / sin^2."""
-        s2 = self.grid.sin_theta[:, None] ** 2
-        return self.tt + self.pp / s2
-
-    def contract_full(self) -> np.ndarray:
-        """b_ij b^ij = b_tt^2 + 2 b_tp^2/sin^2 + b_pp^2/sin^4."""
-        s2 = self.grid.sin_theta[:, None] ** 2
-        return self.tt ** 2 + 2 * self.tp ** 2 / s2 + self.pp ** 2 / s2 ** 2
-
-
-def covariant_hessian(field: ScalarField) -> TensorField2:
-    """Hessian of a closed-form scalar field (analytic derivatives)."""
-    if field.expr is None:
-        raise ValueError("field must carry a symbolic expression")
-    return TensorField2.from_exprs(field.grid,
-                                   covariant_hessian_exprs(field.expr))
-
-
-def b_tensor(spec: HarmonicSpec, n: int = 3,
-             grid: SphereGrid | None = None) -> TensorField2:
-    grid = grid or SphereGrid()
-    return TensorField2.from_exprs(grid, b_tensor_exprs(spec, n))
+def _sample(grid: SphereGrid, exprs: Mapping) -> dict:
+    """{key: values on the grid} of a mapping of expressions."""
+    return dict(zip(exprs, grid.sample_many(tuple(exprs.values()))))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +309,9 @@ def laplacian_check(spec: HarmonicSpec, grid: SphereGrid | None = None) -> float
     """Max |s^{ij} nabla_ij phi + nu phi| over the grid (sign convention
     Delta = -div grad makes the trace of the Hessian equal -nu phi)."""
     grid = grid or SphereGrid()
-    f = ScalarField.from_expr(grid, spec.expr)
-    H = covariant_hessian(f)
-    return float(np.max(np.abs(H.trace() + spec.nu * f.values)))
+    H = _sample(grid, covariant_hessian_exprs(spec.expr))
+    resid = _trace(H, _sample(grid, _INV)) + spec.nu * grid.sample(spec.expr)
+    return float(np.max(np.abs(resid)))
 
 
 def hessian_commutation_check(spec: HarmonicSpec,
@@ -340,21 +319,20 @@ def hessian_commutation_check(spec: HarmonicSpec,
     """For a gradient covector v = nabla phi the commutator
     nabla_i v_j - nabla_j v_i vanishes (the Hessian is symmetric); on the
     sphere this is the curvature identity specialized to an exact form.
-    Returns the max antisymmetry residual of the computed Hessian."""
+    Returns the max antisymmetry residual of the computed Hessian, whose
+    components H_tp = nabla_t (nabla phi)_p and H_pt = nabla_p (nabla phi)_t
+    are the one covariant derivative taken in its two index orders."""
     grid = grid or SphereGrid()
     H = covariant_hessian_exprs(spec.expr)
-    # H_tp was assembled as nabla_t (nabla phi)_p; rebuild the transposed
-    # order nabla_p (nabla phi)_t independently and compare.
-    st, ct = sp.sin(_theta), sp.cos(_theta)
-    vt, vp = gradient_exprs(spec.expr)
-    H_pt = sp.diff(vt, _phi) - (ct / st) * vp
-    return float(np.max(np.abs(grid.sample(H["tp"] - H_pt))))
+    return float(np.max(np.abs(grid.sample(H["tp"] - H["pt"]))))
 
 
 def b_trace_residual(spec: HarmonicSpec, n: int = 3,
                      grid: SphereGrid | None = None) -> float:
+    """Max |s^{ij} b_ij| over the grid."""
     grid = grid or SphereGrid()
-    return float(np.max(np.abs(b_tensor(spec, n, grid).trace())))
+    b = _sample(grid, b_tensor_exprs(spec, n))
+    return float(np.max(np.abs(_trace(b, _sample(grid, _INV)))))
 
 
 def b_divergence_residual(spec: HarmonicSpec, n: int = 3,
@@ -401,23 +379,13 @@ def qbc_quadrature(spec: HarmonicSpec, n: int = 3,
     C = mean int nabla^k b^ij nabla_k b_ij
     """
     grid = grid or SphereGrid()
-    b = b_tensor(spec, n, grid)
-    Q = grid.mean(b.contract_full())
-
-    T_exprs = b_derivative_exprs(spec, n)
-    T = dict(zip(T_exprs, grid.sample_many(tuple(T_exprs.values()))))
-    inv = {"t": np.ones_like(grid.sin_theta[:, None] ** 2),
-           "p": 1.0 / grid.sin_theta[:, None] ** 2}
-    idx = ("t", "p")
-    B_int = np.zeros_like(T["ttt"])
-    C_int = np.zeros_like(T["ttt"])
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                raise_factor = inv[i] * inv[j] * inv[k]
-                B_int = B_int + raise_factor * T[i + j + k] * T[j + i + k]
-                C_int = C_int + raise_factor * T[i + j + k] * T[i + j + k]
-    return Q, grid.mean(B_int), grid.mean(C_int)
+    inv = _sample(grid, _INV)
+    b = _sample(grid, b_tensor_exprs(spec, n))
+    T = _sample(grid, b_derivative_exprs(spec, n))
+    T_swapped = {I: T[I[1] + I[0] + I[2:]] for I in T}   # nabla_j b_ik
+    return (grid.mean(_contract(b, b, inv)),
+            grid.mean(_contract(T, T_swapped, inv)),
+            grid.mean(_contract(T, T, inv)))
 
 
 def u_coefficient_from_qbc(nu: float, n: int, omega: int) -> float:
@@ -479,32 +447,16 @@ def _annulus_curvature_lambdified(l: int, omega: int):
     t_s, r_s = sp.symbols("t r", positive=True)
     spec = HarmonicSpec(l, 0)
     b = b_tensor_exprs(spec, 3)
-    st = sp.sin(_theta)
-    inv_pp = 1 / st ** 2
     # bhat_ij = (1/2) b_i^k b_kj ; diagonal case
     bhat_tt = sp.Rational(1, 2) * b["tt"] ** 2
-    bhat_pp = sp.Rational(1, 2) * b["pp"] ** 2 * inv_pp
+    bhat_pp = sp.Rational(1, 2) * b["pp"] ** 2 * _INV["p"]
     scale = t_s * r_s ** (omega + 2)
     g_tt = r_s ** 2 * (1 + scale * b["tt"] + scale ** 2 * bhat_tt)
-    g_pp = r_s ** 2 * (st ** 2 + scale * b["pp"] + scale ** 2 * bhat_pp)
+    g_pp = r_s ** 2 * (_S["pp"] + scale * b["pp"] + scale ** 2 * bhat_pp)
 
     coords = (r_s, _theta, _phi)
     g = [sp.Integer(1), g_tt, g_pp]       # diagonal entries, phi-independent
-    ginv = [1 / c for c in g]
-
-    def christoffel(a, bq, c):
-        # diagonal metric: Gamma^a_{bc} = (1/2) g^{aa} (d_b g_ac + d_c g_ab - d_a g_bc)
-        term = sp.Integer(0)
-        if a == bq:
-            term += sp.diff(g[a], coords[c])
-        if a == c:
-            term += sp.diff(g[a], coords[bq])
-        if bq == c:
-            term -= sp.diff(g[bq], coords[a])
-        return ginv[a] * term / 2
-
-    Gamma = [[[christoffel(a, bq, c) for c in range(3)] for bq in range(3)]
-             for a in range(3)]
+    Gamma = christoffel(g, coords)
     R_scalar = sp.Integer(0)
     for bq in range(3):
         c = bq
@@ -515,8 +467,8 @@ def _annulus_curvature_lambdified(l: int, omega: int):
             for dd in range(3):
                 ric += Gamma[a][a][dd] * Gamma[dd][bq][c]
                 ric -= Gamma[a][c][dd] * Gamma[dd][bq][a]
-        R_scalar += ginv[bq] * ric
-    area_factor = sp.sqrt(g_tt * g_pp) / st
+        R_scalar += ric / g[bq]
+    area_factor = sp.sqrt(g_tt * g_pp) / sp.sin(_theta)
     f_R = sp.lambdify((t_s, r_s, _theta), R_scalar, modules="numpy", cse=True)
     f_area = sp.lambdify((t_s, r_s, _theta), area_factor, modules="numpy",
                          cse=True)
@@ -558,7 +510,7 @@ def annulus_curvature_check(omega: int = 2, l: int = 2,
     1.72e-3 at t = 1e-2 and 1.72e-5 at t = 1e-3.  At t = 1e-4 rounding
     dominates.  R is O(t) pointwise but its mean is O(t^2) (about -12 t^2),
     so the mean loses digits to cancellation and the deviation reads
-    3.7e-7 rather than the 1.7e-7 of the trend.  That floor depends on how
+    4.4e-7 rather than the 1.7e-7 of the trend.  That floor depends on how
     the evaluation of R is associated: without common-subexpression
     elimination it reads 7.3e-7.
     """

@@ -76,7 +76,10 @@ class TestExitCodes:
         ["certify", "--omega", "2", "--symbolic"],
         ["scan", "--omega", "5", "--n", "16..20", "--jobs", "0"],
         ["coeffs", "--omega", "1"],
-    ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1"])
+        ["certify", "--omega", "5", "--n", "16..20", "--bogus"],
+        ["scan", "--omega", "5"],
+    ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1",
+            "unknown-option", "missing-required-option"])
     def test_out_of_range_input_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -85,10 +88,19 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
     def test_seed_only_on_integrals(self, capsys):
+        assert main(["scan", "--omega", "5", "--n", "16..20",
+                     "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hvcert: ") and err.count("\n") == 1
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"],
+                                      ["--version"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--omega", "5", "--n", "16..20", "--seed", "3"])
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     def test_report_missing_input(self, capsys):
         assert main(["report", "--input", "/nonexistent.json"]) == 2

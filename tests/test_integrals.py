@@ -130,14 +130,20 @@ class TestClosedFormAccuracy:
         assert abs(got - reference) <= 1e-13 * reference, (a, b)
 
     @pytest.mark.parametrize("a, b", [(2706.0, 3.0), (5000.0, 9998.5),
-                                      (20000.0, 21.0)])
-    def test_lgamma_form_past_multiplication(self, a, b):
-        # beyond m = 16 the lgamma form loses about |lgamma(a)| ulp:
-        # about 3e-11 relative at a = 2e4
-        with mpmath.workdps(40):
+                                      (20000.0, 21.0), (1e5, 7.0),
+                                      (1e300, 3.0)])
+    def test_mpmath_beta_past_multiplication(self, a, b):
+        # beyond m = 16 the value is mpmath's Beta; at a = 1e300 it is about
+        # 5e-601 and underflows to 0.0.  The reference needs more than
+        # log10(a) digits, or p + q rounds to q and Beta(p, q) to Gamma(p).
+        with mpmath.workdps(340):
             p = (mpmath.mpf(b) + 1) / 2
             reference = mpmath.beta(p, a - p) / 2
-        assert abs(i_closed(a, b) - reference) <= 1e-9 * reference
+        got = i_closed(a, b)
+        if reference < sys.float_info.min:
+            assert got == float(reference) == 0.0
+        else:
+            assert abs(got - reference) <= 1e-13 * reference
 
 
 class TestConstants:

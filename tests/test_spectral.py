@@ -8,11 +8,12 @@ of Delta_1 under the label Delta_3; the pole locations n = -6, -5 identify
 it unambiguously, so the frozen data keys it by pole structure.)
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from hvcert.algebra import Polynomial, RationalFunction
+from hvcert.algebra import InvalidFactorization, Polynomial, RationalFunction
 from hvcert.certify import delta_partial_fraction
 from hvcert.spectral import (
     SpectralRangeError,
@@ -180,12 +181,22 @@ class TestDeltaExpansions:
                 exp = delta_partial_fraction(row)
                 assert exp.recombine() == row.delta
 
+    def test_wrong_poles_fail_closed(self):
+        row = spectral_row(7, 1)
+        with pytest.raises(InvalidFactorization):
+            delta_partial_fraction(dataclasses.replace(row, k=2))
+
     def test_pole_candidates_cover_actual_poles(self):
-        for omega in range(2, 16):
+        # den(Delta_k) = (n - 2)(n + m)(n + m - 1): no candidate cancels
+        # against the numerator, so each is a pole with a nonzero residue
+        for omega in range(2, 41):
             for row in spectral_family(omega):
-                candidates = set(row.delta_pole_candidates())
+                den = Polynomial([1])
+                for root in row.delta_pole_candidates():
+                    den = den * Polynomial.linear_root(root)
+                assert row.delta.den == den, (omega, row.k)
                 exp = delta_partial_fraction(row)
-                assert {r for r, _ in exp.simple_poles} <= candidates
+                assert all(residue for _, residue in exp.simple_poles)
 
 
 class TestLemmaPolynomial:

@@ -22,9 +22,9 @@ from hvcert.sphere import (
     b_divergence_residual,
     b_derivative_exprs,
     b_double_divergence_residual,
-    b_tensor,
     b_tensor_exprs,
     b_trace_residual,
+    christoffel,
     hessian_commutation_check,
     i_s_functional,
     i_s_minimizer_reference,
@@ -97,6 +97,19 @@ class TestGridAndHarmonics:
 
 
 class TestCovariantCalculus:
+    def test_round_metric_christoffel_table(self):
+        # exactly the nonzero symbols the module docstring lists:
+        # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} =
+        # Gamma^phi_{phi theta} = cot, and 0 everywhere else
+        s, c = sp.sin(THETA), sp.cos(THETA)
+        gamma = christoffel((sp.Integer(1), s ** 2), (THETA, PHI))
+        nonzero = {(0, 1, 1): -s * c, (1, 0, 1): c / s, (1, 1, 0): c / s}
+        for a in range(2):
+            for b in range(2):
+                for k in range(2):
+                    want = nonzero.get((a, b, k), 0)
+                    assert sp.simplify(gamma[a][b][k] - want) == 0, (a, b, k)
+
     def test_laplacian_eigenrelation(self, grid):
         for l in range(2, 7):
             spec = HarmonicSpec(l, min(l, 2))
