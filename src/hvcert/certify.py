@@ -11,10 +11,12 @@ intersection of the root intervals ]x_k, y_k[ of these trinomials, where
     x_k, y_k = [(n-2)^2 -/+ (n-2) sqrt(Delta_k)] / d_k .
 
 Two layers are provided.  certify_at decides a single (omega, n) cell
-exactly: a candidate c is read off numeric enclosures, then validated by
-a purely rational a-posteriori trinomial check; genuine emptiness is
-proved through exact sign decisions on the pairwise quantities
-(n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j).  The symbolic
+exactly, in one pass: a candidate c is read off rational root enclosures
+of width 1e-30, then validated by a purely rational trinomial check;
+when the enclosures do not separate, emptiness is proved through exact
+sign decisions on the pairwise quantities
+(n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j), and a cell
+neither step proves is "undecided".  The symbolic
 certificate covers all n >= 2 omega + 6 at once via the lower bound
 sqrt(Delta_k) > sqrt(a_k) (n + b_k/(2 a_k)), where a_k n^2 + b_k n + c_k
 is the polynomial part of Delta_k (one polynomial division), and Sturm
@@ -24,7 +26,7 @@ positivity on the ray.  Scans over many cells run through hvcert.cli.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -97,10 +99,6 @@ class RootPair:
     @property
     def y_upper(self) -> Fraction:
         return self.base + self.radical_coeff * self.x_enclosure.upper
-
-    def refined(self, width: Fraction) -> "RootPair":
-        return replace(self,
-                       x_enclosure=sqrt_enclosure(self.delta_value, width))
 
 
 @dataclass(frozen=True)
@@ -204,46 +202,37 @@ def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
 
 def certify_at(omega: int, n: int,
                mu_branch: MuBranch = MuBranch.DEG_EQUALS_OMEGA) -> IntervalCertificate:
-    """Decide the intersection for one cell, exactly.
+    """Decide the intersection for one cell, exactly, in one pass.
 
-    chosen_c is the midpoint of [max_k x_k, min_k y_k] read from rational
-    enclosures (simplified to a modest denominator when possible) and
-    re-validated against every trinomial in exact rational arithmetic, so
-    no floating point enters the verdict.
+    The enclosures bound max_k x_k from above by `lower` and min_k y_k from
+    below by `upper`.  When lower < upper, chosen_c is their midpoint
+    (simplified to a modest denominator when that stays strictly between
+    them) and is validated once against every trinomial in exact rational
+    arithmetic: "certified".  Otherwise exact pairwise signs decide
+    emptiness: "empty".  Any other outcome (a candidate failing its check,
+    or a nonempty cell the enclosures cannot separate) is "undecided",
+    which fails closed.  No floating point enters the verdict.
     """
     pairs = tuple(roots_at(omega, n))
+    chosen_c, status = None, "undecided"
     if mu_branch is MuBranch.DEG_AT_LEAST_OMEGA_PLUS_ONE:
-        return IntervalCertificate(omega=omega, n=n, pairs=pairs,
-                                   nonempty=True, chosen_c=Fraction(0),
-                                   mu_branch=mu_branch,
-                                   status="covered_by_prior_branch")
-
-    width = _WIDTH
-    current = pairs
-    for _ in range(6):
-        lower = max(p.x_upper for p in current)
-        upper = min(p.y_lower for p in current)
+        chosen_c, status = Fraction(0), "covered_by_prior_branch"
+    else:
+        lower = max(p.x_upper for p in pairs)
+        upper = min(p.y_lower for p in pairs)
         if lower < upper:
             candidate = (lower + upper) / 2
             simple = candidate.limit_denominator(10 ** 12)
-            if lower < simple < upper and _candidate_valid(pairs, n, simple):
+            if lower < simple < upper:
                 candidate = simple
             if _candidate_valid(pairs, n, candidate):
-                return IntervalCertificate(omega=omega, n=n, pairs=current,
-                                           nonempty=True, chosen_c=candidate,
-                                           mu_branch=mu_branch,
-                                           status="certified")
-        elif not _exact_nonempty(current, n):
-            # candidate construction failed; emptiness is decided exactly
-            return IntervalCertificate(omega=omega, n=n, pairs=current,
-                                       nonempty=False, chosen_c=None,
-                                       mu_branch=mu_branch, status="empty")
-        # nonempty but enclosures too loose; refine
-        width = width * width
-        current = tuple(p.refined(width) for p in current)
-    return IntervalCertificate(omega=omega, n=n, pairs=current,
-                               nonempty=False, chosen_c=None,
-                               mu_branch=mu_branch, status="undecided")
+                chosen_c, status = candidate, "certified"
+        elif not _exact_nonempty(pairs, n):
+            status = "empty"
+    return IntervalCertificate(omega=omega, n=n, pairs=pairs,
+                               nonempty=chosen_c is not None,
+                               chosen_c=chosen_c, mu_branch=mu_branch,
+                               status=status)
 
 
 def _exact_nonempty(pairs: Sequence[RootPair], n: int) -> bool:

@@ -7,8 +7,9 @@ the fields {omega, n, nonempty, x, y, chosen_c, status}.  Rationals are
 serialized dually, a 30-digit decimal preview next to the exact num/den
 string, so downstream tools never lose exactness.  The x and y lists hold
 midpoints of the rational enclosures of the trinomial roots (the roots
-themselves are quadratic irrationals).  CSV files use the same column
-order and re-parse to the JSON entries field for field.
+themselves are quadratic irrationals).  CSV, which only certify and scan
+reports can be written as, uses the same column order and re-parses to
+the JSON entries field for field.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed while the
 command demanded success, 2 usage or I/O error.
@@ -239,6 +240,9 @@ def emit_markdown(payload: dict) -> str:
 def emit_report(payload: dict, fmt: str, path: Optional[str]) -> int:
     if fmt == "json":
         text = emit_json(payload)
+    elif fmt == "csv" and "mode" not in payload["summary"]:
+        raise UsageError("csv writes cell entries, which only certify and "
+                         "scan reports carry")
     elif fmt == "csv":
         text = emit_csv(payload)
     elif fmt == "markdown" and "coefficients" in payload["summary"]:
@@ -499,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default=None)
     p.add_argument("--symbolic", action="store_true",
                    help="all-n certificate per omega instead of cells")
-    p.add_argument("--mu-branch", choices=[b.value for b in MuBranch],
-                   default=MuBranch.DEG_EQUALS_OMEGA.value)
+    # default None, so that --symbolic can tell an explicit value apart
+    p.add_argument("--mu-branch", choices=[b.value for b in MuBranch])
     common(p)
 
     p = sub.add_parser("scan", help="sweep a (omega, n) rectangle")
@@ -534,12 +538,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     omega = parse_range(args.omega) if getattr(args, "omega", None) else None
     n = parse_range(args.n) if getattr(args, "n", None) else None
+    symbolic = getattr(args, "symbolic", False)
+    mu_branch = getattr(args, "mu_branch", None)
+    if symbolic and (n or mu_branch):
+        raise UsageError("--symbolic covers every n and reads neither --n "
+                         "nor --mu-branch")
     return RunConfig(
         command=args.command,
         omega=omega,
         n=n,
-        symbolic=getattr(args, "symbolic", False),
-        mu_branch=getattr(args, "mu_branch", MuBranch.DEG_EQUALS_OMEGA.value),
+        symbolic=symbolic,
+        mu_branch=mu_branch or MuBranch.DEG_EQUALS_OMEGA.value,
         format=args.format,
         output=args.output,
         jobs=args.jobs,
@@ -566,11 +575,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload, status = cmd_report(config, args.input)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {config.command!r}")
+        emit_status = emit_report(payload, config.format, config.output)
     except (UsageError, HypothesisViolated, SpectralRangeError) as exc:
         print(f"hvcert: {exc}", file=sys.stderr)
         return 2
-
-    emit_status = emit_report(payload, config.format, config.output)
     return emit_status if emit_status else status
 
 

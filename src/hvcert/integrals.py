@@ -21,8 +21,6 @@ from mpmath import fp, mp
 
 # math.gamma overflows past 171.62
 _GAMMA_MAX = 170.0
-# largest multiplication factor m in i_closed; beyond it, mpmath's Beta
-_GAUSS_MAX_M = 16
 
 
 class DivergentIntegral(ValueError):
@@ -70,21 +68,14 @@ def _decade_nodes(first: float, stop: float) -> list[float]:
 def i_closed(a: float, b: float) -> float:
     """Exact value of I_a^b via the Euler Beta function.
 
-    B(p, q) = G(p) G(q) / G(a) with p = (b+1)/2, q = a - p, which is the
-    m = 1 case of Gauss's multiplication formula
-
-        B(p, q) = (2 pi)^((1-m)/2) m^(-1/2)
-                  prod_{k<m} G((p+k)/m) G((q+k)/m) / G((a+k)/m).
-
-    m is the smallest power of two that keeps every Gamma argument below
-    170, where math.gamma is finite and accurate to about 1 ulp; dividing
-    by a power of two rounds no argument, so the result stays within a few
-    ulp.  A running frexp scale keeps the product from over- or
-    underflowing.  The lgamma form exp(lgamma(p) + lgamma(q) - lgamma(a))
-    would lose about |lgamma(a)| ulp (5e-13 relative just past a = 170,
-    3e-11 at a = 2e4).  Beyond m = 16, for a > 2705, the value is mpmath's
-    Beta at int(log10 a) + 30 digits, enough that p + q does not round to
-    q, rounded once to a float; below the smallest float it is 0.0.
+    B(p, q) = G(p) G(q) / G(a) with p = (b+1)/2, q = a - p.  Up to
+    a = 170 every Gamma argument is below 170, where math.gamma is finite
+    and accurate to about 1 ulp.  The lgamma form
+    exp(lgamma(p) + lgamma(q) - lgamma(a)) would lose about |lgamma(a)| ulp
+    (5e-13 relative just past a = 170).  Beyond a = 170 the value is
+    mpmath's Beta at int(log10 a) + 30 digits, enough that p + q does not
+    round to q, rounded once to a float; below the smallest float it is
+    0.0.
     """
     if b <= -1:
         raise DivergentIntegral(f"b={b} <= -1 diverges at 0")
@@ -92,20 +83,10 @@ def i_closed(a: float, b: float) -> float:
         raise DivergentIntegral(f"2a-b={2 * a - b} <= 1 diverges at infinity")
     p = (b + 1) / 2
     q = a - p
-    m = 1
-    while (a + m - 1) / m > _GAMMA_MAX and m <= _GAUSS_MAX_M:
-        m *= 2
-    if m > _GAUSS_MAX_M:
+    if a > _GAMMA_MAX:
         with mp.workdps(int(math.log10(a)) + 30):
             return float(mp.beta(p, q) / 2)
-    mantissa, exponent = 0.5, 0
-    for k in range(m):
-        mantissa, e = math.frexp(mantissa * math.gamma((p + k) / m)
-                                 / math.gamma((a + k) / m)
-                                 * math.gamma((q + k) / m))
-        exponent += e
-    scale = (2 * math.pi) ** ((1 - m) / 2) / math.sqrt(m)
-    return math.ldexp(mantissa * scale, exponent)
+    return 0.5 * math.gamma(p) / math.gamma(a) * math.gamma(q)
 
 
 def i_quadrature(a: float, b: float, rel_tol: float = 1e-12) -> float:

@@ -314,19 +314,6 @@ def laplacian_check(spec: HarmonicSpec, grid: SphereGrid | None = None) -> float
     return float(np.max(np.abs(resid)))
 
 
-def hessian_commutation_check(spec: HarmonicSpec,
-                              grid: SphereGrid | None = None) -> float:
-    """For a gradient covector v = nabla phi the commutator
-    nabla_i v_j - nabla_j v_i vanishes (the Hessian is symmetric); on the
-    sphere this is the curvature identity specialized to an exact form.
-    Returns the max antisymmetry residual of the computed Hessian, whose
-    components H_tp = nabla_t (nabla phi)_p and H_pt = nabla_p (nabla phi)_t
-    are the one covariant derivative taken in its two index orders."""
-    grid = grid or SphereGrid()
-    H = covariant_hessian_exprs(spec.expr)
-    return float(np.max(np.abs(grid.sample(H["tp"] - H["pt"]))))
-
-
 def b_trace_residual(spec: HarmonicSpec, n: int = 3,
                      grid: SphereGrid | None = None) -> float:
     """Max |s^{ij} b_ij| over the grid."""

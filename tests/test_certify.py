@@ -2,6 +2,7 @@
 certificate, and the omega = 16 breakdown.  Scans run through hvcert.cli
 and are tested in test_cli.py."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from hvcert.certify import (
     symbolic_certificate,
     trinomial_value,
 )
+from hvcert.cli import main
 from hvcert.spectral import spectral_family
 
 
@@ -45,11 +47,6 @@ class TestRootPairs:
             assert trinomial_value(d, u_over_nu2, F(n), inside) < 0
             outside = pair.y_upper * 2 + 1
             assert trinomial_value(d, u_over_nu2, F(n), outside) > 0
-
-    def test_refinement_narrows(self):
-        pair = roots_at(6, 30)[0]
-        refined = pair.refined(F(1, 10 ** 60))
-        assert refined.x_upper - refined.x_lower <= pair.x_upper - pair.x_lower
 
 
 class TestCertifyAt:
@@ -191,6 +188,30 @@ class TestOmegaSixteen:
         assert cert.status == "empty"
         assert not cert.nonempty
         assert cert.chosen_c is None
+
+    def test_one_trinomial_pass_per_certified_cell(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return trinomial_value(*args)
+
+        monkeypatch.setattr(certify, "trinomial_value", counting)
+        assert certify_at(16, 1858).status == "certified"
+        assert len(calls) == len(spectral_family(16)) == 8
+
+    def test_loose_enclosures_fail_closed(self, monkeypatch, capsys):
+        # the gap at (16, 1858) is 2e-10: enclosures of width 1/10 cannot
+        # separate it, and the cell is left undecided rather than refined
+        monkeypatch.setattr(certify, "_WIDTH", F(1, 10))
+        cert = certify_at(16, 1858)
+        assert cert.status == "undecided"
+        assert cert.chosen_c is None and not cert.nonempty
+        assert certify_at(16, 1859).status == "empty"
+        assert main(["certify", "--omega", "16", "--n", "1858..1859",
+                     "--jobs", "1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["summary"]["undecided_cells"] == [[16, 1858]]
 
 
 class TestDimensionCover:

@@ -78,8 +78,13 @@ class TestExitCodes:
         ["coeffs", "--omega", "1"],
         ["certify", "--omega", "5", "--n", "16..20", "--bogus"],
         ["scan", "--omega", "5"],
+        ["coeffs", "--omega", "5", "--format", "csv"],
+        ["certify", "--omega", "3", "--symbolic", "--n", "10..20"],
+        ["certify", "--omega", "3", "--symbolic",
+         "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
     ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1",
-            "unknown-option", "missing-required-option"])
+            "unknown-option", "missing-required-option", "coeffs-csv",
+            "symbolic-with-n", "symbolic-with-mu-branch"])
     def test_out_of_range_input_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -208,6 +213,16 @@ class TestFormats:
                      "--format", "csv"]) == 0
         text = capsys.readouterr().out
         assert text.splitlines()[0] == "omega,n,nonempty,x,y,chosen_c,status"
+
+    def test_report_coeffs_as_csv_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "coeffs.json"
+        assert main(["coeffs", "--omega", "5", "--output", str(src)]) == 0
+        assert main(["report", "--input", str(src),
+                     "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hvcert: ")
+        assert captured.err.count("\n") == 1
 
     def test_report_reemits_coeffs_markdown(self, tmp_path, capsys):
         src = tmp_path / "coeffs.json"

@@ -102,8 +102,7 @@ class TestBubbleIntegrals:
 # Multiples of 1/64: p = (b+1)/2 and q = a - p are then exact floats, so
 # the comparison measures the Gamma evaluation rather than the rounding of
 # a - (b+1)/2, which alone costs about q psi(q) ulp (1e-13 near q = 170).
-# a <= 170 takes math.gamma directly, 170 < a <= 2700 the multiplication
-# formula with m = 2..16.
+# a <= 170 takes math.gamma directly, 170 < a <= 2700 mpmath's Beta.
 @st.composite
 def convergent_pair(draw):
     num_a = draw(st.one_of(st.integers(33, 170 * 64),
@@ -133,7 +132,7 @@ class TestClosedFormAccuracy:
                                       (20000.0, 21.0), (1e5, 7.0),
                                       (1e300, 3.0)])
     def test_mpmath_beta_past_multiplication(self, a, b):
-        # beyond m = 16 the value is mpmath's Beta; at a = 1e300 it is about
+        # past a = 170 the value is mpmath's Beta; at a = 1e300 it is about
         # 5e-601 and underflows to 0.0.  The reference needs more than
         # log10(a) digits, or p + q rounds to q and Beta(p, q) to Gamma(p).
         with mpmath.workdps(340):

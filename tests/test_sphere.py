@@ -25,7 +25,6 @@ from hvcert.sphere import (
     b_tensor_exprs,
     b_trace_residual,
     christoffel,
-    hessian_commutation_check,
     i_s_functional,
     i_s_minimizer_reference,
     laplacian_check,
@@ -114,10 +113,6 @@ class TestCovariantCalculus:
         for l in range(2, 7):
             spec = HarmonicSpec(l, min(l, 2))
             assert laplacian_check(spec, grid) < 1e-8
-
-    def test_hessian_symmetry(self, grid):
-        for l in (2, 4):
-            assert hessian_commutation_check(HarmonicSpec(l, 1), grid) < 1e-8
 
 
 class TestBTensor:
