@@ -75,25 +75,11 @@ class RunConfig:
     jobs: int = 1
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["omega"] = list(self.omega) if self.omega else None
-        d["n"] = list(self.n) if self.n else None
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        d = dict(d)
-        for key in ("omega", "n"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return RunConfig(**d)
-
     def echo(self) -> dict:
-        """to_dict without the fields that cannot change a verdict (the
+        """The fields without those that cannot change a verdict (the
         parallelism degree and the output path), so that a report is
         byte-identical whatever their values."""
-        d = self.to_dict()
+        d = dataclasses.asdict(self)
         del d["jobs"], d["output"]
         return d
 
@@ -310,8 +296,6 @@ def _scan_cells(config: RunConfig) -> tuple[list[dict], dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_certify(config: RunConfig) -> tuple[dict, int]:
-    if config.omega is None:
-        raise UsageError("certify requires --omega")
     if config.symbolic:
         entries = []
         failures = []
@@ -334,8 +318,6 @@ def cmd_certify(config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_scan(config: RunConfig) -> tuple[dict, int]:
-    if config.omega is None or config.n is None:
-        raise UsageError("scan requires --omega and --n")
     entries, summary = _scan_cells(config)
     summary["mode"] = "scan"
     if summary["empty_cells"]:
@@ -346,8 +328,6 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_coeffs(config: RunConfig) -> tuple[dict, int]:
-    if config.omega is None:
-        raise UsageError("coeffs requires --omega")
     if config.omega[0] != config.omega[1]:
         raise UsageError("coeffs takes a single omega")
     omega = config.omega[0]
@@ -432,21 +412,20 @@ def cmd_integrals(config: RunConfig) -> tuple[dict, int]:
 def cmd_sphere_check(config: RunConfig) -> tuple[dict, int]:
     from . import sphere as sph
 
-    grid = sph.SphereGrid()
     identities = {}
     ok = True
     for l in range(2, 6):
         spec = sph.HarmonicSpec(l, min(l, 1))
-        trace = sph.b_trace_residual(spec, 3, grid)
-        div = sph.b_divergence_residual(spec, 3, grid)
-        Q, B, C = sph.qbc_quadrature(spec, 3, grid)
+        trace = sph.b_trace_residual(spec)
+        div = sph.b_divergence_residual(spec)
+        Q, B, C = sph.qbc_quadrature(spec)
         Qc, Bc, Cc = sph.qbc_closed_forms(spec.nu, 3)
         qbc_rel = max(abs(Q - Qc) / abs(Qc), abs(B - Bc) / max(abs(Bc), 1.0),
                       abs(C - Cc) / abs(Cc))
         identities[f"l={l}"] = {"trace": float(trace), "divergence": float(div),
                                 "qbc_rel": float(qbc_rel)}
         ok = ok and trace < 1e-10 and div < 1e-6 and qbc_rel < 1e-6
-    annulus = sph.annulus_curvature_check(grid=grid)
+    annulus = sph.annulus_curvature_check()
     ratios = annulus.linear_residual_ratios
     annulus_ok = all(r < 0.2 for r in ratios)
     ok = ok and annulus_ok
@@ -467,12 +446,29 @@ def cmd_sphere_check(config: RunConfig) -> tuple[dict, int]:
     return report_payload(config, [], summary), 0 if ok else 1
 
 
+def _is_report(payload) -> bool:
+    """The shape every emitter reads: a tool_version string, a summary
+    object, and entries that are objects with exactly the seven entry
+    fields."""
+    return (isinstance(payload, dict)
+            and isinstance(payload.get("tool_version"), str)
+            and isinstance(payload.get("summary"), dict)
+            and isinstance(payload.get("entries"), list)
+            and all(isinstance(e, dict) and e.keys() == set(_CSV_COLUMNS)
+                    for e in payload["entries"]))
+
+
 def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
     try:
         with open(input_path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read report {input_path}: {exc}") from exc
+    if not _is_report(payload):
+        raise UsageError(f"{input_path} is not an hvcert report: it needs "
+                         f"a tool_version string, a summary object and a "
+                         f"list of entries with the fields "
+                         f"{', '.join(_CSV_COLUMNS)}")
     payload["config_echo"] = config.echo() | {
         "source": payload.get("config_echo")}
     return payload, 0
@@ -536,8 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    omega = parse_range(args.omega) if getattr(args, "omega", None) else None
-    n = parse_range(args.n) if getattr(args, "n", None) else None
+    omega = getattr(args, "omega", None)
+    n = getattr(args, "n", None)
+    omega = None if omega is None else parse_range(omega)
+    n = None if n is None else parse_range(n)
     symbolic = getattr(args, "symbolic", False)
     mu_branch = getattr(args, "mu_branch", None)
     if symbolic and (n or mu_branch):

@@ -89,18 +89,16 @@ def i_closed(a: float, b: float) -> float:
     return 0.5 * math.gamma(p) / math.gamma(a) * math.gamma(q)
 
 
-def i_quadrature(a: float, b: float, rel_tol: float = 1e-12) -> float:
+def i_quadrature(a: float, b: float) -> float:
     """I_a^b by tanh-sinh quadrature on [0, 1] and [1, inf).
 
-    The rule runs at 8 more digits than rel_tol asks for (20 at the
-    default), so its float result and error estimate are not limited by
-    the rounding of the integrand.
+    The rule runs at 20 digits, like i_truncated, so its float result and
+    error estimate are not limited by the rounding of the integrand.
     """
     if b <= -1 or 2 * a - b <= 1:
         raise DivergentIntegral(f"(a={a}, b={b}) not convergent")
-    dps = math.ceil(-math.log10(rel_tol)) + 8
     return _quad(lambda t: t ** b / (1 + t * t) ** a, [0, 1, mp.inf],
-                 "I_a^b", dps)
+                 "I_a^b", 20)
 
 
 def i_truncated(a: float, b: float, delta: float, epsilon: float) -> float:
@@ -123,8 +121,9 @@ def truncation_bound(a: float, b: float, delta: float, epsilon: float) -> float:
     return epsilon ** e / (e * delta ** e)
 
 
-def recurrence_check(a: float, b: float, rel_tol: float = 1e-12) -> bool:
-    """All three integration-by-parts identities at (a, b):
+def recurrence_check(a: float, b: float) -> bool:
+    """All three integration-by-parts identities at (a, b), each to a
+    relative 1e-12:
 
         I_a^b = (b-1)/(2a-b-1) I_a^{b-2}
               = (b-1)/(2a-2)   I_{a-1}^{b-2}
@@ -141,7 +140,7 @@ def recurrence_check(a: float, b: float, rel_tol: float = 1e-12) -> bool:
         (b - 1) / (2 * a - 2) * i_closed(a - 1, b - 2),
         (2 * a - b - 3) / (2 * a - 2) * i_closed(a - 1, b),
     ]
-    return all(abs(m - base) <= rel_tol * abs(base) for m in members)
+    return all(abs(m - base) <= 1e-12 * abs(base) for m in members)
 
 
 def rela_shorthand_report(n: int) -> dict:
@@ -211,15 +210,15 @@ def k2_inverse_square(n: int) -> float:
     return n * (n - 2) * math.exp(2 / n * _log_sphere_volume(n)) / 4
 
 
-def inte_identity_check(n: int, rel_tol: float = 1e-10) -> bool:
+def inte_identity_check(n: int) -> bool:
     """(n-2)^2 omega_{n-1} I_n^{n+1} (omega_{n-1} I_n^{n-1})^{-(n-2)/n}
-    equals K(n,2)^{-2} = n(n-2) omega_n^{2/n}/4."""
+    equals K(n,2)^{-2} = n(n-2) omega_n^{2/n}/4 to a relative 1e-10."""
     if n < 3:
         raise ValueError("n must be >= 3")
     w = sphere_volume(n - 1)
     left = (n - 2) ** 2 * w * i_closed(n, n + 1) * (w * i_closed(n, n - 1)) ** (-(n - 2) / n)
     right = k2_inverse_square(n)
-    return abs(left - right) <= rel_tol * abs(right)
+    return abs(left - right) <= 1e-10 * abs(right)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +308,9 @@ def norme_f2_combination(n: int, omega: int) -> float:
             * i_closed(n, n + 1) / i_closed(n, n - 1))
 
 
-def norme_f2_check(n: int, omega: int, rel_tol: float = 1e-10) -> dict:
-    """Compare the combination with +/- P_2(omega+2)/(4(n-1)(n-2)) I_{n-2}^{n+2w+1}.
+def norme_f2_check(n: int, omega: int) -> dict:
+    """Compare the combination with +/- P_2(omega+2)/(4(n-1)(n-2)) I_{n-2}^{n+2w+1}
+    to a relative 1e-10.
 
     The derivation gives the + sign: the combination equals
     -[n(n-2)^2 - (omega+2)^2(n^2+n+2)]/((n-1)(n-2)) I_{n-2}^{n+2w+1},
@@ -328,8 +328,8 @@ def norme_f2_check(n: int, omega: int, rel_tol: float = 1e-10) -> dict:
         "combination": lhs,
         "rhs_plus_p2": rhs_plus,
         "rhs_minus_p2": rhs_minus,
-        "matches_plus_p2": abs(lhs - rhs_plus) <= rel_tol * denom,
-        "matches_minus_p2": abs(lhs - rhs_minus) <= rel_tol * denom,
+        "matches_plus_p2": abs(lhs - rhs_plus) <= 1e-10 * denom,
+        "matches_minus_p2": abs(lhs - rhs_minus) <= 1e-10 * denom,
     }
 
 
@@ -359,9 +359,9 @@ class ExpansionBracket:
 
 
 def i_s_coefficients(n: float, omega: int) -> tuple[float, float, float]:
-    """(h1, l2, rbar) multipliers of the I_S functional."""
-    return (4 * (n - 1) * (n - 2),
-            -(4 * n * (n - 2) ** 2 - 4 * (omega + 2) ** 2 * (n * n + n + 2)),
+    """(h1, l2, rbar) multipliers of the I_S functional; l2 is
+    P_2(omega+2)."""
+    return (4 * (n - 1) * (n - 2), p2_value_float(n, omega),
             -2 * (n - 2) ** 2)
 
 

@@ -5,9 +5,13 @@ divergence of the b tensor, the Q/B/C mean-integrals, the I_S
 functional) are dimension-generic: their derivations use only
 Delta phi = nu phi, the constant-curvature relation
 R_lijm = s_lj s_im - s_lm s_ij and trace bookkeeping.  This module
-instantiates them on S^2 (dimension parameter n = 3) where
-spherical-harmonic quadrature is cheap and derivatives are available in
-closed form, and checks them against their quadrature definitions.
+checks them on S^2 only, where spherical-harmonic quadrature is cheap and
+derivatives are available in closed form: every sampled function works
+in dimension parameter n = 3, where nu = l(l+1), and samples the one
+module-level quadrature grid GRID.  Only the closed forms
+(qbc_closed_forms, u_coefficient_from_qbc, i_s_minimizer_reference) take
+n, because they are the dimension-generic formulas the quadratures are
+compared with.
 
 The annulus check is not one of them: it is specific to 2-sphere slices.
 There Gauss-Bonnet makes the total intrinsic curvature of a slice
@@ -18,7 +22,7 @@ radial part -(1 + omega/2)^2 Q alone (see annulus_curvature_check).
 Sign conventions: Delta = -div grad, so the harmonics satisfy
 s^{ij} nabla_ij phi = -nu phi with nu = l(l+1).
 
-Coordinates are colatitude theta and longitude phi_c with round metric
+Coordinates are colatitude THETA and longitude PHI with round metric
 s = diag(1, sin^2 theta).  The calculus is derived from that metric:
 christoffel(g, coords) gives the Christoffel symbols of a diagonal metric
 (the annulus check uses it too), and the gradient, Hessian, nabla b,
@@ -39,11 +43,10 @@ from types import MappingProxyType
 import numpy as np
 import sympy as sp
 
-_theta, _phi = sp.symbols("theta phi_c", real=True)
-_x = sp.Symbol("x")
+from .integrals import i_s_coefficients
 
-THETA = _theta
-PHI = _phi
+THETA, PHI = sp.symbols("theta phi_c", real=True)
+_x = sp.Symbol("x")
 
 
 class ExcludedEigenvalue(ValueError):
@@ -65,13 +68,15 @@ class SphereGrid:
     n_phi = 4 l_max + 1 longitudes.  It is exact (to rounding) for
     integrands of degree up to 2 n_theta - 1 = 4 l_max + 3 in cos(theta)
     and n_phi - 1 = 4 l_max in the longitude, which covers products of up
-    to four harmonics of degree <= l_max.
+    to four harmonics of degree <= l_max.  l_max = 12 covers every degree
+    the oracle samples (up to 6) with room to spare.
     """
 
-    def __init__(self, l_max: int = 12):
-        self.l_max = l_max
-        n_theta = 2 * l_max + 2
-        n_phi = 4 * l_max + 1
+    l_max = 12
+
+    def __init__(self):
+        n_theta = 2 * self.l_max + 2
+        n_phi = 4 * self.l_max + 1
         x, w = np.polynomial.legendre.leggauss(n_theta)
         self.cos_theta = x
         self.theta = np.arccos(x)
@@ -106,11 +111,14 @@ class SphereGrid:
                                      self.T.shape).copy() for v in out)
 
 
+GRID = SphereGrid()
+
+
 @lru_cache(maxsize=None)
 def _compiled(exprs: tuple):
     """One numpy function of (theta, phi_c) returning the list of exprs,
     with common subexpressions evaluated once."""
-    return sp.lambdify((_theta, _phi), list(exprs), modules="numpy", cse=True)
+    return sp.lambdify((THETA, PHI), list(exprs), modules="numpy", cse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +136,14 @@ def real_harmonic(l: int, m: int):
     # with N^2 = (2l+1)(l-a)!/(l+a)!, doubled for m != 0; the sign is the
     # Condon-Shortley phase of the complex harmonic Y_l^a
     a = abs(m)
-    legendre = sp.diff(sp.legendre(l, _x), _x, a).subs(_x, sp.cos(_theta))
+    legendre = sp.diff(sp.legendre(l, _x), _x, a).subs(_x, sp.cos(THETA))
     norm2 = sp.Integer(2 * l + 1) * sp.factorial(l - a) / sp.factorial(l + a)
     if m == 0:
         angular = sp.Integer(1)
     else:
         norm2 *= 2
-        angular = sp.cos(a * _phi) if m > 0 else sp.sin(a * _phi)
-    return ((-1) ** a * sp.sqrt(norm2) * sp.sin(_theta) ** a * legendre
+        angular = sp.cos(a * PHI) if m > 0 else sp.sin(a * PHI)
+    return ((-1) ** a * sp.sqrt(norm2) * sp.sin(THETA) ** a * legendre
             * angular)
 
 
@@ -190,11 +198,11 @@ def christoffel(g, coords) -> list:
 # _S is the round metric, _INV its inverse, _GAMMA[l + k + i] = Gamma^l_{ki}.
 _IDX = "tp"
 _S = {"tt": sp.Integer(1), "tp": sp.Integer(0), "pt": sp.Integer(0),
-      "pp": sp.sin(_theta) ** 2}
+      "pp": sp.sin(THETA) ** 2}
 _INV = {i: 1 / _S[i + i] for i in _IDX}
 _GAMMA = {l + k + i: gamma
           for l, plane in zip(_IDX, christoffel((_S["tt"], _S["pp"]),
-                                                (_theta, _phi)))
+                                                (THETA, PHI)))
           for k, row in zip(_IDX, plane) for i, gamma in zip(_IDX, row)}
 
 
@@ -207,7 +215,7 @@ def covariant_derivative(T: Mapping) -> dict:
                            - sum_s Gamma^l_{k i_s} T_{i_1..l..i_r}
     """
     out = {}
-    for k, x_k in zip(_IDX, (_theta, _phi)):
+    for k, x_k in zip(_IDX, (THETA, PHI)):
         for I, component in T.items():
             value = sp.diff(component, x_k)
             for s, i in enumerate(I):
@@ -245,9 +253,9 @@ def covariant_hessian_exprs(f) -> dict:
     return covariant_derivative(covariant_derivative({"": f}))
 
 
-def divergence_exprs(spec: HarmonicSpec, n: int = 3) -> tuple:
-    """(nabla^i b_it, nabla^i b_ip) of b_tensor_exprs(spec, n)."""
-    T = b_derivative_exprs(spec, n)
+def divergence_exprs(spec: HarmonicSpec) -> tuple:
+    """(nabla^i b_it, nabla^i b_ip) of b_tensor_exprs(spec)."""
+    T = b_derivative_exprs(spec)
     return tuple(_trace(T, _INV, j) for j in _IDX)
 
 
@@ -257,88 +265,62 @@ def covector_divergence_expr(v: tuple):
 
 
 @lru_cache(maxsize=None)
-def b_tensor_exprs(spec: HarmonicSpec, n: int = 3) -> MappingProxyType:
-    """b_ij = [(n-1) nabla_ij phi + nu phi s_ij] / ((n-2)(nu + 1 - n)).
+def b_tensor_exprs(spec: HarmonicSpec) -> MappingProxyType:
+    """b_ij = [2 nabla_ij phi + nu phi s_ij] / (nu - 2), the general
+    [(n-1) nabla_ij phi + nu phi s_ij] / ((n-2)(nu + 1 - n)) at n = 3.
 
-    Memoized per (spec, n); the mapping is read-only because it is shared.
+    Memoized per spec; the mapping is read-only because it is shared.
     """
     nu = spec.nu
-    if nu == n - 1:
-        raise ExcludedEigenvalue(f"nu = n - 1 = {nu} is excluded")
     f = spec.expr
     H = covariant_hessian_exprs(f)
-    denom = sp.Integer((n - 2) * (nu + 1 - n))
-    return MappingProxyType({I: ((n - 1) * H[I] + nu * f * _S[I]) / denom
+    denom = sp.Integer(nu - 2)
+    return MappingProxyType({I: (2 * H[I] + nu * f * _S[I]) / denom
                              for I in H})
 
 
 @lru_cache(maxsize=None)
-def b_derivative_exprs(spec: HarmonicSpec, n: int = 3) -> MappingProxyType:
-    """nabla_k b_ij of b_tensor_exprs(spec, n), memoized and read-only."""
-    return MappingProxyType(covariant_derivative(b_tensor_exprs(spec, n)))
+def b_derivative_exprs(spec: HarmonicSpec) -> MappingProxyType:
+    """nabla_k b_ij of b_tensor_exprs(spec), memoized and read-only."""
+    return MappingProxyType(covariant_derivative(b_tensor_exprs(spec)))
 
 
-# ---------------------------------------------------------------------------
-# Numeric field containers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ScalarField:
-    grid: SphereGrid
-    values: np.ndarray
-    expr: object = None
-
-    @staticmethod
-    def from_expr(grid: SphereGrid, expr) -> "ScalarField":
-        return ScalarField(grid=grid, values=grid.sample(expr), expr=expr)
-
-    def mean(self) -> float:
-        return self.grid.mean(self.values)
-
-
-def _sample(grid: SphereGrid, exprs: Mapping) -> dict:
-    """{key: values on the grid} of a mapping of expressions."""
-    return dict(zip(exprs, grid.sample_many(tuple(exprs.values()))))
+def _sample(exprs: Mapping) -> dict:
+    """{key: values on GRID} of a mapping of expressions."""
+    return dict(zip(exprs, GRID.sample_many(tuple(exprs.values()))))
 
 
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
 
-def laplacian_check(spec: HarmonicSpec, grid: SphereGrid | None = None) -> float:
+def laplacian_check(spec: HarmonicSpec) -> float:
     """Max |s^{ij} nabla_ij phi + nu phi| over the grid (sign convention
     Delta = -div grad makes the trace of the Hessian equal -nu phi)."""
-    grid = grid or SphereGrid()
-    H = _sample(grid, covariant_hessian_exprs(spec.expr))
-    resid = _trace(H, _sample(grid, _INV)) + spec.nu * grid.sample(spec.expr)
+    H = _sample(covariant_hessian_exprs(spec.expr))
+    resid = _trace(H, _sample(_INV)) + spec.nu * GRID.sample(spec.expr)
     return float(np.max(np.abs(resid)))
 
 
-def b_trace_residual(spec: HarmonicSpec, n: int = 3,
-                     grid: SphereGrid | None = None) -> float:
+def b_trace_residual(spec: HarmonicSpec) -> float:
     """Max |s^{ij} b_ij| over the grid."""
-    grid = grid or SphereGrid()
-    b = _sample(grid, b_tensor_exprs(spec, n))
-    return float(np.max(np.abs(_trace(b, _sample(grid, _INV)))))
+    b = _sample(b_tensor_exprs(spec))
+    return float(np.max(np.abs(_trace(b, _sample(_INV)))))
 
 
-def b_divergence_residual(spec: HarmonicSpec, n: int = 3,
-                          grid: SphereGrid | None = None) -> float:
+def b_divergence_residual(spec: HarmonicSpec) -> float:
     """Max |nabla^i b_ij + nabla_j phi| over the grid, both components."""
-    grid = grid or SphereGrid()
-    div_t, div_p = divergence_exprs(spec, n)
+    div_t, div_p = divergence_exprs(spec)
     gt, gp = gradient_exprs(spec.expr)
-    rt, rp = grid.sample_many((sp.expand(div_t + gt), sp.expand(div_p + gp)))
+    rt, rp = GRID.sample_many((sp.expand(div_t + gt), sp.expand(div_p + gp)))
     return float(max(np.max(np.abs(rt)), np.max(np.abs(rp))))
 
 
-def b_double_divergence_residual(spec: HarmonicSpec, n: int = 3,
-                                 grid: SphereGrid | None = None) -> float:
+def b_double_divergence_residual(spec: HarmonicSpec) -> float:
     """Max |nabla^{ij} b_ij - nu phi|: the double divergence reproduces the
     leading curvature part coefficient nu phi."""
-    grid = grid or SphereGrid()
-    dd = covector_divergence_expr(divergence_exprs(spec, n))
-    resid = grid.sample(sp.expand(dd - spec.nu * spec.expr))
+    dd = covector_divergence_expr(divergence_exprs(spec))
+    resid = GRID.sample(sp.expand(dd - spec.nu * spec.expr))
     return float(np.max(np.abs(resid)))
 
 
@@ -357,22 +339,20 @@ def qbc_closed_forms(nu: float, n: int) -> tuple[float, float, float]:
     return Q, B, C
 
 
-def qbc_quadrature(spec: HarmonicSpec, n: int = 3,
-                   grid: SphereGrid | None = None) -> tuple[float, float, float]:
+def qbc_quadrature(spec: HarmonicSpec) -> tuple[float, float, float]:
     """(Q, B, C) from their defining mean-integrals:
 
     Q = mean int b_ij b^ij
     B = mean int nabla^i b^jk nabla_j b_ik
     C = mean int nabla^k b^ij nabla_k b_ij
     """
-    grid = grid or SphereGrid()
-    inv = _sample(grid, _INV)
-    b = _sample(grid, b_tensor_exprs(spec, n))
-    T = _sample(grid, b_derivative_exprs(spec, n))
+    inv = _sample(_INV)
+    b = _sample(b_tensor_exprs(spec))
+    T = _sample(b_derivative_exprs(spec))
     T_swapped = {I: T[I[1] + I[0] + I[2:]] for I in T}   # nabla_j b_ik
-    return (grid.mean(_contract(b, b, inv)),
-            grid.mean(_contract(T, T_swapped, inv)),
-            grid.mean(_contract(T, T, inv)))
+    return (GRID.mean(_contract(b, b, inv)),
+            GRID.mean(_contract(T, T_swapped, inv)),
+            GRID.mean(_contract(T, T, inv)))
 
 
 def u_coefficient_from_qbc(nu: float, n: int, omega: int) -> float:
@@ -381,22 +361,19 @@ def u_coefficient_from_qbc(nu: float, n: int, omega: int) -> float:
     return B / 2 - C / 4 - (1 + omega / 2) ** 2 * Q
 
 
-def i_s_functional(f: ScalarField, rbar: ScalarField, n: int, omega: int,
-                   mean_tolerance: float = 1e-10) -> float:
-    """mean int [4(n-1)(n-2)|nabla f|^2
-                 - (4n(n-2)^2 - 4(omega+2)^2(n^2+n+2)) f^2
-                 - 2(n-2)^2 f rbar]."""
-    if abs(f.mean()) > mean_tolerance:
-        raise NonzeroMean(f"mean of f is {f.mean():.3e}")
-    if f.expr is None:
-        raise ValueError("f must carry a symbolic expression")
-    grid = f.grid
-    grad2 = grid.sample(grad_norm2_expr(f.expr))
-    c2 = 4 * n * (n - 2) ** 2 - 4 * (omega + 2) ** 2 * (n * n + n + 2)
-    integrand = (4 * (n - 1) * (n - 2) * grad2
-                 - c2 * f.values ** 2
-                 - 2 * (n - 2) ** 2 * f.values * rbar.values)
-    return grid.mean(integrand)
+def i_s_functional(f, rbar, omega: int) -> float:
+    """mean int [c_h1 |nabla f|^2 + c_l2 f^2 + c_rbar f rbar] at n = 3, for
+    sympy expressions f (mean-free) and rbar, with (c_h1, c_l2, c_rbar)
+    the multipliers of integrals.i_s_coefficients."""
+    values = GRID.sample(f)
+    mean = GRID.mean(values)
+    if abs(mean) > 1e-10:
+        raise NonzeroMean(f"mean of f is {mean:.3e}")
+    c_h1, c_l2, c_rbar = i_s_coefficients(3, omega)
+    integrand = (c_h1 * GRID.sample(grad_norm2_expr(f))
+                 + c_l2 * values ** 2
+                 + c_rbar * values * GRID.sample(rbar))
+    return GRID.mean(integrand)
 
 
 def i_s_minimizer_reference(nu: float, n: int, omega: int,
@@ -433,7 +410,7 @@ def _annulus_curvature_lambdified(l: int, omega: int):
     """
     t_s, r_s = sp.symbols("t r", positive=True)
     spec = HarmonicSpec(l, 0)
-    b = b_tensor_exprs(spec, 3)
+    b = b_tensor_exprs(spec)
     # bhat_ij = (1/2) b_i^k b_kj ; diagonal case
     bhat_tt = sp.Rational(1, 2) * b["tt"] ** 2
     bhat_pp = sp.Rational(1, 2) * b["pp"] ** 2 * _INV["p"]
@@ -441,7 +418,7 @@ def _annulus_curvature_lambdified(l: int, omega: int):
     g_tt = r_s ** 2 * (1 + scale * b["tt"] + scale ** 2 * bhat_tt)
     g_pp = r_s ** 2 * (_S["pp"] + scale * b["pp"] + scale ** 2 * bhat_pp)
 
-    coords = (r_s, _theta, _phi)
+    coords = (r_s, THETA, PHI)
     g = [sp.Integer(1), g_tt, g_pp]       # diagonal entries, phi-independent
     Gamma = christoffel(g, coords)
     R_scalar = sp.Integer(0)
@@ -455,31 +432,28 @@ def _annulus_curvature_lambdified(l: int, omega: int):
                 ric += Gamma[a][a][dd] * Gamma[dd][bq][c]
                 ric -= Gamma[a][c][dd] * Gamma[dd][bq][a]
         R_scalar += ric / g[bq]
-    area_factor = sp.sqrt(g_tt * g_pp) / sp.sin(_theta)
-    f_R = sp.lambdify((t_s, r_s, _theta), R_scalar, modules="numpy", cse=True)
-    f_area = sp.lambdify((t_s, r_s, _theta), area_factor, modules="numpy",
+    area_factor = sp.sqrt(g_tt * g_pp) / sp.sin(THETA)
+    f_R = sp.lambdify((t_s, r_s, THETA), R_scalar, modules="numpy", cse=True)
+    f_area = sp.lambdify((t_s, r_s, THETA), area_factor, modules="numpy",
                          cse=True)
     return f_R, f_area
 
 
-def annulus_mean_curvature(l: int, omega: int, t: float, r: float,
-                           grid: SphereGrid | None = None) -> float:
+def annulus_mean_curvature(l: int, omega: int, t: float, r: float) -> float:
     """Mean-integral of the scalar curvature over the sphere of radius r
     in the perturbed cone metric (t = 0 gives flat space, mean 0)."""
-    grid = grid or SphereGrid()
     f_R, f_area = _annulus_curvature_lambdified(l, omega)
-    theta = grid.theta
-    R_vals = np.asarray(f_R(t, r, theta), dtype=float)
-    area_vals = np.asarray(f_area(t, r, theta), dtype=float)
-    num = float(np.sum(R_vals * area_vals * grid.theta_weights))
-    den = float(np.sum(area_vals * grid.theta_weights))
+    R_vals = np.asarray(f_R(t, r, GRID.theta), dtype=float)
+    area_vals = np.asarray(f_area(t, r, GRID.theta), dtype=float)
+    num = float(np.sum(R_vals * area_vals * GRID.theta_weights))
+    den = float(np.sum(area_vals * GRID.theta_weights))
     return num / den
 
 
 def annulus_curvature_check(omega: int = 2, l: int = 2,
                             t_values: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-                            r_values: tuple[float, ...] = (0.5, 0.7, 1.0),
-                            grid: SphereGrid | None = None) -> AnnulusReport:
+                            r_values: tuple[float, ...] = (0.5, 0.7, 1.0)
+                            ) -> AnnulusReport:
     """Compare mean int_{S(r)} R dsigma_r / (t^2 r^{2 omega + 2}) with the
     bracket B/2 - C/4 - (1 + omega/2)^2 Q over a (t, r) grid.
 
@@ -501,9 +475,8 @@ def annulus_curvature_check(omega: int = 2, l: int = 2,
     the evaluation of R is associated: without common-subexpression
     elimination it reads 7.3e-7.
     """
-    grid = grid or SphereGrid()
     spec = HarmonicSpec(l, 0)
-    Q, B, C = qbc_quadrature(spec, 3, grid)
+    Q, B, C = qbc_quadrature(spec)
     bracket = B / 2 - C / 4 - (1 + omega / 2) ** 2 * Q
     q_part = -((1 + omega / 2) ** 2) * Q
     Qc, Bc, Cc = qbc_closed_forms(spec.nu, 3)
@@ -516,7 +489,7 @@ def annulus_curvature_check(omega: int = 2, l: int = 2,
         devs = []
         devs_q = []
         for r in r_values:
-            mean_R = annulus_mean_curvature(l, omega, t, r, grid)
+            mean_R = annulus_mean_curvature(l, omega, t, r)
             scale = t * t * r ** (2 * omega + 2)
             devs.append((abs(mean_R - bracket * scale) / abs(bracket * scale), r))
             devs_q.append(abs(mean_R - q_part * scale) / abs(q_part * scale))

@@ -22,8 +22,6 @@ shorthand is inconsistent:
 
 from fractions import Fraction as F
 
-import pytest
-
 from hvcert.algebra import Polynomial, RationalFunction
 from hvcert.certify import (
     certify_at,
@@ -53,8 +51,6 @@ from hvcert.spectral import (
 )
 from hvcert.sphere import (
     HarmonicSpec,
-    ScalarField,
-    SphereGrid,
     annulus_curvature_check,
     b_divergence_residual,
     b_trace_residual,
@@ -109,11 +105,6 @@ def f2_combination_ratio(n, w):
             + (w + 2) ** 2 * i(2 * w + n + 1)
             - (N - 1) * (n - 2) ** 2 * i(2 * w + n + 3)
             * bubble_ratio(n, n + 1, n, n - 1))
-
-
-@pytest.fixture(scope="module")
-def grid():
-    return SphereGrid(12)
 
 
 def test_criterion_01_spectral_tables_exact():
@@ -271,13 +262,13 @@ def test_criterion_08_concentration_limit():
     assert ok
 
 
-def test_criterion_09_sphere_identities(grid):
+def test_criterion_09_sphere_identities():
     ok = True
     for l in range(2, 6):
         spec = HarmonicSpec(l, 1)
-        ok &= b_trace_residual(spec, 3, grid) <= 1e-10
-        ok &= b_divergence_residual(spec, 3, grid) <= 1e-6
-        Q, B, C = qbc_quadrature(spec, 3, grid)
+        ok &= b_trace_residual(spec) <= 1e-10
+        ok &= b_divergence_residual(spec) <= 1e-6
+        Q, B, C = qbc_quadrature(spec)
         Qc, Bc, Cc = qbc_closed_forms(spec.nu, 3)
         ok &= abs(Q - Qc) <= 1e-6 * abs(Qc)
         ok &= abs(B - Bc) <= 1e-6 * max(abs(Bc), 1.0)
@@ -287,15 +278,14 @@ def test_criterion_09_sphere_identities(grid):
     d = float(d_polynomial(omega, 1)(F(n)))
     c = (n - 2) ** 2 / d
     phi = real_harmonic(l, 0)
-    value = i_s_functional(ScalarField.from_expr(grid, c * nu * phi),
-                           ScalarField.from_expr(grid, nu * phi), n, omega)
+    value = i_s_functional(c * nu * phi, nu * phi, omega)
     ref = i_s_minimizer_reference(nu, n, omega, d)
     ok &= abs(value - ref) <= 1e-8 * abs(ref)
     report(9, ok, "b-tensor, Q/B/C, and minimizer identities verified")
     assert ok
 
 
-def test_criterion_10_annulus_bracket(grid):
+def test_criterion_10_annulus_bracket():
     """The t^2 coefficient of the perturbed annulus' mean scalar curvature.
 
     Stated: at most 5% deviation from the full bracket
@@ -307,7 +297,7 @@ def test_criterion_10_annulus_bracket(grid):
     part, and the deviation from the full bracket must stay pinned at the
     closed form (Q/2)/|bracket| = 1/9, which refutes the stated form."""
     omega, l = 2, 2
-    rep = annulus_curvature_check(omega=omega, l=l, grid=grid)
+    rep = annulus_curvature_check(omega=omega, l=l)
     dev_q = rep.max_q_part_deviation
     ts = sorted(dev_q, reverse=True)
     shrinking = all(dev_q[b] < 0.5 * dev_q[a] for a, b in zip(ts, ts[1:]))

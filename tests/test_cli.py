@@ -7,7 +7,6 @@ import math
 import pytest
 
 from hvcert.cli import (
-    RunConfig,
     main,
     parse_range,
     parse_csv_entries,
@@ -28,11 +27,6 @@ class TestConfig:
             parse_range("3..")
         with pytest.raises(UsageError):
             parse_range("7..3")
-
-    def test_roundtrip(self):
-        cfg = RunConfig(command="scan", omega=(3, 15), n=(12, 400),
-                        jobs=4, seed=7)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_rational_payload(self):
         p = rational_payload(Fraction(1, 3))
@@ -82,9 +76,10 @@ class TestExitCodes:
         ["certify", "--omega", "3", "--symbolic", "--n", "10..20"],
         ["certify", "--omega", "3", "--symbolic",
          "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
+        ["certify", "--omega", ""],
     ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1",
             "unknown-option", "missing-required-option", "coeffs-csv",
-            "symbolic-with-n", "symbolic-with-mu-branch"])
+            "symbolic-with-n", "symbolic-with-mu-branch", "empty-omega"])
     def test_out_of_range_input_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -219,6 +214,30 @@ class TestFormats:
         assert main(["coeffs", "--omega", "5", "--output", str(src)]) == 0
         assert main(["report", "--input", str(src),
                      "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hvcert: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,fmt", [
+        ("{}", "json"),
+        ("{}", "markdown"),
+        ("{}", "csv"),
+        ("[1]", "json"),
+        ('{"entries": 1, "summary": {"mode": "scan"}}', "csv"),
+        ('{"entries": [], "summary": {}}', "markdown"),
+        ('{"tool_version": "0", "entries": [], "summary": []}', "markdown"),
+        ('{"tool_version": "0", "entries": [1], "summary": {}}', "markdown"),
+        ('{"tool_version": "0", "entries": [{"omega": 3}], '
+         '"summary": {"mode": "scan"}}', "csv"),
+    ], ids=["empty-json", "empty-markdown", "empty-csv", "list",
+            "entries-not-list", "no-tool-version", "summary-not-object",
+            "entry-not-object", "entry-missing-fields"])
+    def test_report_input_of_wrong_shape_is_usage_error(
+            self, tmp_path, capsys, text, fmt):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        assert main(["report", "--input", str(src), "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("hvcert: ")

@@ -23,18 +23,21 @@ from hvcert.integrals import (
     best_constant_l1,
     expansion_bracket,
     hardy_constant,
+    i_s_coefficients,
     i_closed,
     i_quadrature,
     i_truncated,
     inte_identity_check,
     k2_inverse_square,
     norme_f2_check,
+    p2_value_float,
     radial_yamabe,
     recurrence_check,
     rela_shorthand_report,
     sphere_volume,
     truncation_bound,
 )
+from hvcert.spectral import p2_value
 
 
 class TestBubbleIntegrals:
@@ -267,6 +270,18 @@ class TestF2Coefficient:
     def test_combination_requires_convergence(self):
         with pytest.raises(DivergentIntegral):
             norme_f2_check(12, 3)   # n = 2 omega + 6 diverges
+
+
+class TestP2Copies:
+    def test_float_copies_equal_the_exact_p2(self):
+        # P_2(omega+2) is written in spectral.p2_value (exact), in
+        # p2_value_float, and as the f^2 multiplier of i_s_coefficients
+        for omega in range(2, 21):
+            exact = p2_value(omega)
+            for n in range(2 * omega + 6, 2 * omega + 41):
+                value = p2_value_float(n, omega)
+                assert value == float(exact(n)), (n, omega)
+                assert i_s_coefficients(n, omega)[1] == value, (n, omega)
 
 
 class TestExpansionBracket:

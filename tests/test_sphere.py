@@ -15,7 +15,6 @@ from hvcert.sphere import (
     ExcludedEigenvalue,
     HarmonicSpec,
     NonzeroMean,
-    ScalarField,
     SphereGrid,
     annulus_curvature_check,
     annulus_mean_curvature,
@@ -37,7 +36,7 @@ from hvcert.sphere import (
 
 @pytest.fixture(scope="module")
 def grid():
-    return SphereGrid(12)
+    return SphereGrid()
 
 
 class TestGridAndHarmonics:
@@ -109,36 +108,35 @@ class TestCovariantCalculus:
                     want = nonzero.get((a, b, k), 0)
                     assert sp.simplify(gamma[a][b][k] - want) == 0, (a, b, k)
 
-    def test_laplacian_eigenrelation(self, grid):
+    def test_laplacian_eigenrelation(self):
         for l in range(2, 7):
             spec = HarmonicSpec(l, min(l, 2))
-            assert laplacian_check(spec, grid) < 1e-8
+            assert laplacian_check(spec) < 1e-8
 
 
 class TestBTensor:
     def test_memoized_read_only(self):
         spec = HarmonicSpec(2, 0)
-        b = b_tensor_exprs(spec, 3)
-        assert b_tensor_exprs(HarmonicSpec(2, 0), 3) is b
+        b = b_tensor_exprs(spec)
+        assert b_tensor_exprs(HarmonicSpec(2, 0)) is b
         with pytest.raises(TypeError):
             b["tt"] = 0
         with pytest.raises(TypeError):
-            b_derivative_exprs(spec, 3)["ttt"] = 0
+            b_derivative_exprs(spec)["ttt"] = 0
 
-    def test_trace_free(self, grid):
+    def test_trace_free(self):
         for l in range(2, 6):
-            assert b_trace_residual(HarmonicSpec(l, 1), 3, grid) < 1e-10
+            assert b_trace_residual(HarmonicSpec(l, 1)) < 1e-10
 
-    def test_divergence_identity(self, grid):
+    def test_divergence_identity(self):
         # nabla^i b_ij = -nabla_j phi
         for l in range(2, 6):
-            assert b_divergence_residual(HarmonicSpec(l, 1), 3, grid) < 1e-6
+            assert b_divergence_residual(HarmonicSpec(l, 1)) < 1e-6
 
-    def test_double_divergence(self, grid):
+    def test_double_divergence(self):
         # nabla^{ij} b_ij = nu phi
         for l in range(2, 6):
-            assert b_double_divergence_residual(
-                HarmonicSpec(l, 1), 3, grid) < 1e-6
+            assert b_double_divergence_residual(HarmonicSpec(l, 1)) < 1e-6
 
 
 class TestQBC:
@@ -148,19 +146,19 @@ class TestQBC:
         Q, _, _ = qbc_closed_forms(12, 3)    # l = 3
         assert Q == pytest.approx(12 / 5)
 
-    def test_quadrature_matches_closed_forms(self, grid):
+    def test_quadrature_matches_closed_forms(self):
         for l in range(2, 6):
             spec = HarmonicSpec(l, 1)
-            Q, B, C = qbc_quadrature(spec, 3, grid)
+            Q, B, C = qbc_quadrature(spec)
             Qc, Bc, Cc = qbc_closed_forms(spec.nu, 3)
             assert Q == pytest.approx(Qc, rel=1e-6)
             assert B == pytest.approx(Bc, abs=1e-6 * max(abs(Bc), 1.0))
             assert C == pytest.approx(Cc, rel=1e-6)
 
-    def test_order_independent_of_m(self, grid):
-        ref = qbc_quadrature(HarmonicSpec(3, 0), 3, grid)
+    def test_order_independent_of_m(self):
+        ref = qbc_quadrature(HarmonicSpec(3, 0))
         for m in (1, -2, 3):
-            got = qbc_quadrature(HarmonicSpec(3, m), 3, grid)
+            got = qbc_quadrature(HarmonicSpec(3, m))
             assert got == pytest.approx(ref, rel=1e-8)
 
     def test_u_coefficient_matches_spectral(self):
@@ -175,13 +173,13 @@ class TestQBC:
 
 
 class TestISFunctional:
-    def test_requires_zero_mean(self, grid):
-        f = ScalarField.from_expr(grid, 1 + real_harmonic(2, 0))
-        rbar = ScalarField.from_expr(grid, real_harmonic(2, 0))
+    def test_requires_zero_mean(self):
+        f = 1 + real_harmonic(2, 0)
+        rbar = real_harmonic(2, 0)
         with pytest.raises(NonzeroMean):
-            i_s_functional(f, rbar, 3, 2)
+            i_s_functional(f, rbar, 2)
 
-    def test_minimizer_value(self, grid):
+    def test_minimizer_value(self):
         from fractions import Fraction
         n = 3
         for omega, l in ((2, 2), (4, 2), (4, 4)):
@@ -190,13 +188,13 @@ class TestISFunctional:
                      + (omega + 2) ** 2 * (n * n + n + 2))
             c = (n - 2) ** 2 / d
             phi = real_harmonic(l, 0)
-            f = ScalarField.from_expr(grid, c * nu * phi)
-            rbar = ScalarField.from_expr(grid, nu * phi)
-            value = i_s_functional(f, rbar, n, omega)
+            f = c * nu * phi
+            rbar = nu * phi
+            value = i_s_functional(f, rbar, omega)
             ref = i_s_minimizer_reference(nu, n, omega, d)
             assert value == pytest.approx(ref, rel=1e-8), (omega, l)
 
-    def test_additive_over_orthogonal_components(self, grid):
+    def test_additive_over_orthogonal_components(self):
         n, omega = 3, 4
         parts = []
         total_f = 0
@@ -209,12 +207,10 @@ class TestISFunctional:
             phi = real_harmonic(l, 0)
             total_f = total_f + c * nu * phi
             total_r = total_r + nu * phi
-            f = ScalarField.from_expr(grid, c * nu * phi)
-            r = ScalarField.from_expr(grid, nu * phi)
-            parts.append(i_s_functional(f, r, n, omega))
-        combined = i_s_functional(ScalarField.from_expr(grid, total_f),
-                                  ScalarField.from_expr(grid, total_r),
-                                  n, omega)
+            f = c * nu * phi
+            r = nu * phi
+            parts.append(i_s_functional(f, r, omega))
+        combined = i_s_functional(total_f, total_r, omega)
         assert combined == pytest.approx(sum(parts), rel=1e-8)
 
 
@@ -230,7 +226,7 @@ def annulus_mean_curvature_taylor(l, omega):
     and the theta-integrals are done exactly by sympy.
     """
     t, r = sp.symbols("t r", positive=True)
-    b = b_tensor_exprs(HarmonicSpec(l, 0), 3)
+    b = b_tensor_exprs(HarmonicSpec(l, 0))
     s = sp.sin(THETA)
     tau = t * r ** (omega + 2)
     E = r ** 2 * (1 + tau * b["tt"] + tau ** 2 * b["tt"] ** 2 / 2)
@@ -258,8 +254,8 @@ def annulus_mean_curvature_taylor(l, omega):
 
 
 class TestAnnulus:
-    def test_flat_at_zero_amplitude(self, grid):
-        assert abs(annulus_mean_curvature(2, 2, 0.0, 0.7, grid)) < 1e-12
+    def test_flat_at_zero_amplitude(self):
+        assert abs(annulus_mean_curvature(2, 2, 0.0, 0.7)) < 1e-12
 
     def test_t2_coefficient_exact(self):
         # the t^2 coefficient is exactly the radial part -(1 + w/2)^2 Q,
@@ -275,31 +271,30 @@ class TestAnnulus:
         assert c2 == radial == -12
         assert bracket - c2 == -Q / 2
 
-    def test_coefficient_is_q_part(self, grid):
+    def test_coefficient_is_q_part(self):
         # two-dimensional slices: Gauss-Bonnet removes the gradient terms,
         # leaving exactly -(1 + omega/2)^2 Q as the t^2 coefficient
-        report = annulus_curvature_check(omega=2, l=2, grid=grid)
+        report = annulus_curvature_check(omega=2, l=2)
         assert report.q_part == pytest.approx(-12.0, rel=1e-10)
         assert report.max_q_part_deviation[1e-3] < 1e-3
         assert report.max_q_part_deviation[1e-4] < 1e-4
 
-    def test_q_part_residual_shrinks_with_t(self, grid):
-        report = annulus_curvature_check(omega=2, l=2, grid=grid)
+    def test_q_part_residual_shrinks_with_t(self):
+        report = annulus_curvature_check(omega=2, l=2)
         for ratio in report.linear_residual_ratios:
             assert ratio < 0.2
 
-    def test_bracket_deviation_is_topologically_forced(self, grid):
+    def test_bracket_deviation_is_topologically_forced(self):
         # the deviation from the full B/2 - C/4 - (1+w/2)^2 Q bracket
         # converges to (Q/2)/|bracket| = 1/9 for omega = 2, l = 2
-        report = annulus_curvature_check(omega=2, l=2, grid=grid)
+        report = annulus_curvature_check(omega=2, l=2)
         assert report.bracket_closed_form == pytest.approx(-13.5)
         for t in (1e-3, 1e-4):
             assert report.max_relative_deviation[t] == pytest.approx(
                 1.0 / 9.0, abs=1e-4)
 
-    def test_other_degree(self, grid):
+    def test_other_degree(self):
         # l = 3: Q = 12/5, q_part = -4 Q = -9.6
-        report = annulus_curvature_check(omega=2, l=3,
-                                         t_values=(1e-3, 1e-4), grid=grid)
+        report = annulus_curvature_check(omega=2, l=3, t_values=(1e-3, 1e-4))
         assert report.q_part == pytest.approx(-9.6, rel=1e-10)
         assert report.max_q_part_deviation[1e-3] < 1e-3
