@@ -36,7 +36,6 @@ from .spectral import (
 )
 from .certify import (
     IntervalCertificate,
-    MuBranch,
     SymbolicCertificate,
     certify_at,
     delta_partial_fraction,
@@ -71,7 +70,6 @@ __all__ = [
     "spectral_family",
     "spectral_row",
     "IntervalCertificate",
-    "MuBranch",
     "SymbolicCertificate",
     "certify_at",
     "delta_partial_fraction",

@@ -1,7 +1,7 @@
 """Interval-intersection certificates for the Hebey-Vaugon inequality.
 
-For fixed omega and dimension n >= 2 omega + 6 the conjecture case
-reduces to finding one constant c with
+For fixed omega and dimension n >= 2 omega + 6 the case deg R-bar = omega
+of the conjecture reduces to finding one constant c with
 
     d_k/(2(n-2)) c^2 - (n-2) c + (n-2) u_k/(2 nu_k^2) < 0
 
@@ -9,6 +9,8 @@ simultaneously for every k <= floor(omega/2), i.e. a point in the
 intersection of the root intervals ]x_k, y_k[ of these trinomials, where
 
     x_k, y_k = [(n-2)^2 -/+ (n-2) sqrt(Delta_k)] / d_k .
+
+That is the only case modelled here; prior work settles deg R-bar > omega.
 
 Two layers are provided.  certify_at decides a single (omega, n) cell
 exactly, in one pass: a candidate c is read off rational root enclosures
@@ -25,7 +27,6 @@ positivity on the ray.  Scans over many cells run through hvcert.cli.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -52,18 +53,6 @@ class HypothesisViolated(AlgebraError):
 
 class InternalConsistencyError(AlgebraError):
     """A quantity the lemmas guarantee to be positive failed its check."""
-
-
-class MuBranch(enum.Enum):
-    """Vanishing degree of the leading curvature polynomial R-bar.
-
-    The toolkit cannot determine this from a manifold; callers supply it.
-    When the degree exceeds omega, prior work covers the case and c = 0
-    certifies the cell outright.
-    """
-
-    DEG_EQUALS_OMEGA = "deg_Rbar_equals_omega"
-    DEG_AT_LEAST_OMEGA_PLUS_ONE = "deg_Rbar_at_least_omega_plus_one"
 
 
 @dataclass(frozen=True)
@@ -103,13 +92,18 @@ class RootPair:
 
 @dataclass(frozen=True)
 class IntervalCertificate:
+    """The verdict on one (omega, n) cell of the deg R-bar = omega case:
+    status "certified", "empty" or "undecided" (see certify_at)."""
+
     omega: int
     n: int
     pairs: tuple[RootPair, ...]
-    nonempty: bool
     chosen_c: Optional[Fraction]
-    mu_branch: MuBranch
-    status: str  # "certified" | "empty" | "undecided" | "covered_by_prior_branch"
+    status: str
+
+    @property
+    def nonempty(self) -> bool:
+        return self.chosen_c is not None
 
 
 @dataclass(frozen=True)
@@ -139,9 +133,12 @@ class SymbolicCertificate:
     valid_from: int
     lower_bounds: tuple[LowerBoundCheck, ...]
     pair_checks: tuple[PairCheck, ...]
-    ok: bool
     # ("lower_bound", omega, k), ("d_order", omega, k) or ("pair", omega, i, j)
     failure: Optional[tuple] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +197,7 @@ def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
                                    (pi.d_value, pj.delta_value)])
 
 
-def certify_at(omega: int, n: int,
-               mu_branch: MuBranch = MuBranch.DEG_EQUALS_OMEGA) -> IntervalCertificate:
+def certify_at(omega: int, n: int) -> IntervalCertificate:
     """Decide the intersection for one cell, exactly, in one pass.
 
     The enclosures bound max_k x_k from above by `lower` and min_k y_k from
@@ -215,36 +211,26 @@ def certify_at(omega: int, n: int,
     """
     pairs = tuple(roots_at(omega, n))
     chosen_c, status = None, "undecided"
-    if mu_branch is MuBranch.DEG_AT_LEAST_OMEGA_PLUS_ONE:
-        chosen_c, status = Fraction(0), "covered_by_prior_branch"
-    else:
-        lower = max(p.x_upper for p in pairs)
-        upper = min(p.y_lower for p in pairs)
-        if lower < upper:
-            candidate = (lower + upper) / 2
-            simple = candidate.limit_denominator(10 ** 12)
-            if lower < simple < upper:
-                candidate = simple
-            if _candidate_valid(pairs, n, candidate):
-                chosen_c, status = candidate, "certified"
-        elif not _exact_nonempty(pairs, n):
-            status = "empty"
+    lower = max(p.x_upper for p in pairs)
+    upper = min(p.y_lower for p in pairs)
+    if lower < upper:
+        candidate = (lower + upper) / 2
+        simple = candidate.limit_denominator(10 ** 12)
+        if lower < simple < upper:
+            candidate = simple
+        if _candidate_valid(pairs, n, candidate):
+            chosen_c, status = candidate, "certified"
+    elif not _exact_nonempty(pairs, n):
+        status = "empty"
     return IntervalCertificate(omega=omega, n=n, pairs=pairs,
-                               nonempty=chosen_c is not None,
-                               chosen_c=chosen_c, mu_branch=mu_branch,
-                               status=status)
+                               chosen_c=chosen_c, status=status)
 
 
 def _exact_nonempty(pairs: Sequence[RootPair], n: int) -> bool:
     """max_k x_k < min_k y_k decided via exact pairwise signs."""
     q = len(pairs)
-    for i in range(q):
-        for j in range(q):
-            if i == j:
-                continue
-            if _pair_sign(pairs, i, j, n) <= 0:   # y_i <= x_j
-                return False
-    return True
+    return all(_pair_sign(pairs, i, j, n) > 0   # y_i > x_j
+               for i in range(q) for j in range(q) if i != j)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +254,14 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
         raise HypothesisViolated(
             f"symbolic certificates start at omega=3, got {omega}")
     n0 = 2 * omega + 6
-    rows = spectral_family(omega)
+    lower_bounds, pair_checks = [], []
 
-    lower_bounds = []
+    def verdict(failure: Optional[tuple] = None) -> SymbolicCertificate:
+        return SymbolicCertificate(
+            omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
+            pair_checks=tuple(pair_checks), failure=failure)
+
+    rows = spectral_family(omega)
     lb_data = {}
     for row in rows:
         den = row.delta.den
@@ -281,10 +272,7 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
                 f"omega={omega}, k={row.k}")
         c, b, a = q.coeffs
         if a <= 0:
-            return SymbolicCertificate(
-                omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
-                pair_checks=(), ok=False,
-                failure=("lower_bound", omega, row.k))
+            return verdict(("lower_bound", omega, row.k))
         # Delta_k - a (n + b/(2a))^2 = (r + den (c - b^2/(4a))) / den > 0 on
         # the ray: its numerator and its denominator must both be proved
         # positive there.  The denominator is monic, so it cannot be
@@ -297,10 +285,7 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
         # the linear bound must itself be positive on the ray for the
         # sqrt(a) under-approximation below to stay a lower bound
         if not (den_ok and ok) or n0 + b / (2 * a) <= 0:
-            return SymbolicCertificate(
-                omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
-                pair_checks=(), ok=False,
-                failure=("lower_bound", omega, row.k))
+            return verdict(("lower_bound", omega, row.k))
         lb_data[row.k] = (a, b, sqrt_enclosure(a, _WIDTH).lower)
 
     # the pair checks scale the sqrt(Delta) lower bounds by d_i and d_j and
@@ -310,11 +295,8 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
     gaps = [d_polys[k] - d_polys[nxt] for k, nxt in zip(ks, ks[1:])]
     for k, gap in zip(ks, gaps + [d_polys[ks[-1]]]):
         if not nonnegative_on_ray(gap, n0)[0]:
-            return SymbolicCertificate(
-                omega=omega, valid_from=n0, lower_bounds=tuple(lower_bounds),
-                pair_checks=(), ok=False, failure=("d_order", omega, k))
+            return verdict(("d_order", omega, k))
 
-    pair_checks = []
     for i in range(1, omega // 2 + 1):
         for j in range(i + 1, omega // 2 + 1):
             a_i, b_i, sa_i = lb_data[i]
@@ -326,14 +308,8 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
             pair_checks.append(PairCheck(i=i, j=j, lb_i_sqrt_a=sa_i,
                                          lb_j_sqrt_a=sa_j, witness=wit))
             if not ok:
-                return SymbolicCertificate(
-                    omega=omega, valid_from=n0,
-                    lower_bounds=tuple(lower_bounds),
-                    pair_checks=tuple(pair_checks), ok=False,
-                    failure=("pair", omega, i, j))
-    return SymbolicCertificate(omega=omega, valid_from=n0,
-                               lower_bounds=tuple(lower_bounds),
-                               pair_checks=tuple(pair_checks), ok=True)
+                return verdict(("pair", omega, i, j))
+    return verdict()
 
 
 # ---------------------------------------------------------------------------

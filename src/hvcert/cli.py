@@ -34,7 +34,6 @@ from . import __version__
 from .certify import (
     HypothesisViolated,
     IntervalCertificate,
-    MuBranch,
     certify_at,
     delta_partial_fraction,
     symbolic_certificate,
@@ -69,7 +68,6 @@ class RunConfig:
     omega: Optional[tuple[int, int]] = None
     n: Optional[tuple[int, int]] = None
     symbolic: bool = False
-    mu_branch: str = MuBranch.DEG_EQUALS_OMEGA.value
     format: str = "json"
     output: Optional[str] = None
     jobs: int = 1
@@ -141,9 +139,9 @@ def entry_from_certificate(cert: IntervalCertificate) -> dict:
             "x": xs, "y": ys, "chosen_c": chosen, "status": cert.status}
 
 
-def symbolic_entry(omega: int, ok: bool, status: str) -> dict:
-    return {"omega": omega, "n": None, "nonempty": ok,
-            "x": [], "y": [], "chosen_c": None, "status": status}
+def symbolic_entry(omega: int, ok: bool) -> dict:
+    return {"omega": omega, "n": None, "nonempty": ok, "x": [], "y": [],
+            "chosen_c": None, "status": "certified" if ok else "failed"}
 
 
 def report_payload(config: RunConfig, entries: list[dict], summary: dict) -> dict:
@@ -254,28 +252,27 @@ def emit_report(payload: dict, fmt: str, path: Optional[str]) -> int:
 # Cell evaluation (worker-pool friendly)
 # ---------------------------------------------------------------------------
 
-def _cell(args: tuple[int, int, str]) -> IntervalCertificate:
-    omega, n, branch = args
-    return certify_at(omega, n, mu_branch=MuBranch(branch))
-
-
-def _evaluate_cells(cells: list[tuple[int, int, str]],
+def _evaluate_cells(cells: list[tuple[int, int]],
                     jobs: int) -> list[IntervalCertificate]:
-    """Evaluate independent cells, preserving input order regardless of
-    the parallelism degree (deterministic reduction)."""
+    """Evaluate independent (omega, n) cells, preserving input order
+    regardless of the parallelism degree (deterministic reduction).  Both
+    paths read the module-level certify_at when they run."""
     if jobs <= 1 or len(cells) < 4:
-        return [_cell(c) for c in cells]
+        return [certify_at(omega, n) for omega, n in cells]
     # imported here so that serial commands do not pay for the import
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(cells) // (4 * jobs))
-        return list(pool.map(_cell, cells, chunksize=chunk))
+    # a fork pool starts every worker at once: start no more than cells
+    workers = min(jobs, len(cells))
+    omegas, ns = zip(*cells)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(cells) // (4 * workers))
+        return list(pool.map(certify_at, omegas, ns, chunksize=chunk))
 
 
 def _scan_cells(config: RunConfig) -> tuple[list[dict], dict]:
     omega_lo, omega_hi = config.omega
     n_lo, n_hi = config.n
-    cells = [(omega, n, config.mu_branch)
+    cells = [(omega, n)
              for omega in range(omega_lo, omega_hi + 1)
              for n in range(max(n_lo, 2 * omega + 6), n_hi + 1)]
     certs = _evaluate_cells(cells, config.jobs)
@@ -297,14 +294,10 @@ def _scan_cells(config: RunConfig) -> tuple[list[dict], dict]:
 
 def cmd_certify(config: RunConfig) -> tuple[dict, int]:
     if config.symbolic:
-        entries = []
-        failures = []
-        for omega in range(config.omega[0], config.omega[1] + 1):
-            cert = symbolic_certificate(omega)
-            status = "certified" if cert.ok else "failed"
-            entries.append(symbolic_entry(omega, cert.ok, status))
-            if not cert.ok:
-                failures.append(list(cert.failure))
+        certs = [symbolic_certificate(omega)
+                 for omega in range(config.omega[0], config.omega[1] + 1)]
+        entries = [symbolic_entry(c.omega, c.ok) for c in certs]
+        failures = [list(c.failure) for c in certs if not c.ok]
         summary = {"mode": "symbolic", "failures": failures,
                    "valid_from": "n >= 2*omega + 6"}
         payload = report_payload(config, entries, summary)
@@ -446,16 +439,59 @@ def cmd_sphere_check(config: RunConfig) -> tuple[dict, int]:
     return report_payload(config, [], summary), 0 if ok else 1
 
 
+def _is_payload(value, parse: bool = False) -> bool:
+    """A {decimal, exact} pair of strings; with parse, exact must also
+    parse as a Fraction."""
+    if not (isinstance(value, dict) and value.keys() == {"decimal", "exact"}
+            and all(isinstance(v, str) for v in value.values())):
+        return False
+    try:
+        if parse:
+            Fraction(value["exact"])
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _is_entry(e) -> bool:
+    return (isinstance(e, dict) and e.keys() == set(_CSV_COLUMNS)
+            and isinstance(e["omega"], int)
+            and (e["n"] is None or isinstance(e["n"], int))
+            and isinstance(e["nonempty"], bool)
+            and all(isinstance(e[k], list) and all(map(_is_payload, e[k]))
+                    for k in ("x", "y"))
+            and (e["chosen_c"] is None or _is_payload(e["chosen_c"]))
+            and isinstance(e["status"], str))
+
+
+def _is_coeff_row(row) -> bool:
+    text = ("nu", "d", "u_over_nu", "delta_polynomial_part")
+    return (isinstance(row, dict)
+            and row.keys() == {"k", "delta_simple_poles", *text}
+            and isinstance(row["k"], int)
+            and all(isinstance(row[k], str) for k in text)
+            and isinstance(row["delta_simple_poles"], list)
+            and all(isinstance(p, dict) and p.keys() == {"root", "residue"}
+                    and all(_is_payload(v, parse=True) for v in p.values())
+                    for p in row["delta_simple_poles"]))
+
+
 def _is_report(payload) -> bool:
-    """The shape every emitter reads: a tool_version string, a summary
-    object, and entries that are objects with exactly the seven entry
-    fields."""
-    return (isinstance(payload, dict)
+    """What the emitters read: a tool_version string, a summary object
+    (a coefficients summary in the shape cmd_coeffs writes), and entries
+    with exactly the seven entry fields, each of its JSON type.  Any
+    status string is accepted, so older saved reports still re-emit."""
+    if not (isinstance(payload, dict)
             and isinstance(payload.get("tool_version"), str)
             and isinstance(payload.get("summary"), dict)
             and isinstance(payload.get("entries"), list)
-            and all(isinstance(e, dict) and e.keys() == set(_CSV_COLUMNS)
-                    for e in payload["entries"]))
+            and all(map(_is_entry, payload["entries"]))):
+        return False
+    summary = payload["summary"]
+    return "coefficients" not in summary or (
+        isinstance(summary.get("omega"), int)
+        and isinstance(summary["coefficients"], list)
+        and all(map(_is_coeff_row, summary["coefficients"])))
 
 
 def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
@@ -468,7 +504,8 @@ def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
         raise UsageError(f"{input_path} is not an hvcert report: it needs "
                          f"a tool_version string, a summary object and a "
                          f"list of entries with the fields "
-                         f"{', '.join(_CSV_COLUMNS)}")
+                         f"{', '.join(_CSV_COLUMNS)}, each of the type "
+                         f"hvcert writes")
     payload["config_echo"] = config.echo() | {
         "source": payload.get("config_echo")}
     return payload, 0
@@ -499,15 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default=None)
     p.add_argument("--symbolic", action="store_true",
                    help="all-n certificate per omega instead of cells")
-    # default None, so that --symbolic can tell an explicit value apart
-    p.add_argument("--mu-branch", choices=[b.value for b in MuBranch])
     common(p)
 
     p = sub.add_parser("scan", help="sweep a (omega, n) rectangle")
     p.add_argument("--omega", required=True)
     p.add_argument("--n", required=True)
-    p.add_argument("--mu-branch", choices=[b.value for b in MuBranch],
-                   default=MuBranch.DEG_EQUALS_OMEGA.value)
     common(p)
 
     p = sub.add_parser("coeffs", help="spectral coefficient table")
@@ -537,16 +570,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     omega = None if omega is None else parse_range(omega)
     n = None if n is None else parse_range(n)
     symbolic = getattr(args, "symbolic", False)
-    mu_branch = getattr(args, "mu_branch", None)
-    if symbolic and (n or mu_branch):
-        raise UsageError("--symbolic covers every n and reads neither --n "
-                         "nor --mu-branch")
+    if symbolic and n:
+        raise UsageError("--symbolic covers every n and reads no --n")
     return RunConfig(
         command=args.command,
         omega=omega,
         n=n,
         symbolic=symbolic,
-        mu_branch=mu_branch or MuBranch.DEG_EQUALS_OMEGA.value,
         format=args.format,
         output=args.output,
         jobs=args.jobs,
@@ -554,25 +584,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+_COMMANDS = {"certify": cmd_certify, "scan": cmd_scan, "coeffs": cmd_coeffs,
+             "integrals": cmd_integrals, "sphere-check": cmd_sphere_check}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = config_from_args(args)
-        if config.command == "certify":
-            payload, status = cmd_certify(config)
-        elif config.command == "scan":
-            payload, status = cmd_scan(config)
-        elif config.command == "coeffs":
-            payload, status = cmd_coeffs(config)
-        elif config.command == "integrals":
-            payload, status = cmd_integrals(config)
-        elif config.command == "sphere-check":
-            payload, status = cmd_sphere_check(config)
-        elif config.command == "report":
+        if config.command == "report":
             payload, status = cmd_report(config, args.input)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {config.command!r}")
+        else:
+            payload, status = _COMMANDS[config.command](config)
         emit_status = emit_report(payload, config.format, config.output)
     except (UsageError, HypothesisViolated, SpectralRangeError) as exc:
         print(f"hvcert: {exc}", file=sys.stderr)

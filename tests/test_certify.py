@@ -10,7 +10,6 @@ import pytest
 from hvcert import certify
 from hvcert.algebra import Polynomial, RationalFunction, nonnegative_on_ray
 from hvcert.certify import (
-    MuBranch,
     certify_at,
     delta_partial_fraction,
     dimension_cover_check,
@@ -71,13 +70,6 @@ class TestCertifyAt:
         cert = certify_at(7, 40)
         for pair in cert.pairs:
             assert pair.x_upper < cert.chosen_c < pair.y_lower
-
-    def test_covered_branch_shortcut(self):
-        cert = certify_at(5, 100,
-                          mu_branch=MuBranch.DEG_AT_LEAST_OMEGA_PLUS_ONE)
-        assert cert.status == "covered_by_prior_branch"
-        assert cert.chosen_c == 0
-        assert cert.nonempty
 
     def test_dimension_below_ray_rejected(self):
         with pytest.raises(ValueError):

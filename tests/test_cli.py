@@ -77,9 +77,14 @@ class TestExitCodes:
         ["certify", "--omega", "3", "--symbolic",
          "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
         ["certify", "--omega", ""],
+        ["scan", "--omega", "16", "--n", "1859..1860",
+         "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
+        ["certify", "--omega", "16", "--n", "1859..1860",
+         "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
     ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1",
             "unknown-option", "missing-required-option", "coeffs-csv",
-            "symbolic-with-n", "symbolic-with-mu-branch", "empty-omega"])
+            "symbolic-with-n", "symbolic-with-mu-branch", "empty-omega",
+            "scan-with-mu-branch", "certify-with-mu-branch"])
     def test_out_of_range_input_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -137,6 +142,34 @@ class TestDeterminism:
         assert main(base + ["--jobs", "3", "--output", str(b)]) == 0
         # neither the parallelism degree nor the output path is echoed
         assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_capped_at_cell_count(self, monkeypatch, capsys):
+        # a fork pool starts all of its workers at once; a serial stand-in
+        # records how many were asked for, and starts no process
+        import concurrent.futures
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        args = ["scan", "--omega", "5", "--n", "16..20"]
+        assert main(args + ["--jobs", "64"]) == 0
+        assert asked == [5]
+        pooled = capsys.readouterr().out
+        assert main(args + ["--jobs", "1"]) == 0
+        assert capsys.readouterr().out == pooled
 
     def test_newline_terminated(self, tmp_path):
         out = tmp_path / "r.json"
@@ -230,9 +263,20 @@ class TestFormats:
         ('{"tool_version": "0", "entries": [1], "summary": {}}', "markdown"),
         ('{"tool_version": "0", "entries": [{"omega": 3}], '
          '"summary": {"mode": "scan"}}', "csv"),
+        ('{"tool_version": "0", "entries": [{"omega": 3, "n": 20, '
+         '"nonempty": true, "x": 1, "y": [], "chosen_c": null, '
+         '"status": "certified"}], "summary": {"mode": "scan"}}', "csv"),
+        ('{"tool_version": "0", "entries": [], '
+         '"summary": {"coefficients": 1}}', "markdown"),
+        ('{"tool_version": "0", "entries": [], "summary": {"omega": 5, '
+         '"coefficients": [{"k": 1, "nu": "n", "d": "n", "u_over_nu": "n", '
+         '"delta_polynomial_part": "n", "delta_simple_poles": [{'
+         '"root": {"decimal": "2", "exact": "two"}, '
+         '"residue": {"decimal": "1", "exact": "1/1"}}]}]}}', "markdown"),
     ], ids=["empty-json", "empty-markdown", "empty-csv", "list",
             "entries-not-list", "no-tool-version", "summary-not-object",
-            "entry-not-object", "entry-missing-fields"])
+            "entry-not-object", "entry-missing-fields", "x-not-list",
+            "coefficients-not-list", "exact-not-a-number"])
     def test_report_input_of_wrong_shape_is_usage_error(
             self, tmp_path, capsys, text, fmt):
         src = tmp_path / "bad.json"
