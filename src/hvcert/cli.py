@@ -8,8 +8,9 @@ serialized dually, a 30-digit decimal preview next to the exact num/den
 string, so downstream tools never lose exactness.  The x and y lists hold
 midpoints of the rational enclosures of the trinomial roots (the roots
 themselves are quadratic irrationals).  CSV, which only certify and scan
-reports can be written as, uses the same column order and re-parses to
-the JSON entries field for field.
+reports can be written as, has the JSON entry fields as columns in the
+same order, with the exact strings of x and y joined by ';'; it is an
+output format only, and nothing reads it back.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed while the
 command demanded success, 2 usage or I/O error.
@@ -39,8 +40,6 @@ from .certify import (
     symbolic_certificate,
 )
 from .spectral import SpectralRangeError, spectral_family
-
-ENV_OUTPUT_DIR = "HVCERT_OUTPUT_DIR"
 
 _DECIMAL_CONTEXT = decimal.Context(prec=30)
 
@@ -97,15 +96,6 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _resolve_output(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
-    base = os.environ.get(ENV_OUTPUT_DIR)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -116,11 +106,6 @@ def rational_payload(value: Fraction) -> dict:
     preview = _DECIMAL_CONTEXT.divide(num, den)
     return {"decimal": str(preview),
             "exact": f"{value.numerator}/{value.denominator}"}
-
-
-def _payload_from_exact(text: str) -> dict:
-    num_s, den_s = text.split("/", 1)
-    return rational_payload(Fraction(int(num_s), int(den_s)))
 
 
 def entry_from_certificate(cert: IntervalCertificate) -> dict:
@@ -175,27 +160,6 @@ def emit_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def parse_csv_entries(text: str) -> list[dict]:
-    """Inverse of emit_csv on the entries field (exact values round-trip)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != _CSV_COLUMNS:
-        raise UsageError(f"unexpected CSV header {header!r}")
-    entries = []
-    for row in reader:
-        omega_s, n_s, nonempty_s, x_s, y_s, c_s, status = row
-        entries.append({
-            "omega": int(omega_s),
-            "n": None if n_s == "" else int(n_s),
-            "nonempty": nonempty_s == "true",
-            "x": [_payload_from_exact(v) for v in x_s.split(";") if v],
-            "y": [_payload_from_exact(v) for v in y_s.split(";") if v],
-            "chosen_c": None if c_s == "" else _payload_from_exact(c_s),
-            "status": status,
-        })
-    return entries
-
-
 def emit_markdown(payload: dict) -> str:
     lines = [f"# hvcert {payload['tool_version']} report", ""]
     cfg = payload["config_echo"]
@@ -229,23 +193,39 @@ def emit_report(payload: dict, fmt: str, path: Optional[str]) -> int:
                          "scan reports carry")
     elif fmt == "csv":
         text = emit_csv(payload)
-    elif fmt == "markdown" and "coefficients" in payload["summary"]:
+    elif "coefficients" in payload["summary"]:
         text = _coeffs_markdown(payload)
-    elif fmt == "markdown":
+    else:
         text = emit_markdown(payload)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
-    target = _resolve_output(path)
-    if target is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(target, "w", encoding="utf-8", newline="") as fh:
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"hvcert: cannot write {target}: {exc}", file=sys.stderr)
-            return 2
+    except OSError as exc:
+        if path is None:
+            _discard_stdout()
+        print(f"hvcert: cannot write {'stdout' if path is None else path}: "
+              f"{exc}", file=sys.stderr)
+        return 2
     return 0
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device.
+
+    The text a failed write left in the stdout buffer would otherwise be
+    flushed again at interpreter exit, fail again, print a second error
+    and turn the exit status into 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +419,14 @@ def cmd_sphere_check(config: RunConfig) -> tuple[dict, int]:
     return report_payload(config, [], summary), 0 if ok else 1
 
 
-def _is_payload(value, parse: bool = False) -> bool:
-    """A {decimal, exact} pair of strings; with parse, exact must also
-    parse as a Fraction."""
+def _is_payload(value) -> bool:
+    """A {decimal, exact} pair of strings whose exact parses as a
+    Fraction."""
     if not (isinstance(value, dict) and value.keys() == {"decimal", "exact"}
             and all(isinstance(v, str) for v in value.values())):
         return False
     try:
-        if parse:
-            Fraction(value["exact"])
+        Fraction(value["exact"])
     except (ValueError, ZeroDivisionError):
         return False
     return True
@@ -472,7 +451,7 @@ def _is_coeff_row(row) -> bool:
             and all(isinstance(row[k], str) for k in text)
             and isinstance(row["delta_simple_poles"], list)
             and all(isinstance(p, dict) and p.keys() == {"root", "residue"}
-                    and all(_is_payload(v, parse=True) for v in p.values())
+                    and all(map(_is_payload, p.values()))
                     for p in row["delta_simple_poles"]))
 
 
@@ -498,7 +477,8 @@ def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
     try:
         with open(input_path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers both JSONDecodeError and UnicodeDecodeError
         raise UsageError(f"cannot read report {input_path}: {exc}") from exc
     if not _is_report(payload):
         raise UsageError(f"{input_path} is not an hvcert report: it needs "
@@ -527,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "markdown"),
                        default="json")
         p.add_argument("--output", default=None,
-                       help=f"output path (relative paths resolve against "
-                            f"${ENV_OUTPUT_DIR} when set); default stdout")
+                       help="output path; default stdout")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("certify", help="certify cells or whole rays")

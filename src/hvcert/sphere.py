@@ -78,9 +78,7 @@ class SphereGrid:
         n_theta = 2 * self.l_max + 2
         n_phi = 4 * self.l_max + 1
         x, w = np.polynomial.legendre.leggauss(n_theta)
-        self.cos_theta = x
         self.theta = np.arccos(x)
-        self.sin_theta = np.sqrt(1.0 - x * x)
         self.theta_weights = w
         self.phi = 2 * math.pi * np.arange(n_phi) / n_phi
         self.phi_weight = 2 * math.pi / n_phi
@@ -388,14 +386,10 @@ def i_s_minimizer_reference(nu: float, n: int, omega: int,
 
 @dataclass(frozen=True)
 class AnnulusReport:
-    omega: int
-    l: int
     bracket_quadrature: float
     bracket_closed_form: float
     q_part: float                     # -(1 + omega/2)^2 Q, the radial-term coefficient
-    t_values: tuple[float, ...]
     max_relative_deviation: dict      # t -> max over r of |mean R/(t^2 r^{2w+2}) - bracket|/|bracket|
-    worst_r: dict                     # t -> r achieving the max
     linear_residual_ratios: tuple[float, ...]  # successive deviation ratios
     max_q_part_deviation: dict        # t -> max over r of the same deviation measured against q_part
 
@@ -483,7 +477,6 @@ def annulus_curvature_check(omega: int = 2, l: int = 2,
     bracket_closed = Bc / 2 - Cc / 4 - (1 + omega / 2) ** 2 * Qc
 
     max_dev = {}
-    worst_r = {}
     max_dev_q = {}
     for t in t_values:
         devs = []
@@ -491,20 +484,15 @@ def annulus_curvature_check(omega: int = 2, l: int = 2,
         for r in r_values:
             mean_R = annulus_mean_curvature(l, omega, t, r)
             scale = t * t * r ** (2 * omega + 2)
-            devs.append((abs(mean_R - bracket * scale) / abs(bracket * scale), r))
+            devs.append(abs(mean_R - bracket * scale) / abs(bracket * scale))
             devs_q.append(abs(mean_R - q_part * scale) / abs(q_part * scale))
-        dev, r_at = max(devs)
-        max_dev[t] = dev
-        worst_r[t] = r_at
+        max_dev[t] = max(devs)
         max_dev_q[t] = max(devs_q)
     ts = sorted(t_values, reverse=True)
     ratios = tuple(max_dev_q[b] / max_dev_q[a] for a, b in zip(ts, ts[1:]))
-    return AnnulusReport(omega=omega, l=l,
-                         bracket_quadrature=bracket,
+    return AnnulusReport(bracket_quadrature=bracket,
                          bracket_closed_form=bracket_closed,
                          q_part=q_part,
-                         t_values=tuple(t_values),
                          max_relative_deviation=max_dev,
-                         worst_r=worst_r,
                          linear_residual_ratios=ratios,
                          max_q_part_deviation=max_dev_q)

@@ -1,15 +1,21 @@
-"""Driver integration: exit codes, deterministic artifacts, and the
-JSON/CSV round trip."""
+"""Driver integration: exit codes, deterministic artifacts, and CSV rows
+that match the JSON entries."""
 
+import csv
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hvcert
 from hvcert.cli import (
     main,
     parse_range,
-    parse_csv_entries,
     rational_payload,
 )
 from hvcert.spectral import spectral_family
@@ -65,6 +71,49 @@ class TestExitCodes:
             assert code == 2, fmt
         capsys.readouterr()
 
+    def test_unwritable_stdout_is_io_error(self, capsys, monkeypatch):
+        # a full disk on stdout is an I/O error, not a refuted certificate
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr("sys.stdout", FullStdout())
+        assert main(["certify", "--omega", "3", "--symbolic"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hvcert: cannot write stdout: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["full-device", "closed-pipe"])
+    def test_unwritable_stdout_exit_status(self, target):
+        # a real process, with stdout block-buffered as when it is not a
+        # terminal: the text left in the buffer must not be flushed again
+        # at interpreter exit (a second error, and exit status 120)
+        if target == "full-device" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        src = str(Path(hvcert.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        if target == "full-device":
+            out = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, out = os.pipe()
+            os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hvcert.cli", "certify", "--omega",
+                 "3", "--symbolic"], stdout=out, stderr=subprocess.PIPE,
+                env=env, text=True, timeout=120)
+        finally:
+            os.close(out)
+        assert done.returncode == 2
+        assert done.stderr.startswith("hvcert: cannot write stdout: ")
+        assert done.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--omega", "1", "--n", "10..12"],
         ["certify", "--omega", "2", "--symbolic"],
@@ -111,18 +160,30 @@ class TestExitCodes:
         assert main(["report", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_report_input_is_usage_error(self, tmp_path, capsys,
+                                                    data):
+        src = tmp_path / "bad.json"
+        src.write_bytes(data)
+        assert main(["report", "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hvcert: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, tmp_path, monkeypatch):
-        # identical config (same relative output path) twice, into two
-        # directories selected by the output-dir environment variable
+        # identical config (same relative output path) twice, run from
+        # two working directories
         da, db = tmp_path / "a", tmp_path / "b"
         da.mkdir(), db.mkdir()
         args = ["scan", "--omega", "5..6", "--n", "16..30", "--jobs", "2",
                 "--output", "r.json"]
-        monkeypatch.setenv("HVCERT_OUTPUT_DIR", str(da))
+        monkeypatch.chdir(da)
         assert main(args) == 0
-        monkeypatch.setenv("HVCERT_OUTPUT_DIR", str(db))
+        monkeypatch.chdir(db)
         assert main(args) == 0
         assert (da / "r.json").read_bytes() == (db / "r.json").read_bytes()
         # cells below the ray n >= 2 omega + 6 (omega = 6, n = 16, 17) are
@@ -184,8 +245,16 @@ class TestFormats:
         assert main(args + ["--format", "json", "--output", str(j)]) == 0
         assert main(args + ["--format", "csv", "--output", str(c)]) == 0
         entries = json.loads(j.read_text())["entries"]
-        reparsed = parse_csv_entries(c.read_text())
-        assert reparsed == entries
+        with open(c, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["omega", "n", "nonempty", "x", "y", "chosen_c",
+                          "status"]
+        assert rows == [
+            [str(e["omega"]), str(e["n"]), str(e["nonempty"]).lower(),
+             ";".join(v["exact"] for v in e["x"]),
+             ";".join(v["exact"] for v in e["y"]),
+             e["chosen_c"]["exact"], e["status"]]
+            for e in entries]
 
     def test_empty_report_is_valid_json(self, capsys):
         assert main(["scan", "--omega", "5", "--n", "1..10"]) == 0
@@ -273,10 +342,15 @@ class TestFormats:
          '"delta_polynomial_part": "n", "delta_simple_poles": [{'
          '"root": {"decimal": "2", "exact": "two"}, '
          '"residue": {"decimal": "1", "exact": "1/1"}}]}]}}', "markdown"),
+        ('{"tool_version": "0", "entries": [{"omega": 3, "n": 20, '
+         '"nonempty": true, "x": [{"decimal": "1", "exact": "two"}], '
+         '"y": [], "chosen_c": null, "status": "certified"}], '
+         '"summary": {"mode": "scan"}}', "csv"),
     ], ids=["empty-json", "empty-markdown", "empty-csv", "list",
             "entries-not-list", "no-tool-version", "summary-not-object",
             "entry-not-object", "entry-missing-fields", "x-not-list",
-            "coefficients-not-list", "exact-not-a-number"])
+            "coefficients-not-list", "exact-not-a-number",
+            "x-exact-not-a-number"])
     def test_report_input_of_wrong_shape_is_usage_error(
             self, tmp_path, capsys, text, fmt):
         src = tmp_path / "bad.json"
@@ -295,13 +369,6 @@ class TestFormats:
         assert main(["report", "--input", str(src),
                      "--format", "markdown"]) == 0
         assert capsys.readouterr().out == direct
-
-    def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HVCERT_OUTPUT_DIR", str(tmp_path))
-        assert main(["certify", "--omega", "4", "--symbolic",
-                     "--output", "r.json"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "r.json").exists()
 
 
 class TestOracleCommands:

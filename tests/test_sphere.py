@@ -223,7 +223,10 @@ def annulus_mean_curvature_taylor(l, omega):
     Independent of the Christoffel route in hvcert.sphere: the slice
     curvature comes from the Brioschi formula, the radial part from the
     Riccati form R = R_{g_r} - |A|^2 - H^2 - 2 d_r H with A = d_r g_r / 2,
-    and the theta-integrals are done exactly by sympy.
+    and the theta-integrals are done exactly by sympy.  Each integrand is
+    rational in sin(theta) and cos(theta); with c = cos(theta) and the
+    positive s = sin(theta) = sqrt(1 - c^2), int_0^pi f dtheta is
+    int_{-1}^{1} f / s dc, which sympy does faster than the theta form.
     """
     t, r = sp.symbols("t r", positive=True)
     b = b_tensor_exprs(HarmonicSpec(l, 0))
@@ -237,13 +240,18 @@ def annulus_mean_curvature_taylor(l, omega):
     H = a_t + a_p
     R = 2 * gauss - (a_t ** 2 + a_p ** 2) - H ** 2 - 2 * sp.diff(H, r)
 
+    sin_s = sp.Symbol("s", positive=True)
+    cos_s = sp.Symbol("c", real=True)
+
     def taylor(f):
         out = []
         for k in range(3):
             if k:
                 f = sp.diff(f, t)
-            term = sp.simplify(f.subs(t, 0) / sp.factorial(k))
-            out.append(sp.integrate(term, (THETA, 0, sp.pi)))
+            term = f.subs(t, 0).xreplace({s: sin_s, sp.cos(THETA): cos_s})
+            term = sp.factor(term / (sp.factorial(k) * sin_s))
+            term = term.subs(sin_s, sp.sqrt(1 - cos_s ** 2))
+            out.append(sp.integrate(term, (cos_s, -1, 1)))
         return out
 
     N, D = taylor(R * area), taylor(area)
