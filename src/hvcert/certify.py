@@ -42,7 +42,7 @@ from .algebra import (
     sign_with_sqrts,
     sqrt_enclosure,
 )
-from .spectral import SpectralRow, spectral_family
+from .spectral import SpectralRow, closed_forms, spectral_family
 
 _N = Polynomial.x()
 
@@ -149,24 +149,30 @@ _WIDTH = Fraction(1, 10 ** 30)
 
 
 def roots_at(omega: int, n: int) -> list[RootPair]:
-    """Exact root data for every eigencomponent at integer dimension n."""
+    """Exact root data for every eigencomponent at integer dimension n.
+
+    d_k, u_k/nu_k^2 and Delta_k come from closed_forms at the integer n,
+    which gives integer numerators and denominators; only the values a
+    RootPair holds become Fractions, and the spectral family is never
+    built.  A d_k or Delta_k that is not positive, which check_lemma_poly
+    excludes on the ray, raises InternalConsistencyError.
+    """
     if omega < 2:
         raise HypothesisViolated(f"omega={omega} below the certified range")
     if n < 2 * omega + 6:
         raise HypothesisViolated(
             f"n={n} violates n >= 2*omega+6 = {2 * omega + 6}")
     pairs = []
-    nf = Fraction(n)
-    for row in spectral_family(omega):
-        d_val = Fraction(row.d(nf))
-        delta_val = Fraction(row.delta(nf))
+    for k, row in enumerate(closed_forms(omega, n).rows, 1):
+        d_val = Fraction(row.d)
+        delta_val = Fraction(row.delta_num, row.delta_den)
         if d_val <= 0 or delta_val <= 0:
             raise InternalConsistencyError(
-                f"d or Delta not positive at omega={omega}, n={n}, k={row.k}")
+                f"d or Delta not positive at omega={omega}, n={n}, k={k}")
         pairs.append(RootPair(
-            k=row.k,
+            k=k,
             d_value=d_val,
-            u_over_nu2=Fraction(row.u_over_nu(nf)) / Fraction(row.nu(nf)),
+            u_over_nu2=Fraction(row.u_num, row.u_den * row.nu),
             delta_value=delta_val,
             base=Fraction((n - 2) ** 2) / d_val,
             radical_coeff=Fraction(n - 2) / d_val,

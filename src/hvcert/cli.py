@@ -432,10 +432,15 @@ def _is_payload(value) -> bool:
     return True
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool subclasses int, but true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_entry(e) -> bool:
     return (isinstance(e, dict) and e.keys() == set(_CSV_COLUMNS)
-            and isinstance(e["omega"], int)
-            and (e["n"] is None or isinstance(e["n"], int))
+            and _is_int(e["omega"])
+            and (e["n"] is None or _is_int(e["n"]))
             and isinstance(e["nonempty"], bool)
             and all(isinstance(e[k], list) and all(map(_is_payload, e[k]))
                     for k in ("x", "y"))
@@ -447,7 +452,7 @@ def _is_coeff_row(row) -> bool:
     text = ("nu", "d", "u_over_nu", "delta_polynomial_part")
     return (isinstance(row, dict)
             and row.keys() == {"k", "delta_simple_poles", *text}
-            and isinstance(row["k"], int)
+            and _is_int(row["k"])
             and all(isinstance(row[k], str) for k in text)
             and isinstance(row["delta_simple_poles"], list)
             and all(isinstance(p, dict) and p.keys() == {"root", "residue"}
@@ -468,7 +473,7 @@ def _is_report(payload) -> bool:
         return False
     summary = payload["summary"]
     return "coefficients" not in summary or (
-        isinstance(summary.get("omega"), int)
+        _is_int(summary.get("omega"))
         and isinstance(summary["coefficients"], list)
         and all(map(_is_coeff_row, summary["coefficients"])))
 

@@ -11,12 +11,19 @@ and the derived quantities are
     u_k/nu_k = (n-3)/(4(n-2)) - [(n-1)^2 + (n-1)(omega+2)^2] / (4(n-2)(nu_k-n+1))
     Delta_k  = (n-2)^2 - d_k u_k / nu_k^2
 
-all as exact rational functions of the dimension n, each built from the
-two linear factors of the auxiliary polynomial P below.  This module also
-houses the two purely polynomial lemmas used downstream: the decreasing
-auxiliary polynomial P(x) whose negativity at x = nu_k yields Delta_k > 0
-on the ray n >= 2 omega + 6, and the even quadratic P_2 collecting the
-f^2 coefficient of the test-function expansion.
+each built from the two linear factors of the auxiliary polynomial P
+below.  closed_forms writes them once, by ring operations that work on
+any dimension argument.  At n = Polynomial.x() they give the family of
+exact polynomials and rational functions in n (spectral_family,
+lemma_polynomial), which the all-n certificate and the coefficient table
+read.  At an integer n they give the integer numerators and denominators
+that one (omega, n) cell needs, so a cell never builds the family.
+
+This module also houses the two purely polynomial lemmas used
+downstream: the decreasing auxiliary polynomial P(x) whose negativity at
+x = nu_k yields Delta_k > 0 on the ray n >= 2 omega + 6, and the even
+quadratic P_2 collecting the f^2 coefficient of the test-function
+expansion.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -50,13 +58,67 @@ def _check_range(omega: int, k: int) -> None:
 _N = Polynomial.x()
 
 
+class RowForms(NamedTuple):
+    """Row k at one dimension n: nu_k, d_k = 4 a(nu_k), and the numerators
+    and denominators of u_k/nu_k = b(nu_k) / (4(n-2)(nu_k-n+1)) and
+    Delta_k = -P(nu_k) / ((n-2) nu_k (nu_k-n+1)), each of the type of n."""
+
+    nu: Any
+    d: Any
+    u_num: Any
+    u_den: Any
+    delta_num: Any
+    delta_den: Any
+
+
+class ClosedForms(NamedTuple):
+    """The factors a(x) = a1 x + a0 and b(x) = b1 x + b0 of LemmaPolynomial,
+    the coefficients of P(x) = A x^2 + B x + C, and the rows
+    k = 1..floor(omega/2), in order."""
+
+    a1: Any
+    a0: Any
+    b1: Any
+    b0: Any
+    A: Any
+    B: Any
+    C: Any
+    rows: tuple[RowForms, ...]
+
+
+def closed_forms(omega: int, n) -> ClosedForms:
+    """Every closed form of one omega at dimension n, by ring operations only.
+
+    Generic over n: with Polynomial.x() it gives the polynomials that
+    lemma_polynomial and spectral_family are built from; with an int n it
+    gives plain integers, which is all one (omega, n) cell needs, so a cell
+    never builds the family."""
+    w2 = (omega + 2) ** 2
+    a1 = (n - 1) * (n - 2)
+    a0 = -n * (n - 2) ** 2 + w2 * (n ** 2 + n + 2)
+    b1 = n - 3
+    b0 = (n - 3) * (-(n - 1)) - (n - 1) ** 2 - w2 * (n - 1)
+    cube = (n - 2) ** 3
+    # a(x) b(x) - (n-2)^3 (x^2 - (n-1)x), multiplied out in x
+    A, B, C = a1 * b1 - cube, a1 * b0 + a0 * b1 + cube * (n - 1), a0 * b0
+    rows = []
+    for k in range(1, omega // 2 + 1):
+        nu = (omega - 2 * k + 2) * (n + (omega - 2 * k))
+        shifted = nu - n + 1
+        rows.append(RowForms(nu=nu, d=4 * (a1 * nu + a0),
+                             u_num=b1 * nu + b0, u_den=4 * (n - 2) * shifted,
+                             delta_num=-((A * nu + B) * nu + C),
+                             delta_den=(n - 2) * nu * shifted))
+    return ClosedForms(a1=a1, a0=a0, b1=b1, b0=b0, A=A, B=B, C=C,
+                       rows=tuple(rows))
+
+
 def nu_polynomial(omega: int, k: int) -> Polynomial:
-    _check_range(omega, k)
-    return (omega - 2 * k + 2) * (_N + (omega - 2 * k))
+    return spectral_row(omega, k).nu
 
 
 def d_polynomial(omega: int, k: int) -> Polynomial:
-    return 4 * lemma_polynomial(omega).a(nu_polynomial(omega, k))
+    return spectral_row(omega, k).d
 
 
 @dataclass(frozen=True)
@@ -81,23 +143,24 @@ class SpectralRow:
 
 
 def spectral_row(omega: int, k: int) -> SpectralRow:
-    lp = lemma_polynomial(omega)
-    nu = nu_polynomial(omega, k)
-    shifted = nu - _N + 1
-    u_over_nu = RationalFunction(lp.b(nu), 4 * (_N - 2) * shifted)
-    delta = RationalFunction(-lp.at(nu), (_N - 2) * nu * shifted)
-    return SpectralRow(omega=omega, k=k, nu=nu, d=d_polynomial(omega, k),
-                       u_over_nu=u_over_nu, delta=delta)
+    _check_range(omega, k)
+    return spectral_family(omega)[k - 1]
 
 
 @functools.cache
 def spectral_family(omega: int) -> tuple[SpectralRow, ...]:
-    """All rows k = 1..floor(omega/2), built once per omega (the rows are
-    frozen, so every caller may share them)."""
+    """All rows k = 1..floor(omega/2) as polynomials and rational functions
+    in n, built once per omega (the rows are frozen, so every caller may
+    share them).  The all-n certificates and the coefficient table read
+    them; a single cell evaluates closed_forms at its integer n instead."""
     if omega < 2:
         raise SpectralRangeError(
             f"omega={omega} has an empty eigencomponent family")
-    return tuple(spectral_row(omega, k) for k in range(1, omega // 2 + 1))
+    return tuple(
+        SpectralRow(omega=omega, k=k, nu=row.nu, d=row.d,
+                    u_over_nu=RationalFunction(row.u_num, row.u_den),
+                    delta=RationalFunction(row.delta_num, row.delta_den))
+        for k, row in enumerate(closed_forms(omega, _N).rows, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +175,7 @@ class LemmaPolynomial:
     a(x) = (n-1)(n-2)x - n(n-2)^2 + (w+2)^2(n^2+n+2)
     b(x) = (n-3)(x-n+1) - (n-1)^2 - (n-1)(w+2)^2
 
-    Every spectral row is read off them: d_k = 4 a(nu_k),
+    closed_forms reads every spectral row off them: d_k = 4 a(nu_k),
     u_k/nu_k = b(nu_k) / (4(n-2)(nu_k-n+1)) and
     Delta_k = -P(nu_k) / ((n-2) nu_k (nu_k-n+1)), so U_k = P(nu_k) governs
     the sign of Delta_k.  The x-derivative collapses to the closed form
@@ -127,12 +190,6 @@ class LemmaPolynomial:
     A: Polynomial
     B: Polynomial
     C: Polynomial
-
-    def a(self, value: Polynomial) -> Polynomial:
-        return self.a1 * value + self.a0
-
-    def b(self, value: Polynomial) -> Polynomial:
-        return self.b1 * value + self.b0
 
     def pprime_matches_closed_form(self) -> bool:
         """P'(x) = 2A x + B against the closed form, coefficient by
@@ -149,16 +206,9 @@ class LemmaPolynomial:
 
 @functools.cache
 def lemma_polynomial(omega: int) -> LemmaPolynomial:
-    w2 = (omega + 2) ** 2
-    a1 = (_N - 1) * (_N - 2)
-    a0 = -_N * (_N - 2) ** 2 + w2 * (_N ** 2 + _N + 2)
-    b1 = _N - 3
-    b0 = (_N - 3) * (-(_N - 1)) - (_N - 1) ** 2 - w2 * (_N - 1)
-    cube = (_N - 2) ** 3
-    # a(x) b(x) - (n-2)^3 (x^2 - (n-1)x), multiplied out in x
-    lp = LemmaPolynomial(omega=omega, a1=a1, a0=a0, b1=b1, b0=b0,
-                         A=a1 * b1 - cube,
-                         B=a1 * b0 + a0 * b1 + cube * (_N - 1), C=a0 * b0)
+    f = closed_forms(omega, _N)
+    lp = LemmaPolynomial(omega=omega, a1=f.a1, a0=f.a0, b1=f.b1, b0=f.b0,
+                         A=f.A, B=f.B, C=f.C)
     if not lp.pprime_matches_closed_form():  # pragma: no cover
         raise AlgebraError("P' does not match its closed form")
     return lp

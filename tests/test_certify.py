@@ -10,6 +10,7 @@ import pytest
 from hvcert import certify
 from hvcert.algebra import Polynomial, RationalFunction, nonnegative_on_ray
 from hvcert.certify import (
+    InternalConsistencyError,
     certify_at,
     delta_partial_fraction,
     dimension_cover_check,
@@ -18,7 +19,7 @@ from hvcert.certify import (
     trinomial_value,
 )
 from hvcert.cli import main
-from hvcert.spectral import spectral_family
+from hvcert.spectral import closed_forms, spectral_family
 
 
 def sample_dimensions(omega, count=6):
@@ -70,6 +71,26 @@ class TestCertifyAt:
         cert = certify_at(7, 40)
         for pair in cert.pairs:
             assert pair.x_upper < cert.chosen_c < pair.y_lower
+
+    def test_cells_never_build_the_family(self, monkeypatch):
+        # a cell evaluates the closed forms at its integer n; the
+        # polynomial family serves only the all-n certificate and coeffs
+        def unavailable(omega):
+            raise AssertionError("a cell built the spectral family")
+
+        monkeypatch.setattr(certify, "spectral_family", unavailable)
+        assert certify_at(5, 20).status == "certified"
+        assert certify_at(16, 1858).status == "certified"
+        assert certify_at(16, 1859).status == "empty"
+
+    def test_nonpositive_delta_fails_closed(self, monkeypatch):
+        forms = closed_forms(5, 20)
+        first = forms.rows[0]
+        flipped = forms._replace(rows=(
+            first._replace(delta_num=-first.delta_num),) + forms.rows[1:])
+        monkeypatch.setattr(certify, "closed_forms", lambda omega, n: flipped)
+        with pytest.raises(InternalConsistencyError):
+            certify_at(5, 20)
 
     def test_dimension_below_ray_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ that match the JSON entries."""
 
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
@@ -232,6 +233,30 @@ class TestDeterminism:
         assert main(args + ["--jobs", "1"]) == 0
         assert capsys.readouterr().out == pooled
 
+    @pytest.mark.parametrize("args,digest", [
+        ("scan --omega 16 --n 1853..1864",
+         "f960b546873a73b2f3726d6ce238275071f8cb64d6a88b99ebbfcb78660b0124"),
+        ("certify --omega 16 --n 1857..1860",
+         "5632bd01b0caa4ecfb2edab5f6c9e39e52acd20852f2883295a18bee05823738"),
+        ("certify --omega 3 --n 100..103",
+         "819915c72553203faa97e89dbed417cdb33616f8d2c56ed0a06dd37299e0a674"),
+        ("certify --omega 7 --n 100..103",
+         "3c4c098f260a4d047773b63352b901979afbf4b50958634f6bd334052859e05b"),
+        ("certify --omega 11 --n 100..103",
+         "c8b28fd7a8b9970038a41659dba13a0c7d34e0101024b28b8e74b03cbf0e33d0"),
+        ("certify --omega 15 --n 100..103",
+         "1386e731ef866b4eb434f0f8989a1ad0744bb7d71b21ae479323e3630d67f05d"),
+    ], ids=["scan-16-threshold", "certify-16-threshold", "certify-3",
+            "certify-7", "certify-11", "certify-15"])
+    def test_report_digest_is_fixed(self, tmp_path, args, digest):
+        # sha256 of the whole JSON report: every cell's enclosure
+        # midpoints, chosen c and verdict, byte for byte, on both sides of
+        # the omega = 16 threshold n = 1859 and across family sizes, so a
+        # faster cell kernel must give these reports unchanged
+        out = tmp_path / "r.json"
+        main(args.split() + ["--jobs", "1", "--output", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_newline_terminated(self, tmp_path):
         out = tmp_path / "r.json"
         main(["certify", "--omega", "4", "--symbolic", "--output", str(out)])
@@ -346,11 +371,25 @@ class TestFormats:
          '"nonempty": true, "x": [{"decimal": "1", "exact": "two"}], '
          '"y": [], "chosen_c": null, "status": "certified"}], '
          '"summary": {"mode": "scan"}}', "csv"),
+        # JSON true and false are not integers, although bool subclasses int
+        ('{"tool_version": "0", "entries": [{"omega": true, "n": false, '
+         '"nonempty": true, "x": [], "y": [], "chosen_c": null, '
+         '"status": "certified"}], "summary": {"mode": "scan"}}', "csv"),
+        ('{"tool_version": "0", "entries": [{"omega": 3, "n": true, '
+         '"nonempty": true, "x": [], "y": [], "chosen_c": null, '
+         '"status": "certified"}], "summary": {"mode": "scan"}}', "csv"),
+        ('{"tool_version": "0", "entries": [], "summary": {"omega": 5, '
+         '"coefficients": [{"k": true, "nu": "n", "d": "n", "u_over_nu": "n", '
+         '"delta_polynomial_part": "n", "delta_simple_poles": []}]}}',
+         "markdown"),
+        ('{"tool_version": "0", "entries": [], "summary": {"omega": true, '
+         '"coefficients": []}}', "markdown"),
     ], ids=["empty-json", "empty-markdown", "empty-csv", "list",
             "entries-not-list", "no-tool-version", "summary-not-object",
             "entry-not-object", "entry-missing-fields", "x-not-list",
             "coefficients-not-list", "exact-not-a-number",
-            "x-exact-not-a-number"])
+            "x-exact-not-a-number", "omega-and-n-bool", "n-bool", "k-bool",
+            "coefficients-omega-bool"])
     def test_report_input_of_wrong_shape_is_usage_error(
             self, tmp_path, capsys, text, fmt):
         src = tmp_path / "bad.json"

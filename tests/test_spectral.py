@@ -12,12 +12,15 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvcert.algebra import InvalidFactorization, Polynomial, RationalFunction
-from hvcert.certify import delta_partial_fraction
+from hvcert.certify import delta_partial_fraction, roots_at
 from hvcert.spectral import (
     SpectralRangeError,
     check_lemma_poly,
+    closed_forms,
     d_polynomial,
     lemma_polynomial,
     nu_polynomial,
@@ -197,6 +200,27 @@ class TestDeltaExpansions:
                 assert row.delta.den == den, (omega, row.k)
                 exp = delta_partial_fraction(row)
                 assert all(residue for _, residue in exp.simple_poles)
+
+
+class TestIntegerClosedForms:
+    @given(st.data(), st.integers(min_value=2, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_family_at_integer_n(self, data, omega):
+        # closed_forms at an int n against the polynomial family evaluated
+        # at Fraction(n), and roots_at, which reads the integer rows
+        n = data.draw(st.integers(min_value=2 * omega + 6, max_value=5000))
+        nf = F(n)
+        forms = closed_forms(omega, n)
+        family = spectral_family(omega)
+        assert len(forms.rows) == len(family)
+        for row, fam, pair in zip(forms.rows, family, roots_at(omega, n)):
+            assert all(type(v) is int for v in row)
+            u_over_nu2 = fam.u_over_nu(nf) / fam.nu(nf)
+            assert row.d == fam.d(nf) == pair.d_value
+            assert F(row.u_num, row.u_den * row.nu) == u_over_nu2
+            assert pair.u_over_nu2 == u_over_nu2
+            assert F(row.delta_num, row.delta_den) == fam.delta(nf)
+            assert pair.delta_value == fam.delta(nf)
 
 
 class TestLemmaPolynomial:
