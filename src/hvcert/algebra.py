@@ -1,9 +1,10 @@
 """Exact rational algebra in one indeterminate.
 
 Everything downstream (coefficient families, interval certificates, the
-all-dimension positivity proofs) is built on the types here: dense
-polynomials over ``fractions.Fraction``, normalized rational functions,
-partial-fraction decompositions over distinct linear factors, certified
+all-dimension positivity proofs) is built on the one polynomial type here:
+dense polynomials over ``fractions.Fraction``.  A rational function is a
+pair (num, den) of them with a monic den.  Also here: partial-fraction
+decompositions of such a pair over distinct linear factors, certified
 rational enclosures of square roots, and a Sturm-based decision procedure
 for strict positivity of a polynomial on a ray ``[n0, +oo)``.
 
@@ -58,10 +59,6 @@ class Polynomial:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def constant(c: RationalLike) -> "Polynomial":
-        return Polynomial([c])
 
     @staticmethod
     def x() -> "Polynomial":
@@ -269,146 +266,19 @@ class Polynomial:
         return " ".join(parts)
 
 
-class RationalFunction:
-    """Quotient of two Polynomials, normalized so that gcd(num, den) = 1
-    and the denominator is monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial = Polynomial([1])):
-        num = Polynomial._coerce(num)
-        den = Polynomial._coerce(den)
-        if den.is_zero():
-            raise AlgebraError("zero denominator")
-        if num.is_zero():
-            self.num = Polynomial()
-            self.den = Polynomial([1])
-            return
-        g = num.content_free_gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading
-        self.num = num.scale(1 / lead)
-        self.den = den.scale(1 / lead)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p, Polynomial([1]))
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise AlgebraError("not a polynomial")
-        return self.num.scale(1 / self.den.coeffs[0])
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return RationalFunction(Polynomial._coerce(other))
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise AlgebraError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __call__(self, x):
-        den = self.den(x)
-        if isinstance(den, Fraction) and den == 0:
-            raise AlgebraError(f"pole at {x}")
-        return self.num(x) / den
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self) -> str:
-        if self.is_polynomial():
-            return str(self.as_polynomial())
-        return f"({self.num}) / ({self.den})"
+SimplePoles = tuple[tuple[Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """Quadratic-or-lower polynomial part plus simple poles.
+def partial_fractions(num: Polynomial, den: Polynomial,
+                      factors: Sequence[Polynomial]
+                      ) -> tuple[Polynomial, SimplePoles]:
+    """Decompose num/den into a polynomial part plus simple fractions over
+    the given distinct linear factors of the monic denominator den.
 
-    ``simple_poles`` holds pairs (root, residue) meaning residue/(n - root);
-    residues are relative to monic linear factors.
-    """
-
-    polynomial_part: Polynomial
-    simple_poles: tuple[tuple[Fraction, Fraction], ...]
-
-    def recombine(self) -> RationalFunction:
-        total = RationalFunction.from_polynomial(self.polynomial_part)
-        for root, residue in self.simple_poles:
-            total = total + RationalFunction(Polynomial.constant(residue),
-                                             Polynomial.linear_root(root))
-        return total
-
-    def residue_at(self, root: RationalLike) -> Fraction:
-        root = _as_fraction(root)
-        for r, res in self.simple_poles:
-            if r == root:
-                return res
-        raise AlgebraError(f"no pole at n = {root}")
-
-
-def partial_fractions(f: RationalFunction,
-                      factors: Sequence[Polynomial]) -> PartialFractionExpansion:
-    """Decompose f into polynomial part + simple fractions over the given
-    distinct linear factors of its denominator.
-
-    The factors must be linear, with pairwise distinct roots, and their
-    product must equal den(f) up to a rational constant.
+    Returns (polynomial_part, simple_poles), where simple_poles holds pairs
+    (root, residue) meaning residue/(n - root).  The factors must be
+    linear, with pairwise distinct roots, and their monic product must
+    equal den; the polynomial part may have degree at most 2.
     """
     roots = []
     for fac in factors:
@@ -417,22 +287,16 @@ def partial_fractions(f: RationalFunction,
         roots.append(-fac.coeffs[0] / fac.coeffs[1])
     if len(set(roots)) != len(roots):
         raise InvalidFactorization("repeated factors")
-
-    if f.num.is_zero():
-        return PartialFractionExpansion(Polynomial(),
-                                        tuple((r, Fraction(0)) for r in roots))
-
-    den = f.den  # monic by normalization
     product = Polynomial([1])
     for r in roots:
         product = product * Polynomial.linear_root(r)
     if product != den:
         raise InvalidFactorization(
             "factors do not multiply to the denominator")
-    if f.num.degree - den.degree > 2:
+    if num.degree - den.degree > 2:
         raise InvalidFactorization("numerator degree excess > 2")
 
-    poly_part, remainder = f.num.divmod(den)
+    poly_part, remainder = num.divmod(den)
     poles = []
     for r in roots:
         others = Fraction(1)
@@ -440,10 +304,12 @@ def partial_fractions(f: RationalFunction,
             if s != r:
                 others *= (r - s)
         poles.append((r, remainder(r) / others))
-    expansion = PartialFractionExpansion(poly_part, tuple(poles))
-    if expansion.recombine() != f:
+    recombined = poly_part * den
+    for r, residue in poles:
+        recombined += (den // Polynomial.linear_root(r)).scale(residue)
+    if recombined != num:
         raise InvalidFactorization("reconstruction mismatch")  # pragma: no cover
-    return expansion
+    return poly_part, tuple(poles)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from typing import Optional, Sequence
 
 from .algebra import (
     AlgebraError,
-    PartialFractionExpansion,
     Polynomial,
     RayPositivityWitness,
+    SimplePoles,
     SqrtEnclosure,
     nonnegative_on_ray,
     partial_fractions,
@@ -243,14 +243,15 @@ def _exact_nonempty(pairs: Sequence[RootPair], n: int) -> bool:
 # All-dimension symbolic certificates
 # ---------------------------------------------------------------------------
 
-def delta_partial_fraction(row: SpectralRow) -> PartialFractionExpansion:
+def delta_partial_fraction(row: SpectralRow) -> tuple[Polynomial, SimplePoles]:
     """Partial fractions of Delta_k over its three linear poles n = 2,
-    n = -m and n = 1 - m (m = omega - 2k + 1 >= 1, so they are distinct).
-    None of them cancels against -P(nu_k) for omega 2..40 (tested); where
-    one did, their product would not be den(Delta_k) and partial_fractions
-    would fail with InvalidFactorization."""
+    n = -m and n = 1 - m (m = omega - 2k + 1 >= 1, so they are distinct):
+    (polynomial part, ((root, residue), ...)).  The row is not reduced by
+    a gcd, so a pole that cancelled against -P(nu_k) would show up as a
+    zero residue; spectral_family's docstring proves none does, and the
+    tests check every residue is nonzero."""
     factors = [Polynomial.linear_root(r) for r in row.delta_pole_candidates()]
-    return partial_fractions(row.delta, factors)
+    return partial_fractions(row.delta_num, row.delta_den, factors)
 
 
 def symbolic_certificate(omega: int) -> SymbolicCertificate:
@@ -270,8 +271,8 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
     rows = spectral_family(omega)
     lb_data = {}
     for row in rows:
-        den = row.delta.den
-        q, r = row.delta.num.divmod(den)
+        den = row.delta_den
+        q, r = row.delta_num.divmod(den)
         if q.degree != 2:
             raise InternalConsistencyError(
                 f"polynomial part of Delta is not quadratic for "

@@ -306,17 +306,17 @@ def cmd_coeffs(config: RunConfig) -> tuple[dict, int]:
     omega = config.omega[0]
     rows = []
     for row in spectral_family(omega):
-        expansion = delta_partial_fraction(row)
+        poly_part, poles = delta_partial_fraction(row)
         rows.append({
             "k": row.k,
             "nu": str(row.nu),
             "d": str(row.d),
-            "u_over_nu": str(row.u_over_nu),
-            "delta_polynomial_part": str(expansion.polynomial_part),
+            "u_over_nu": f"({row.u_num}) / ({row.u_den})",
+            "delta_polynomial_part": str(poly_part),
             "delta_simple_poles": [
                 {"root": rational_payload(root),
                  "residue": rational_payload(res)}
-                for root, res in expansion.simple_poles],
+                for root, res in poles],
         })
     summary = {"omega": omega, "coefficients": rows}
     return report_payload(config, [], summary), 0

@@ -14,10 +14,11 @@ and the derived quantities are
 each built from the two linear factors of the auxiliary polynomial P
 below.  closed_forms writes them once, by ring operations that work on
 any dimension argument.  At n = Polynomial.x() they give the family of
-exact polynomials and rational functions in n (spectral_family,
-lemma_polynomial), which the all-n certificate and the coefficient table
-read.  At an integer n they give the integer numerators and denominators
-that one (omega, n) cell needs, so a cell never builds the family.
+exact polynomials in n (spectral_family, lemma_polynomial), with u_k/nu_k
+and Delta_k as numerator/denominator pairs, which the all-n certificate
+and the coefficient table read.  At an integer n they give the integer
+numerators and denominators that one (omega, n) cell needs, so a cell
+never builds the family.
 
 This module also houses the two purely polynomial lemmas used
 downstream: the decreasing auxiliary polynomial P(x) whose negativity at
@@ -36,7 +37,6 @@ from typing import Any, NamedTuple
 from .algebra import (
     AlgebraError,
     Polynomial,
-    RationalFunction,
     RayPositivityWitness,
     nonnegative_on_ray,
 )
@@ -113,31 +113,24 @@ def closed_forms(omega: int, n) -> ClosedForms:
                        rows=tuple(rows))
 
 
-def nu_polynomial(omega: int, k: int) -> Polynomial:
-    return spectral_row(omega, k).nu
-
-
-def d_polynomial(omega: int, k: int) -> Polynomial:
-    return spectral_row(omega, k).d
-
-
 @dataclass(frozen=True)
 class SpectralRow:
+    """Row k of one omega over Q[n]: nu_k and d_k, and u_k/nu_k and Delta_k
+    as numerator/denominator pairs with monic denominators."""
+
     omega: int
     k: int
     nu: Polynomial
     d: Polynomial
-    u_over_nu: RationalFunction
-    delta: RationalFunction
-
-    @property
-    def u(self) -> RationalFunction:
-        return self.u_over_nu * RationalFunction.from_polynomial(self.nu)
+    u_num: Polynomial
+    u_den: Polynomial
+    delta_num: Polynomial
+    delta_den: Polynomial
 
     def delta_pole_candidates(self) -> tuple[Fraction, ...]:
-        """Roots of the three linear factors that can appear in den(Delta_k):
-        n = 2 from the (n-2) prefactors, and the roots of nu_k - n + 1 =
-        (m)(n+m) and nu_k = (m+1)(n+m-1) with m = omega - 2k + 1."""
+        """Roots of the three linear factors of delta_den: n = 2 from the
+        (n-2) prefactor, and the roots of nu_k - n + 1 = m(n+m) and
+        nu_k = (m+1)(n+m-1) with m = omega - 2k + 1."""
         m = self.omega - 2 * self.k + 1
         return (Fraction(2), Fraction(-m), Fraction(1 - m))
 
@@ -147,20 +140,36 @@ def spectral_row(omega: int, k: int) -> SpectralRow:
     return spectral_family(omega)[k - 1]
 
 
+def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    scale = 1 / den.leading
+    return num.scale(scale), den.scale(scale)
+
+
 @functools.cache
 def spectral_family(omega: int) -> tuple[SpectralRow, ...]:
-    """All rows k = 1..floor(omega/2) as polynomials and rational functions
-    in n, built once per omega (the rows are frozen, so every caller may
-    share them).  The all-n certificates and the coefficient table read
-    them; a single cell evaluates closed_forms at its integer n instead."""
+    """All rows k = 1..floor(omega/2) as polynomials in n, built once per
+    omega (the rows are frozen, so every caller may share them).  The
+    all-n certificates and the coefficient table read them; a single cell
+    evaluates closed_forms at its integer n instead.
+
+    Each pair of closed_forms is only made monic: it is already in lowest
+    terms.  With m = omega - 2k + 1 >= 1, u_den = 4m(n-2)(n+m) and
+    delta_den = m(m+1)(n-2)(n+m)(n+m-1), and no numerator vanishes at a
+    root of its denominator.  b(nu_k) is -(m+1)^2 - (omega+2)^2 at n = 2
+    and (m+1)((omega+2)^2 - m - 1) at n = -m, both nonzero; the same
+    substitution leaves P(nu_k) nonzero at n = 2, n = -m and n = 1 - m.
+    """
     if omega < 2:
         raise SpectralRangeError(
             f"omega={omega} has an empty eigencomponent family")
-    return tuple(
-        SpectralRow(omega=omega, k=k, nu=row.nu, d=row.d,
-                    u_over_nu=RationalFunction(row.u_num, row.u_den),
-                    delta=RationalFunction(row.delta_num, row.delta_den))
-        for k, row in enumerate(closed_forms(omega, _N).rows, 1))
+    rows = []
+    for k, row in enumerate(closed_forms(omega, _N).rows, 1):
+        u_num, u_den = _monic(row.u_num, row.u_den)
+        delta_num, delta_den = _monic(row.delta_num, row.delta_den)
+        rows.append(SpectralRow(omega=omega, k=k, nu=row.nu, d=row.d,
+                                u_num=u_num, u_den=u_den,
+                                delta_num=delta_num, delta_den=delta_den))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

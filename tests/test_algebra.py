@@ -14,9 +14,7 @@ from hvcert.algebra import (
     AlgebraError,
     InvalidFactorization,
     NegativeRadicand,
-    PartialFractionExpansion,
     Polynomial,
-    RationalFunction,
     count_roots_on_ray,
     nonnegative_on_ray,
     partial_fractions,
@@ -74,78 +72,84 @@ class TestPolynomial:
         assert str(p) == "2/3*n^2 + 29/6*n + 1076/3"
 
 
-class TestRationalFunction:
-    def test_normalization_cancels_common_factors(self):
-        num = poly(-1, 0, 1)          # (n-1)(n+1)
-        den = poly(-1, 1) * poly(2, 1)  # (n-1)(n+2)
-        f = RationalFunction(num, den)
-        assert f.num == poly(1, 1)
-        assert f.den == poly(2, 1)
+N = sp.Symbol("n")
 
-    def test_denominator_made_monic(self):
-        f = RationalFunction(poly(1), poly(0, 2))
-        assert f.den.leading == 1
 
-    @given(st.lists(rationals, min_size=1, max_size=4),
-           st.lists(rationals, min_size=2, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_add_sub_roundtrip(self, a, b):
-        den = Polynomial(b)
-        if den.is_zero():
-            return
-        f = RationalFunction(Polynomial(a), den)
-        g = RationalFunction(poly(1, 1), poly(3, 0, 1))
-        assert (f + g) - g == f
+def to_sympy(p):
+    return sum((sp.Rational(c.numerator, c.denominator) * N ** i
+                for i, c in enumerate(p.coeffs)), sp.Integer(0))
+
+
+def assert_matches_sympy(num, den, expansion):
+    # the polynomial part is sympy's quotient, and each residue is
+    # (n - r) num/den at n = r after sympy cancels the common factor
+    poly_part, poles = expansion
+    f = to_sympy(num) / to_sympy(den)
+    assert sp.expand(to_sympy(poly_part) - sp.div(to_sympy(num),
+                                                  to_sympy(den), N)[0]) == 0
+    for r, residue in poles:
+        r_sym = sp.Rational(r.numerator, r.denominator)
+        expected = sp.cancel(f * (N - r_sym)).subs(N, r_sym)
+        assert expected == sp.Rational(residue.numerator,
+                                       residue.denominator), r
 
 
 class TestPartialFractions:
     def test_three_pole_reconstruction(self):
         den = (Polynomial.linear_root(2) * Polynomial.linear_root(-2)
                * Polynomial.linear_root(-1))
-        f = RationalFunction(poly(2, 0, 0, 1), den)
-        exp = partial_fractions(f, [Polynomial.linear_root(2),
-                                    Polynomial.linear_root(-2),
-                                    Polynomial.linear_root(-1)])
-        assert exp.recombine() == f
+        num = poly(2, 0, 0, 1)
+        exp = partial_fractions(num, den, [Polynomial.linear_root(2),
+                                           Polynomial.linear_root(-2),
+                                           Polynomial.linear_root(-1)])
+        assert_matches_sympy(num, den, exp)
 
     def test_rejects_wrong_factors(self):
-        f = RationalFunction(poly(1), poly(-1, 0, 1))
         with pytest.raises(InvalidFactorization):
-            partial_fractions(f, [Polynomial.linear_root(1),
-                                  Polynomial.linear_root(2)])
+            partial_fractions(poly(1), poly(-1, 0, 1),
+                              [Polynomial.linear_root(1),
+                               Polynomial.linear_root(2)])
 
     def test_rejects_repeated_factors(self):
-        f = RationalFunction(poly(1), poly(1, 2, 1))
         with pytest.raises(InvalidFactorization):
-            partial_fractions(f, [Polynomial.linear_root(-1),
-                                  Polynomial.linear_root(-1)])
+            partial_fractions(poly(1), poly(1, 2, 1),
+                              [Polynomial.linear_root(-1),
+                               Polynomial.linear_root(-1)])
+
+    def test_rejects_nonlinear_factor_excess_and_non_monic_den(self):
+        with pytest.raises(InvalidFactorization):
+            partial_fractions(poly(1), poly(1, 0, 1), [poly(1, 0, 1)])
+        with pytest.raises(InvalidFactorization):
+            partial_fractions(poly(0, 0, 0, 0, 1), poly(0, 1),
+                              [Polynomial.linear_root(0)])
+        with pytest.raises(InvalidFactorization):
+            partial_fractions(poly(1), poly(0, 2),
+                              [Polynomial.linear_root(0)])
 
     def test_residue_lookup(self):
-        f = RationalFunction(poly(1), poly(0, 1) * poly(-1, 1))
-        exp = partial_fractions(f, [Polynomial.linear_root(0),
-                                    Polynomial.linear_root(1)])
-        assert exp.residue_at(0) == -1
-        assert exp.residue_at(1) == 1
+        _, poles = partial_fractions(poly(1), poly(0, 1) * poly(-1, 1),
+                                     [Polynomial.linear_root(0),
+                                      Polynomial.linear_root(1)])
+        assert dict(poles)[0] == -1
+        assert dict(poles)[1] == 1
 
     @given(st.lists(rationals, min_size=1, max_size=8),
            st.lists(st.integers(min_value=-20, max_value=20),
                     min_size=1, max_size=4, unique=True))
     @settings(max_examples=150, deadline=None)
     def test_roundtrip_random(self, num_cs, roots):
+        # every draw, a numerator sharing a root with den included: that
+        # pole gets residue 0
         num = Polynomial(num_cs)
-        if num.is_zero():
-            return
         den = Polynomial([1])
         for r in roots:
             den = den * Polynomial.linear_root(r)
+        factors = [Polynomial.linear_root(r) for r in roots]
         if num.degree - den.degree > 2:
+            with pytest.raises(InvalidFactorization):
+                partial_fractions(num, den, factors)
             return
-        f = RationalFunction(num, den)
-        # normalization may cancel a factor; skip those draws
-        if f.den.degree != den.degree:
-            return
-        exp = partial_fractions(f, [Polynomial.linear_root(r) for r in roots])
-        assert exp.recombine() == f
+        assert_matches_sympy(num, den, partial_fractions(num, den, factors))
 
 
 class TestRayPositivity:
@@ -158,6 +162,27 @@ class TestRayPositivity:
     def test_sturm_chain_ends_with_constant(self):
         chain = sturm_chain(poly(-2, 0, 1))
         assert chain[-1].degree <= 0
+
+    @given(st.lists(st.integers(min_value=-20, max_value=20), max_size=9),
+           st.lists(st.integers(min_value=-6, max_value=6), max_size=8),
+           st.one_of(st.fractions(min_value=-10, max_value=10,
+                                  max_denominator=20),
+                     st.integers(min_value=-6, max_value=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_root_count_matches_sympy(self, cs, roots, n0):
+        # degree <= 8, integer coefficients; the integer roots, some of
+        # them repeated, put roots at and near an integer n0.  Both sides
+        # count distinct roots on [n0, oo).
+        p = Polynomial(cs)
+        for r in roots:
+            if p.degree >= 8:
+                break
+            p = p * Polynomial.linear_root(r)
+        assume(not p.is_zero())
+        n0 = Fraction(n0)
+        expected = sp.Poly(to_sympy(p), N).count_roots(
+            sp.Rational(n0.numerator, n0.denominator), None)
+        assert count_roots_on_ray(p, n0) == expected
 
     def test_positive_polynomial(self):
         ok, wit = nonnegative_on_ray(poly(1, 0, 1), 0)

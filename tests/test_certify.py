@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from hvcert import certify
-from hvcert.algebra import Polynomial, RationalFunction, nonnegative_on_ray
+from hvcert.algebra import Polynomial, nonnegative_on_ray
 from hvcert.certify import (
     InternalConsistencyError,
     certify_at,
@@ -42,7 +42,7 @@ class TestRootPairs:
         omega, n = 5, 20
         for pair, row in zip(roots_at(omega, n), spectral_family(omega)):
             d = row.d(F(n))
-            u_over_nu2 = row.u_over_nu(F(n)) / row.nu(F(n))
+            u_over_nu2 = row.u_num(F(n)) / (row.u_den(F(n)) * row.nu(F(n)))
             inside = (pair.x_upper + pair.y_lower) / 2
             assert trinomial_value(d, u_over_nu2, F(n), inside) < 0
             outside = pair.y_upper * 2 + 1
@@ -63,7 +63,7 @@ class TestCertifyAt:
             cert = certify_at(omega, n)
             for row in spectral_family(omega):
                 d = row.d(F(n))
-                u_over_nu2 = row.u_over_nu(F(n)) / row.nu(F(n))
+                u_over_nu2 = row.u_num(F(n)) / (row.u_den(F(n)) * row.nu(F(n)))
                 assert trinomial_value(d, u_over_nu2, F(n),
                                        cert.chosen_c) < 0
 
@@ -124,8 +124,8 @@ class TestSymbolicCertificate:
         # Delta > n^2 must not be reported as proved
         class RowWithPoleOnRay:
             omega, k, d = 3, 1, Polynomial([1])
-            delta = RationalFunction(Polynomial([-1, 0, -20, 1]),
-                                     Polynomial([-20, 1]))
+            delta_num = Polynomial([-1, 0, -20, 1])
+            delta_den = Polynomial([-20, 1])
 
             def delta_pole_candidates(self):
                 return (F(20),)
@@ -143,7 +143,8 @@ class TestSymbolicCertificate:
         class Relabelled:
             def __init__(self, row, k):
                 self.omega, self.k = row.omega, k
-                self.d, self.delta = row.d, row.delta
+                self.d = row.d
+                self.delta_num, self.delta_den = row.delta_num, row.delta_den
                 self.delta_pole_candidates = row.delta_pole_candidates
 
         first, second = spectral_family(5)
@@ -165,7 +166,7 @@ class TestSymbolicCertificate:
         # denominator; the reference is the polynomial part of the
         # partial-fraction expansion, and the numerator proved positive is
         # a positive multiple of the numerator of Delta - a (n + b/(2a))^2
-        # built by RationalFunction arithmetic
+        # over delta_den, built from the row's polynomial pair
         proved = []
 
         def recording(p, n0):
@@ -181,11 +182,10 @@ class TestSymbolicCertificate:
             rows = {row.k: row for row in spectral_family(omega)}
             for lb in cert.lower_bounds:
                 row = rows[lb.k]
-                poly = delta_partial_fraction(row).polynomial_part
+                poly, _ = delta_partial_fraction(row)
                 assert (lb.a, lb.b) == (poly.coeffs[2], poly.coeffs[1])
                 square = (n + lb.b / (2 * lb.a)) ** 2
-                ref = (row.delta - RationalFunction.from_polynomial(
-                    square.scale(lb.a))).num
+                ref = row.delta_num - square.scale(lb.a) * row.delta_den
                 assert any(p.degree == ref.degree
                            and p.scale(ref.leading / p.leading) == ref
                            and ref.leading / p.leading > 0

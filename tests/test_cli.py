@@ -246,13 +246,25 @@ class TestDeterminism:
          "c8b28fd7a8b9970038a41659dba13a0c7d34e0101024b28b8e74b03cbf0e33d0"),
         ("certify --omega 15 --n 100..103",
          "1386e731ef866b4eb434f0f8989a1ad0744bb7d71b21ae479323e3630d67f05d"),
+        ("coeffs --omega 5",
+         "db1d3b24e09de0b2ebf5cdef754f584d29d3ae2d194e9ae7e89d06fa02633ec8"),
+        ("coeffs --omega 7",
+         "471a63ad59751854ac4e8cd60c71e98549967bed39959abbc926768b6117547f"),
+        ("coeffs --omega 16",
+         "90b5e6c53e36e517ebbe8fc20ff5632f0f4e3a936be4516647769b21a1d7ff89"),
+        ("certify --omega 3..16 --symbolic",
+         "76a721ac1799e028b0ebf21c7c1e7016cc4966ae38d4508f0bbf9f7c229c8b42"),
     ], ids=["scan-16-threshold", "certify-16-threshold", "certify-3",
-            "certify-7", "certify-11", "certify-15"])
+            "certify-7", "certify-11", "certify-15", "coeffs-5", "coeffs-7",
+            "coeffs-16", "symbolic-3-16"])
     def test_report_digest_is_fixed(self, tmp_path, args, digest):
         # sha256 of the whole JSON report: every cell's enclosure
         # midpoints, chosen c and verdict, byte for byte, on both sides of
         # the omega = 16 threshold n = 1859 and across family sizes, so a
-        # faster cell kernel must give these reports unchanged
+        # faster cell kernel must give these reports unchanged; likewise
+        # the coefficient tables (u_k/nu_k and the Delta_k partial
+        # fractions) and the all-n certificates, whose omega = 16 failure
+        # exits 1 after writing its report
         out = tmp_path / "r.json"
         main(args.split() + ["--jobs", "1", "--output", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -307,7 +319,8 @@ class TestFormats:
             n = entry["n"]
             assert len(entry["x"]) == len(entry["y"]) == len(rows)
             for row, x, y in zip(rows, entry["x"], entry["y"]):
-                d, delta = Fraction(row.d(n)), Fraction(row.delta(n))
+                d = Fraction(row.d(n))
+                delta = row.delta_num(n) / row.delta_den(n)
                 p, q = delta.numerator, delta.denominator
                 r = math.isqrt(p * q * scale * scale)
                 lo, hi = Fraction(r, q * scale), Fraction(r + 1, q * scale)

@@ -12,18 +12,17 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvcert.algebra import InvalidFactorization, Polynomial, RationalFunction
+from hvcert.algebra import InvalidFactorization, Polynomial
 from hvcert.certify import delta_partial_fraction, roots_at
 from hvcert.spectral import (
     SpectralRangeError,
     check_lemma_poly,
     closed_forms,
-    d_polynomial,
     lemma_polynomial,
-    nu_polynomial,
     p2_identity_check,
     p2_value,
     spectral_family,
@@ -35,15 +34,39 @@ def poly(*ascending):
     return Polynomial(ascending)
 
 
+N = sp.Symbol("n")
+# sympy's field Q(n): every element is kept cancelled to lowest terms
+Q_N, N_Q = sp.field("n", sp.QQ)
+
+
+def to_sympy(p):
+    return sum((sp.Rational(c.numerator, c.denominator) * N ** i
+                for i, c in enumerate(p.coeffs)), sp.Integer(0))
+
+
+def to_ring(p):
+    """p in the polynomial ring Q[n] under Q_N."""
+    return Q_N.ring.from_list([sp.Rational(c.numerator, c.denominator)
+                               for c in reversed(p.coeffs)])
+
+
+def assert_pair_equals(num, den, reference):
+    """num/den equals the cancelled reference, by cross-multiplication,
+    and den has the degree of its denominator: num/den is in lowest
+    terms."""
+    assert to_ring(num) * reference.denom == reference.numer * to_ring(den)
+    assert den.degree == reference.denom.degree()
+
+
 class TestEigenvalueFamily:
     def test_nu_values(self):
-        assert nu_polynomial(5, 1) == poly(15, 5)     # 5(n+3)
-        assert nu_polynomial(5, 2) == poly(3, 3)      # 3(n+1)
-        assert nu_polynomial(6, 1) == poly(24, 6)     # 6(n+4)
-        assert nu_polynomial(6, 2) == poly(8, 4)      # 4(n+2)
-        assert nu_polynomial(7, 1) == poly(35, 7)     # 7(n+5)
-        assert nu_polynomial(7, 2) == poly(15, 5)     # 5(n+3)
-        assert nu_polynomial(7, 3) == poly(3, 3)      # 3(n+1)
+        assert spectral_row(5, 1).nu == poly(15, 5)     # 5(n+3)
+        assert spectral_row(5, 2).nu == poly(3, 3)      # 3(n+1)
+        assert spectral_row(6, 1).nu == poly(24, 6)     # 6(n+4)
+        assert spectral_row(6, 2).nu == poly(8, 4)      # 4(n+2)
+        assert spectral_row(7, 1).nu == poly(35, 7)     # 7(n+5)
+        assert spectral_row(7, 2).nu == poly(15, 5)     # 5(n+3)
+        assert spectral_row(7, 3).nu == poly(3, 3)      # 3(n+1)
 
     def test_family_size_is_floor_half(self):
         for omega in range(2, 21):
@@ -60,7 +83,7 @@ class TestEigenvalueFamily:
         # nu_k - 2n = (w-2k)(n + w-2k+2) + 2(w-2k) + 4 ... checked directly
         for omega in range(2, 16):
             for k in range(1, omega // 2 + 1):
-                diff = nu_polynomial(omega, k) - poly(0, 2)
+                diff = spectral_row(omega, k).nu - poly(0, 2)
                 if diff.is_zero():       # the last component of even omega
                     continue
                 n0 = 2 * omega + 6
@@ -74,19 +97,19 @@ class TestDCoefficients:
         n = Polynomial.x()
         for omega in range(2, 21):
             for k in range(1, omega // 2 + 1):
-                nu = nu_polynomial(omega, k)
+                nu = spectral_row(omega, k).nu
                 expected = 4 * ((n - 1) * (n - 2) * nu - n * (n - 2) ** 2
                                 + (omega + 2) ** 2 * (n * n + n + 2))
-                assert d_polynomial(omega, k) == expected
+                assert spectral_row(omega, k).d == expected
 
     def test_listed_values(self):
-        assert d_polynomial(5, 1) == 4 * poly(128, 10, 53, 4)
-        assert d_polynomial(5, 2) == 4 * poly(104, 42, 47, 2)
-        assert d_polynomial(6, 1) == 4 * poly(176, 0, 74, 5)
-        assert d_polynomial(6, 2) == 4 * poly(144, 44, 64, 3)
-        assert d_polynomial(7, 1) == 4 * poly(232, -14, 99, 6)
-        assert d_polynomial(7, 2) == 4 * poly(192, 42, 85, 4)
-        assert d_polynomial(7, 3) == 4 * poly(168, 74, 79, 2)
+        assert spectral_row(5, 1).d == 4 * poly(128, 10, 53, 4)
+        assert spectral_row(5, 2).d == 4 * poly(104, 42, 47, 2)
+        assert spectral_row(6, 1).d == 4 * poly(176, 0, 74, 5)
+        assert spectral_row(6, 2).d == 4 * poly(144, 44, 64, 3)
+        assert spectral_row(7, 1).d == 4 * poly(232, -14, 99, 6)
+        assert spectral_row(7, 2).d == 4 * poly(192, 42, 85, 4)
+        assert spectral_row(7, 3).d == 4 * poly(168, 74, 79, 2)
 
     def test_strictly_decreasing_in_k(self):
         # d_k = 4 a(nu_k) with a linear in x, so d_k - d_{k+1} is
@@ -96,59 +119,58 @@ class TestDCoefficients:
         n = Polynomial.x()
         for omega in range(2, 25):
             for k in range(1, omega // 2):
-                gap = nu_polynomial(omega, k) - nu_polynomial(omega, k + 1)
+                row, nxt = spectral_row(omega, k), spectral_row(omega, k + 1)
+                gap = row.nu - nxt.nu
                 assert all(c > 0 for c in gap.coeffs), (omega, k)
-                assert (d_polynomial(omega, k) - d_polynomial(omega, k + 1)
-                        == 4 * (n - 1) * (n - 2) * gap)
+                assert row.d - nxt.d == 4 * (n - 1) * (n - 2) * gap
 
 
 class TestUOverNu:
+    def check(self, row, num, den):
+        # the listed fraction, by cross-multiplication, over a monic u_den
+        assert row.u_num * den == num * row.u_den
+        assert row.u_den.leading == 1
+
     def test_listed_values(self):
         # u_2/nu_2 for omega = 5: (n^2 - 49n + 36) / (8(n-2)(n+2))
-        row = spectral_row(5, 2)
-        expected = RationalFunction(poly(36, -49, 1),
-                                    8 * poly(-2, 1) * poly(2, 1))
-        assert row.u_over_nu == expected
+        self.check(spectral_row(5, 2), poly(36, -49, 1),
+                   8 * poly(-2, 1) * poly(2, 1))
         # omega = 6: (n^2 - 31n + 18) / (6(n-2)(n+3))
-        row = spectral_row(6, 2)
-        expected = RationalFunction(poly(18, -31, 1),
-                                    6 * poly(-2, 1) * poly(3, 1))
-        assert row.u_over_nu == expected
+        self.check(spectral_row(6, 2), poly(18, -31, 1),
+                   6 * poly(-2, 1) * poly(3, 1))
         # omega = 7: (3n^2 - 75n + 32) / (16(n-2)(n+4)) for k = 2
-        row = spectral_row(7, 2)
-        expected = RationalFunction(poly(32, -75, 3),
-                                    16 * poly(-2, 1) * poly(4, 1))
-        assert row.u_over_nu == expected
+        self.check(spectral_row(7, 2), poly(32, -75, 3),
+                   16 * poly(-2, 1) * poly(4, 1))
         # omega = 7: (n^2 - 81n + 68) / (8(n-2)(n+2)) for k = 3
-        row = spectral_row(7, 3)
-        expected = RationalFunction(poly(68, -81, 1),
-                                    8 * poly(-2, 1) * poly(2, 1))
-        assert row.u_over_nu == expected
+        self.check(spectral_row(7, 3), poly(68, -81, 1),
+                   8 * poly(-2, 1) * poly(2, 1))
 
     def test_rows_match_definitions(self):
-        # u_k/nu_k and Delta_k from their definitions, by RationalFunction
-        # arithmetic, against the rows built from the factors of P
-        n = Polynomial.x()
+        # u_k/nu_k and Delta_k from their definitions, cancelled by sympy,
+        # against the pairs built from the factors of P
+        n = N_Q
         for omega in range(2, 21):
             w2 = (omega + 2) ** 2
             for row in spectral_family(omega):
-                nu = row.nu
+                k = row.k
+                nu = (omega - 2 * k + 2) * (n + omega - 2 * k)
                 d = 4 * ((n - 1) * (n - 2) * nu - n * (n - 2) ** 2
                          + w2 * (n * n + n + 2))
-                u_over_nu = (RationalFunction(n - 3, 4 * (n - 2))
-                             - RationalFunction((n - 1) ** 2 + (n - 1) * w2,
-                                                4 * (n - 2) * (nu - n + 1)))
-                delta = (RationalFunction((n - 2) ** 2)
-                         - RationalFunction(d) * u_over_nu / RationalFunction(nu))
-                assert row.u_over_nu == u_over_nu, (omega, row.k)
-                assert row.delta == delta, (omega, row.k)
+                u_over_nu = ((n - 3) / (4 * (n - 2))
+                             - ((n - 1) ** 2 + (n - 1) * w2)
+                             / (4 * (n - 2) * (nu - n + 1)))
+                delta = (n - 2) ** 2 - d * u_over_nu / nu
+                assert to_ring(row.nu) == nu.numer and nu.denom == 1
+                assert to_ring(row.d) == d.numer and d.denom == 1
+                assert_pair_equals(row.u_num, row.u_den, u_over_nu)
+                assert_pair_equals(row.delta_num, row.delta_den, delta)
 
 
 class TestDeltaExpansions:
     def check(self, omega, k, poly_part, poles):
-        exp = delta_partial_fraction(spectral_row(omega, k))
-        assert exp.polynomial_part == poly_part
-        assert dict(exp.simple_poles) == poles
+        got_part, got_poles = delta_partial_fraction(spectral_row(omega, k))
+        assert got_part == poly_part
+        assert dict(got_poles) == poles
 
     def test_omega5_delta2(self):
         self.check(5, 2,
@@ -179,10 +201,16 @@ class TestDeltaExpansions:
                    {F(2): F(810), F(-2): F(-3120), F(-1): F(1425)})
 
     def test_recombination_is_exact(self):
+        # polynomial part plus simple poles, summed by sympy, is Delta_k
         for omega in (5, 6, 7):
             for row in spectral_family(omega):
-                exp = delta_partial_fraction(row)
-                assert exp.recombine() == row.delta
+                poly_part, poles = delta_partial_fraction(row)
+                total = to_sympy(poly_part) + sum(
+                    sp.Rational(res.numerator, res.denominator)
+                    / (N - sp.Rational(r.numerator, r.denominator))
+                    for r, res in poles)
+                delta = to_sympy(row.delta_num) / to_sympy(row.delta_den)
+                assert sp.cancel(total - delta) == 0
 
     def test_wrong_poles_fail_closed(self):
         row = spectral_row(7, 1)
@@ -190,16 +218,18 @@ class TestDeltaExpansions:
             delta_partial_fraction(dataclasses.replace(row, k=2))
 
     def test_pole_candidates_cover_actual_poles(self):
-        # den(Delta_k) = (n - 2)(n + m)(n + m - 1): no candidate cancels
-        # against the numerator, so each is a pole with a nonzero residue
-        for omega in range(2, 41):
+        # the pairs are in lowest terms: with m = omega - 2k + 1, u_num is
+        # nonzero at the roots n = 2, -m of u_den, and delta_num at the
+        # roots n = 2, -m, 1 - m of delta_den, so each candidate is a pole
+        # of Delta_k with a nonzero residue
+        for omega in range(2, 61):
             for row in spectral_family(omega):
-                den = Polynomial([1])
-                for root in row.delta_pole_candidates():
-                    den = den * Polynomial.linear_root(root)
-                assert row.delta.den == den, (omega, row.k)
-                exp = delta_partial_fraction(row)
-                assert all(residue for _, residue in exp.simple_poles)
+                m = omega - 2 * row.k + 1
+                assert all(row.u_num(F(r)) for r in (2, -m)), (omega, row.k)
+                assert all(row.delta_num(F(r)) for r in (2, -m, 1 - m)), \
+                    (omega, row.k)
+                _, poles = delta_partial_fraction(row)
+                assert all(residue for _, residue in poles)
 
 
 class TestIntegerClosedForms:
@@ -215,12 +245,13 @@ class TestIntegerClosedForms:
         assert len(forms.rows) == len(family)
         for row, fam, pair in zip(forms.rows, family, roots_at(omega, n)):
             assert all(type(v) is int for v in row)
-            u_over_nu2 = fam.u_over_nu(nf) / fam.nu(nf)
+            u_over_nu2 = fam.u_num(nf) / (fam.u_den(nf) * fam.nu(nf))
+            delta = fam.delta_num(nf) / fam.delta_den(nf)
             assert row.d == fam.d(nf) == pair.d_value
             assert F(row.u_num, row.u_den * row.nu) == u_over_nu2
             assert pair.u_over_nu2 == u_over_nu2
-            assert F(row.delta_num, row.delta_den) == fam.delta(nf)
-            assert pair.delta_value == fam.delta(nf)
+            assert F(row.delta_num, row.delta_den) == delta
+            assert pair.delta_value == delta
 
 
 class TestLemmaPolynomial:
@@ -236,7 +267,8 @@ class TestLemmaPolynomial:
                 p_at_nu = lp.at(row.nu)
                 for n in (F(7), F(30), F(101, 3)):
                     nu, d = row.nu(n), row.d(n)
-                    expected = (nu - n + 1) * d * ((n - 2) * row.u(n) / nu
+                    u_over_nu = row.u_num(n) / row.u_den(n)
+                    expected = (nu - n + 1) * d * ((n - 2) * u_over_nu
                                                    - (n - 2) ** 3 * nu / d)
                     assert p_at_nu(n) == expected
 
@@ -252,7 +284,7 @@ class TestLemmaPolynomial:
         for omega in (4, 9, 15):
             n = F(2 * omega + 6)
             for row in spectral_family(omega):
-                u = row.u(n)
+                u = row.u_num(n) / row.u_den(n) * row.nu(n)
                 bound = (n - 2) ** 2 * row.nu(n) ** 2 / row.d(n)
                 assert u < bound
 
