@@ -322,33 +322,32 @@ class SqrtEnclosure:
     upper: Fraction
     radicand: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
+def isqrt_enclosure(p: int, q: int, grid: int) -> tuple[int, int, int]:
+    """Integer bounds lo/den <= sqrt(p/q) <= hi/den for p/q >= 0 in lowest
+    terms, q > 0 and grid >= 1.  A rational square gives lo = hi =
+    isqrt(p) over den = isqrt(q).  Otherwise den = grid, lo = s and
+    hi = s + 1 with s = isqrt(floor(p grid^2 / q)), so hi - lo = 1."""
+    if p < 0:
+        raise NegativeRadicand(f"negative radicand {p}/{q}")
+    pn, pd = math.isqrt(p), math.isqrt(q)
+    if pn * pn == p and pd * pd == q:
+        return pn, pn, pd
+    s = math.isqrt(p * grid * grid // q)
+    return s, s + 1, grid
 
 
 def sqrt_enclosure(x: RationalLike, width: RationalLike) -> SqrtEnclosure:
     """Rational bounds l <= sqrt(x) <= u on the grid of step 1/D,
-    D = ceil(1/width): l = s/D and u = (s+1)/D with s = isqrt(floor(x D^2)),
-    so u - l = 1/D <= width.  A rational square gives l = u = sqrt(x)."""
+    D = ceil(1/width), so u - l = 1/D <= width: isqrt_enclosure's bounds
+    as Fractions.  A rational square gives l = u = sqrt(x)."""
     x = _as_fraction(x)
     width = _as_fraction(width)
-    if x < 0:
-        raise NegativeRadicand(f"negative radicand {x}")
     if width <= 0:
         raise AlgebraError("width must be positive")
-    # exact square shortcut
-    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        r = Fraction(pn, pd)
-        return SqrtEnclosure(r, r, x)
     grid = -(-width.denominator // width.numerator)
-    s = math.isqrt(x.numerator * grid * grid // x.denominator)
-    return SqrtEnclosure(Fraction(s, grid), Fraction(s + 1, grid), x)
+    lo, hi, den = isqrt_enclosure(x.numerator, x.denominator, grid)
+    return SqrtEnclosure(Fraction(lo, den), Fraction(hi, den), x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,14 @@ intersection of the root intervals ]x_k, y_k[ of these trinomials, where
 That is the only case modelled here; prior work settles deg R-bar > omega.
 
 Two layers are provided.  certify_at decides a single (omega, n) cell
-exactly, in one pass: a candidate c is read off rational root enclosures
-of width 1e-30, then validated by a purely rational trinomial check;
-when the enclosures do not separate, emptiness is proved through exact
-sign decisions on the pairwise quantities
+exactly, in one pass, in plain integers: every root is m (m -/+
+sqrt(Delta_k)) / d_k with m = n - 2, sqrt(Delta_k) is enclosed on a grid
+of step 1e-30 by integer square roots, the bounds are compared by
+cross-multiplication, and a candidate c = p/q read off them is validated
+by the sign of each trinomial multiplied out to an integer; a Fraction is
+built only for a value a report shows.  When the enclosures do not
+separate, emptiness is proved through exact sign decisions on the
+pairwise quantities
 (n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j), and a cell
 neither step proves is "undecided".  The symbolic
 certificate covers all n >= 2 omega + 6 at once via the lower bound
@@ -27,7 +31,8 @@ positivity on the ray.  Scans over many cells run through hvcert.cli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,7 +41,7 @@ from .algebra import (
     Polynomial,
     RayPositivityWitness,
     SimplePoles,
-    SqrtEnclosure,
+    isqrt_enclosure,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -57,37 +62,66 @@ class InternalConsistencyError(AlgebraError):
 
 @dataclass(frozen=True)
 class RootPair:
-    """The two trinomial roots for one eigencomponent at fixed n.
+    """The two trinomial roots for one eigencomponent at integer n.
 
-    Roots are quadratic irrationals; each carries the exact data
-    (base = (n-2)^2/d_k, radical coefficient (n-2)/d_k, radicand Delta_k,
-    and u_k/nu_k^2 for the trinomial check) plus rational enclosures for
-    display and candidate selection.
+    With m = n - 2 the roots are the quadratic irrationals
+    x_k, y_k = m (m -/+ sqrt(Delta_k)) / d_k.  A pair holds integers only:
+    d_k, u_k/nu_k^2 = u2_num/u2_den and Delta_k = delta_num/delta_den in
+    lowest terms with positive denominators, and the enclosure
+    sqrt_lo/sqrt_den <= sqrt(Delta_k) <= sqrt_hi/sqrt_den.  The Fraction
+    views below are built on demand; certify_at reads the integers.
     """
 
     k: int
-    d_value: Fraction
-    u_over_nu2: Fraction
-    delta_value: Fraction
-    base: Fraction            # (n-2)^2 / d_k
-    radical_coeff: Fraction   # (n-2) / d_k
-    x_enclosure: SqrtEnclosure = field(repr=False)
+    n: int
+    d: int
+    u2_num: int
+    u2_den: int
+    delta_num: int
+    delta_den: int
+    sqrt_lo: int
+    sqrt_hi: int
+    sqrt_den: int
+
+    @property
+    def d_value(self) -> Fraction:
+        return Fraction(self.d)
+
+    @property
+    def u_over_nu2(self) -> Fraction:
+        return Fraction(self.u2_num, self.u2_den)
+
+    @property
+    def delta_value(self) -> Fraction:
+        return Fraction(self.delta_num, self.delta_den)
+
+    def _bound(self, sign: int, sqrt_num: int) -> Fraction:
+        m, den = self.n - 2, self.sqrt_den
+        return Fraction(m * (m * den + sign * sqrt_num), self.d * den)
 
     @property
     def x_lower(self) -> Fraction:
-        return self.base - self.radical_coeff * self.x_enclosure.upper
+        return self._bound(-1, self.sqrt_hi)
 
     @property
     def x_upper(self) -> Fraction:
-        return self.base - self.radical_coeff * self.x_enclosure.lower
+        return self._bound(-1, self.sqrt_lo)
 
     @property
     def y_lower(self) -> Fraction:
-        return self.base + self.radical_coeff * self.x_enclosure.lower
+        return self._bound(1, self.sqrt_lo)
 
     @property
     def y_upper(self) -> Fraction:
-        return self.base + self.radical_coeff * self.x_enclosure.upper
+        return self._bound(1, self.sqrt_hi)
+
+    def midpoints(self) -> tuple[Fraction, Fraction]:
+        """The midpoints of the enclosures of x_k and of y_k,
+        m (2 den m -/+ (lo + hi)) / (2 den d_k)."""
+        m, den = self.n - 2, self.sqrt_den
+        s, scale = self.sqrt_lo + self.sqrt_hi, 2 * den * self.d
+        return (Fraction(m * (2 * den * m - s), scale),
+                Fraction(m * (2 * den * m + s), scale))
 
 
 @dataclass(frozen=True)
@@ -148,48 +182,50 @@ class SymbolicCertificate:
 _WIDTH = Fraction(1, 10 ** 30)
 
 
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def roots_at(omega: int, n: int) -> list[RootPair]:
     """Exact root data for every eigencomponent at integer dimension n.
 
     d_k, u_k/nu_k^2 and Delta_k come from closed_forms at the integer n,
-    which gives integer numerators and denominators; only the values a
-    RootPair holds become Fractions, and the spectral family is never
-    built.  A d_k or Delta_k that is not positive, which check_lemma_poly
-    excludes on the ray, raises InternalConsistencyError.
+    which gives integer numerators and denominators, and sqrt(Delta_k) is
+    enclosed by isqrt_enclosure on the grid of step _WIDTH (read at each
+    call); the spectral family is never built and no Fraction is made.  A
+    d_k or Delta_k that is not positive, which check_lemma_poly excludes
+    on the ray, raises InternalConsistencyError.
     """
     if omega < 2:
         raise HypothesisViolated(f"omega={omega} below the certified range")
     if n < 2 * omega + 6:
         raise HypothesisViolated(
             f"n={n} violates n >= 2*omega+6 = {2 * omega + 6}")
+    grid = -(-_WIDTH.denominator // _WIDTH.numerator)
     pairs = []
     for k, row in enumerate(closed_forms(omega, n).rows, 1):
-        d_val = Fraction(row.d)
-        delta_val = Fraction(row.delta_num, row.delta_den)
-        if d_val <= 0 or delta_val <= 0:
+        delta_num, delta_den = _lowest(row.delta_num, row.delta_den)
+        if row.d <= 0 or delta_num <= 0:
             raise InternalConsistencyError(
                 f"d or Delta not positive at omega={omega}, n={n}, k={k}")
+        u2_num, u2_den = _lowest(row.u_num, row.u_den * row.nu)
         pairs.append(RootPair(
-            k=k,
-            d_value=d_val,
-            u_over_nu2=Fraction(row.u_num, row.u_den * row.nu),
-            delta_value=delta_val,
-            base=Fraction((n - 2) ** 2) / d_val,
-            radical_coeff=Fraction(n - 2) / d_val,
-            x_enclosure=sqrt_enclosure(delta_val, _WIDTH)))
+            k, n, row.d, u2_num, u2_den, delta_num, delta_den,
+            *isqrt_enclosure(delta_num, delta_den, grid)))
     return pairs
 
 
-def trinomial_value(row_d: Fraction, row_u_over_nu2: Fraction,
-                    n: int, c: Fraction) -> Fraction:
-    """d/(2(n-2)) c^2 - (n-2) c + (n-2) u/(2 nu^2), all exact."""
-    return (row_d / (2 * (n - 2)) * c * c - (n - 2) * c
-            + Fraction(n - 2) * row_u_over_nu2 / 2)
-
-
-def _candidate_valid(pairs: Sequence[RootPair], n: int, c: Fraction) -> bool:
-    return all(trinomial_value(p.d_value, p.u_over_nu2, n, c) < 0
-               for p in pairs)
+def scaled_trinomial(pair: RootPair, p: int, q: int) -> int:
+    """The trinomial d/(2m) c^2 - m c + m U/(2V) at c = p/q, with q > 0,
+    m = n - 2 and U/V = u_k/nu_k^2, multiplied by 2 m q^2 V > 0: the
+    integer d V p^2 - 2 m^2 V p q + m^2 U q^2, of the trinomial's sign."""
+    m2 = (pair.n - 2) ** 2
+    return (pair.u2_den * p * (pair.d * p - 2 * m2 * q)
+            + m2 * pair.u2_num * q * q)
 
 
 def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
@@ -209,34 +245,55 @@ def certify_at(omega: int, n: int) -> IntervalCertificate:
     The enclosures bound max_k x_k from above by `lower` and min_k y_k from
     below by `upper`.  When lower < upper, chosen_c is their midpoint
     (simplified to a modest denominator when that stays strictly between
-    them) and is validated once against every trinomial in exact rational
-    arithmetic: "certified".  Otherwise exact pairwise signs decide
-    emptiness: "empty".  Any other outcome (a candidate failing its check,
-    or a nonempty cell the enclosures cannot separate) is "undecided",
-    which fails closed.  No floating point enters the verdict.
+    them) and is validated once against every trinomial, each multiplied
+    out to an integer of its sign (scaled_trinomial): "certified".
+    Otherwise exact pairwise signs decide emptiness: "empty".  Any other
+    outcome (a candidate failing its check, or a nonempty cell the
+    enclosures cannot separate) is "undecided", which fails closed.  No
+    floating point enters the verdict.
     """
     pairs = tuple(roots_at(omega, n))
     chosen_c, status = None, "undecided"
-    lower = max(p.x_upper for p in pairs)
-    upper = min(p.y_lower for p in pairs)
-    if lower < upper:
+    # with m = n - 2 > 0 and den_k = d_k sqrt_den_k > 0, x_upper / m =
+    # (m sqrt_den - sqrt_lo) / den_k and y_lower / m = (m sqrt_den +
+    # sqrt_lo) / den_k: keep the largest and the smallest as integer pairs,
+    # compared by cross-multiplication, and the indices they come from
+    m = n - 2
+    lower_num = upper_num = None
+    for index, pair in enumerate(pairs):
+        den = pair.d * pair.sqrt_den
+        x = m * pair.sqrt_den - pair.sqrt_lo
+        y = m * pair.sqrt_den + pair.sqrt_lo
+        if lower_num is None or x * lower_den > lower_num * den:
+            lower_num, lower_den, j = x, den, index
+        if upper_num is None or y * upper_den < upper_num * den:
+            upper_num, upper_den, i = y, den, index
+    if lower_num * upper_den < upper_num * lower_den:
+        lower = Fraction(m * lower_num, lower_den)
+        upper = Fraction(m * upper_num, upper_den)
         candidate = (lower + upper) / 2
         simple = candidate.limit_denominator(10 ** 12)
         if lower < simple < upper:
             candidate = simple
-        if _candidate_valid(pairs, n, candidate):
+        p, q = candidate.numerator, candidate.denominator
+        if all(scaled_trinomial(pair, p, q) < 0 for pair in pairs):
             chosen_c, status = candidate, "certified"
-    elif not _exact_nonempty(pairs, n):
+    elif not _exact_nonempty(pairs, n, (i, j)):
         status = "empty"
     return IntervalCertificate(omega=omega, n=n, pairs=pairs,
                                chosen_c=chosen_c, status=status)
 
 
-def _exact_nonempty(pairs: Sequence[RootPair], n: int) -> bool:
-    """max_k x_k < min_k y_k decided via exact pairwise signs."""
+def _exact_nonempty(pairs: Sequence[RootPair], n: int,
+                    first: tuple[int, int]) -> bool:
+    """max_k x_k < min_k y_k decided via exact pairwise signs.  The pair
+    first = (i, j) whose enclosures overlapped, y_i against x_j, is decided
+    before the others: it is the one that proves a cell empty, and the
+    verdict does not depend on the order."""
     q = len(pairs)
+    order = [first] + [(i, j) for i in range(q) for j in range(q) if i != j]
     return all(_pair_sign(pairs, i, j, n) > 0   # y_i > x_j
-               for i in range(q) for j in range(q) if i != j)
+               for i, j in order)
 
 
 # ---------------------------------------------------------------------------

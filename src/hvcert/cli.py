@@ -115,10 +115,9 @@ def entry_from_certificate(cert: IntervalCertificate) -> dict:
     xs = []
     ys = []
     for pair in cert.pairs:
-        mid_x = ((pair.x_lower + pair.x_upper) / 2).limit_denominator(10 ** 40)
-        mid_y = ((pair.y_lower + pair.y_upper) / 2).limit_denominator(10 ** 40)
-        xs.append(rational_payload(mid_x))
-        ys.append(rational_payload(mid_y))
+        mid_x, mid_y = pair.midpoints()
+        xs.append(rational_payload(mid_x.limit_denominator(10 ** 40)))
+        ys.append(rational_payload(mid_y.limit_denominator(10 ** 40)))
     chosen = rational_payload(cert.chosen_c) if cert.chosen_c is not None else None
     return {"omega": cert.omega, "n": cert.n, "nonempty": cert.nonempty,
             "x": xs, "y": ys, "chosen_c": chosen, "status": cert.status}

@@ -29,7 +29,6 @@ from hvcert.certify import (
     dimension_cover_check,
     smallest_failing_n,
     symbolic_certificate,
-    trinomial_value,
 )
 from hvcert.integrals import (
     RadialProfile,
@@ -58,6 +57,12 @@ from hvcert.sphere import (
     qbc_quadrature,
     real_harmonic,
 )
+
+
+def trinomial_value(d, u_over_nu2, n, c):
+    """d/(2(n-2)) c^2 - (n-2) c + (n-2) u/(2 nu^2) in Fractions: the exact
+    reference for certify's integer trinomial check."""
+    return d / (2 * (n - 2)) * c * c - (n - 2) * c + F(n - 2) * u_over_nu2 / 2
 
 
 def poly(*ascending):

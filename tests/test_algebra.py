@@ -16,6 +16,7 @@ from hvcert.algebra import (
     NegativeRadicand,
     Polynomial,
     count_roots_on_ray,
+    isqrt_enclosure,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -257,6 +258,30 @@ class TestSqrtEnclosure:
                                    decimal.Decimal(x.denominator)))
         floor = int(ctx.scaleb(root, k).to_integral_value(decimal.ROUND_FLOOR))
         assert enc.lower == Fraction(floor, 10 ** k)
+
+    @given(st.one_of(
+               st.fractions(min_value=0, max_value=10 ** 6,
+                            max_denominator=10 ** 6),
+               st.fractions(min_value=0, max_value=10 ** 3,
+                            max_denominator=10 ** 3).map(lambda r: r * r)),
+           st.fractions(min_value=Fraction(1, 10 ** 40), max_value=2,
+                        max_denominator=10 ** 40))
+    @settings(max_examples=300, deadline=None)
+    def test_wrapper_is_integer_core(self, x, width):
+        # sqrt_enclosure is the Fraction view of isqrt_enclosure on the
+        # grid ceil(1/width); squares give lo == hi over isqrt(q)
+        grid = math.ceil(1 / width)
+        lo, hi, den = isqrt_enclosure(x.numerator, x.denominator, grid)
+        enc = sqrt_enclosure(x, width)
+        assert (enc.lower, enc.upper) == (Fraction(lo, den), Fraction(hi, den))
+        square = (math.isqrt(x.numerator) ** 2 == x.numerator
+                  and math.isqrt(x.denominator) ** 2 == x.denominator)
+        if square:
+            assert lo == hi and den == math.isqrt(x.denominator)
+            assert Fraction(lo, den) ** 2 == x
+        else:
+            assert (hi - lo, den) == (1, grid)
+            assert Fraction(lo, den) ** 2 < x < Fraction(hi, den) ** 2
 
 
 small_rationals = st.fractions(min_value=-100, max_value=100,

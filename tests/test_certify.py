@@ -6,20 +6,32 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvcert import certify
-from hvcert.algebra import Polynomial, nonnegative_on_ray
+from hvcert.algebra import Polynomial, nonnegative_on_ray, sqrt_enclosure
 from hvcert.certify import (
     InternalConsistencyError,
     certify_at,
     delta_partial_fraction,
     dimension_cover_check,
     roots_at,
+    scaled_trinomial,
     symbolic_certificate,
-    trinomial_value,
 )
 from hvcert.cli import main
 from hvcert.spectral import closed_forms, spectral_family
+
+
+def trinomial_value(d, u_over_nu2, n, c):
+    """d/(2(n-2)) c^2 - (n-2) c + (n-2) u/(2 nu^2) in Fractions: the exact
+    reference for certify's integer trinomial check."""
+    return d / (2 * (n - 2)) * c * c - (n - 2) * c + F(n - 2) * u_over_nu2 / 2
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
 
 
 def sample_dimensions(omega, count=6):
@@ -47,6 +59,65 @@ class TestRootPairs:
             assert trinomial_value(d, u_over_nu2, F(n), inside) < 0
             outside = pair.y_upper * 2 + 1
             assert trinomial_value(d, u_over_nu2, F(n), outside) > 0
+
+    def test_square_delta_encloses_exactly(self, monkeypatch):
+        # a row whose Delta is the square 9/4 (given as 18/8, not in lowest
+        # terms): the integer enclosure collapses to lo == hi over isqrt(q)
+        # and gives the bounds and midpoints sqrt_enclosure's do
+        forms = closed_forms(5, 20)
+        first = forms.rows[0]
+        square = forms._replace(rows=(
+            first._replace(delta_num=18, delta_den=8),) + forms.rows[1:])
+        monkeypatch.setattr(certify, "closed_forms", lambda omega, n: square)
+        pair = roots_at(5, 20)[0]
+        assert (pair.sqrt_lo, pair.sqrt_hi, pair.sqrt_den) == (3, 3, 2)
+        assert pair.delta_value == F(9, 4)
+        enc = sqrt_enclosure(F(9, 4), certify._WIDTH)
+        assert enc.lower == enc.upper == F(3, 2)
+        base, rc = F(18 ** 2, first.d), F(18, first.d)
+        assert pair.x_lower == pair.x_upper == base - rc * enc.lower
+        assert pair.y_lower == pair.y_upper == base + rc * enc.upper
+        assert pair.midpoints() == (base - rc * F(3, 2), base + rc * F(3, 2))
+
+
+class TestIntegerKernel:
+    @given(st.data(), st.integers(min_value=2, max_value=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_reference(self, data, omega):
+        # the reference is the polynomial family at Fraction(n) and
+        # sqrt_enclosure, never the integer rows roots_at reads
+        n = data.draw(st.integers(min_value=2 * omega + 6, max_value=5000))
+        nf, m = F(n), F(n - 2)
+        cert = certify_at(omega, n)
+        family = spectral_family(omega)
+        assert [pair.k for pair in cert.pairs] == [row.k for row in family]
+        for pair, row in zip(cert.pairs, family):
+            d = row.d(nf)
+            u_over_nu2 = row.u_num(nf) / (row.u_den(nf) * row.nu(nf))
+            enc = sqrt_enclosure(row.delta_num(nf) / row.delta_den(nf),
+                                 certify._WIDTH)
+            base, rc = m * m / d, m / d
+            x_lower, x_upper = base - rc * enc.upper, base - rc * enc.lower
+            y_lower, y_upper = base + rc * enc.lower, base + rc * enc.upper
+            assert (pair.x_lower, pair.x_upper) == (x_lower, x_upper)
+            assert (pair.y_lower, pair.y_upper) == (y_lower, y_upper)
+            assert pair.midpoints() == ((x_lower + x_upper) / 2,
+                                        (y_lower + y_upper) / 2)
+            # rationals inside ]x_upper, y_lower[, outside it on both
+            # sides, and anywhere in a window around the roots
+            t = data.draw(st.fractions(min_value=0, max_value=1,
+                                       max_denominator=10 ** 9))
+            span = y_upper - x_lower
+            cs = [x_upper + t * (y_lower - x_upper),
+                  x_lower - t * span - F(1, 10 ** 6),
+                  y_upper + t * span + F(1, 10 ** 6),
+                  x_lower - span + 3 * t * span]
+            for c in cs:
+                assert sign(scaled_trinomial(pair, c.numerator,
+                                             c.denominator)) == sign(
+                    trinomial_value(d, u_over_nu2, nf, c)), (omega, n, c)
+            if cert.chosen_c is not None:
+                assert trinomial_value(d, u_over_nu2, nf, cert.chosen_c) < 0
 
 
 class TestCertifyAt:
@@ -205,13 +276,51 @@ class TestOmegaSixteen:
     def test_one_trinomial_pass_per_certified_cell(self, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return trinomial_value(*args)
+        def counting(pair, p, q):
+            calls.append(pair.k)
+            return scaled_trinomial(pair, p, q)
 
-        monkeypatch.setattr(certify, "trinomial_value", counting)
+        monkeypatch.setattr(certify, "scaled_trinomial", counting)
         assert certify_at(16, 1858).status == "certified"
         assert len(calls) == len(spectral_family(16)) == 8
+        assert sorted(calls) == list(range(1, 9))
+
+    def test_rejected_trinomial_fails_closed(self, monkeypatch, capsys):
+        # a candidate that one k's check rejects is not certified, and the
+        # cell is left undecided rather than retried
+        def rejecting(pair, p, q):
+            return 1 if pair.k == 3 else scaled_trinomial(pair, p, q)
+
+        monkeypatch.setattr(certify, "scaled_trinomial", rejecting)
+        cert = certify_at(16, 1858)
+        assert cert.status == "undecided"
+        assert cert.chosen_c is None and not cert.nonempty
+        assert main(["certify", "--omega", "16", "--n", "1858",
+                     "--jobs", "1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["summary"]["undecided_cells"] == [[16, 1858]]
+
+    def test_overlapping_pair_decided_first(self, monkeypatch):
+        # at (16, 1859) the enclosures of y_1 and x_7 overlap; that pair is
+        # decided first and proves the cell empty by itself.  Over the
+        # band around the threshold the status still agrees with the
+        # signs of every pair, decided in any order
+        pair_sign = certify._pair_sign
+        calls = []
+
+        def counting(pairs, i, j, n):
+            calls.append((i, j))
+            return pair_sign(pairs, i, j, n)
+
+        monkeypatch.setattr(certify, "_pair_sign", counting)
+        assert certify_at(16, 1859).status == "empty"
+        assert calls == [(0, 6)]
+        for n in range(1853, 1865):
+            cert = certify_at(16, n)
+            q = len(cert.pairs)
+            nonempty = all(pair_sign(cert.pairs, i, j, n) > 0
+                           for i in range(q) for j in range(q) if i != j)
+            assert cert.status == ("certified" if nonempty else "empty"), n
 
     def test_loose_enclosures_fail_closed(self, monkeypatch, capsys):
         # the gap at (16, 1858) is 2e-10: enclosures of width 1/10 cannot
