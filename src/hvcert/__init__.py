@@ -2,10 +2,11 @@
 criterion arising in the Hebey-Vaugon conjecture.
 
 The package splits into exact machinery (algebra, spectral, certify), which
-never touches floating point when issuing a verdict, and numeric oracles
-(integrals, sphere), which cross-check the exact layer against quadrature
-and spherical-harmonic computations.  The cli module drives scans and emits
-deterministic reports.
+never touches floating point when issuing a verdict, and two oracles that
+check the identities the criterion rests on: integrals, by quadrature on
+math and mpmath, and sphere, which decides the S^2 tensor identities
+exactly on harmonic polynomials and runs a float annulus-curvature check.
+The cli module drives scans and emits deterministic reports.
 """
 
 __version__ = "0.1.0"

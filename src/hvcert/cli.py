@@ -254,6 +254,9 @@ def _scan_cells(config: RunConfig) -> tuple[list[dict], dict]:
     cells = [(omega, n)
              for omega in range(omega_lo, omega_hi + 1)
              for n in range(max(n_lo, 2 * omega + 6), n_hi + 1)]
+    if not cells:
+        raise UsageError(f"no requested cell has n >= 2*omega + 6 (omega "
+                         f"{omega_lo}..{omega_hi}, n {n_lo}..{n_hi})")
     certs = _evaluate_cells(cells, config.jobs)
     entries = [entry_from_certificate(c) for c in certs]
     empty = [[c.omega, c.n] for c in certs if c.status == "empty"]
@@ -387,16 +390,15 @@ def cmd_sphere_check(config: RunConfig) -> tuple[dict, int]:
     identities = {}
     ok = True
     for l in range(2, 6):
-        spec = sph.HarmonicSpec(l, min(l, 1))
+        spec = sph.HarmonicSpec(l, 1)
         trace = sph.b_trace_residual(spec)
         div = sph.b_divergence_residual(spec)
-        Q, B, C = sph.qbc_quadrature(spec)
-        Qc, Bc, Cc = sph.qbc_closed_forms(spec.nu, 3)
-        qbc_rel = max(abs(Q - Qc) / abs(Qc), abs(B - Bc) / max(abs(Bc), 1.0),
-                      abs(C - Cc) / abs(Cc))
+        qbc = sph.qbc_quadrature(spec)
+        closed = sph.qbc_closed_forms(Fraction(spec.nu), Fraction(3))
+        qbc_rel = max(abs(q - c) / max(abs(c), 1) for q, c in zip(qbc, closed))
         identities[f"l={l}"] = {"trace": float(trace), "divergence": float(div),
                                 "qbc_rel": float(qbc_rel)}
-        ok = ok and trace < 1e-10 and div < 1e-6 and qbc_rel < 1e-6
+        ok = ok and trace == 0 and div == 0 and qbc == closed
     annulus = sph.annulus_curvature_check()
     ratios = annulus.linear_residual_ratios
     annulus_ok = all(r < 0.2 for r in ratios)
@@ -404,7 +406,7 @@ def cmd_sphere_check(config: RunConfig) -> tuple[dict, int]:
     summary = {
         "identities": identities,
         "annulus": {
-            "bracket": float(annulus.bracket_quadrature),
+            "bracket": float(annulus.bracket),
             "q_part": float(annulus.q_part),
             "deviation_vs_bracket": {str(t): float(v) for t, v in
                                      annulus.max_relative_deviation.items()},

@@ -1,35 +1,47 @@
-"""Brute-force oracle on the round 2-sphere.
+"""Exact oracle on the round 2-sphere.
 
 The tensor identities behind the curvature expansion (trace and
 divergence of the b tensor, the Q/B/C mean-integrals, the I_S
 functional) are dimension-generic: their derivations use only
 Delta phi = nu phi, the constant-curvature relation
 R_lijm = s_lj s_im - s_lm s_ij and trace bookkeeping.  This module
-checks them on S^2 only, where spherical-harmonic quadrature is cheap and
-derivatives are available in closed form: every sampled function works
-in dimension parameter n = 3, where nu = l(l+1), and samples the one
-module-level quadrature grid GRID.  Only the closed forms
+decides them exactly on S^2 (n = 3, nu = l(l+1)).  Only the closed forms
 (qbc_closed_forms, u_coefficient_from_qbc, i_s_minimizer_reference) take
-n, because they are the dimension-generic formulas the quadratures are
+n, because they are the dimension-generic formulas the sphere means are
 compared with.
+
+Every function on S^2 is the restriction of a polynomial in x, y, z
+(sympy's sparse RING over QQ), and a tangential tensor is a mapping from
+ambient index tuples over range(3) to such polynomials.  With the
+tangential projector P = |x|^2 I - x x^T, which is I - x x^T on S^2 and
+kills x identically:
+
+* the harmonic of degree l is a homogeneous harmonic polynomial F
+  (real_harmonic), and the Gauss formula gives its spherical Hessian
+  P D^2F P - l F P;
+* the covariant derivative of a tangential tensor is its ambient
+  derivative with every slot projected by P;
+* the round metric s is P, and indices are raised with the Euclidean
+  metric, so a contraction is a sum over ambient indices;
+* the mean over S^2 of x^a y^b z^c is
+  (a-1)!! (b-1)!! (c-1)!! / (3 . 5 ... (a+b+c+1)) when a, b and c are
+  all even, and 0 otherwise (sphere_mean).
+
+So every mean is an exact Fraction.  A residual is the sphere mean of the
+square of an identity's defect, which is 0 exactly when the identity holds
+on S^2.
 
 The annulus check is not one of them: it is specific to 2-sphere slices.
 There Gauss-Bonnet makes the total intrinsic curvature of a slice
 topological, so the gradient terms B/2 - C/4 of the bracket
 B/2 - C/4 - (1 + omega/2)^2 Q drop out and the t^2 coefficient is the
-radial part -(1 + omega/2)^2 Q alone (see annulus_curvature_check).
+radial part -(1 + omega/2)^2 Q alone (see annulus_curvature_check).  Its
+metric lives in the polar coordinates (r, THETA, phi), built from the
+zonal b that zonal_b pulls back, and its THETA integral is a float
+Gauss-Legendre rule.
 
 Sign conventions: Delta = -div grad, so the harmonics satisfy
 s^{ij} nabla_ij phi = -nu phi with nu = l(l+1).
-
-Coordinates are colatitude THETA and longitude PHI with round metric
-s = diag(1, sin^2 theta).  The calculus is derived from that metric:
-christoffel(g, coords) gives the Christoffel symbols of a diagonal metric
-(the annulus check uses it too), and the gradient, Hessian, nabla b,
-both divergences and |nabla f|^2 are one covariant_derivative followed by
-contraction with s^{-1}.  The only nonzero symbols of s are
-Gamma^theta_{phi phi} = -sin theta cos theta and
-Gamma^phi_{theta phi} = Gamma^phi_{phi theta} = cot theta.
 """
 
 from __future__ import annotations
@@ -37,16 +49,23 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-import numpy as np
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from .integrals import i_s_coefficients
 
-THETA, PHI = sp.symbols("theta phi_c", real=True)
-_x = sp.Symbol("x")
+RING, X, Y, Z = ring("x,y,z", QQ)
+_AXES = (X, Y, Z)
+_R2 = X ** 2 + Y ** 2 + Z ** 2
+# P_ij = |x|^2 delta_ij - x_i x_j
+_P = {(i, j): (_R2 if i == j else RING.zero) - a * b
+      for i, a in enumerate(_AXES) for j, b in enumerate(_AXES)}
+THETA = sp.Symbol("theta")
 
 
 class ExcludedEigenvalue(ValueError):
@@ -58,91 +77,47 @@ class NonzeroMean(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature grid
+# Sphere means and harmonics
 # ---------------------------------------------------------------------------
-
-class SphereGrid:
-    """Gauss-Legendre nodes in cos(theta) crossed with uniform longitudes.
-
-    The grid has n_theta = 2 l_max + 2 Gauss-Legendre nodes and
-    n_phi = 4 l_max + 1 longitudes.  It is exact (to rounding) for
-    integrands of degree up to 2 n_theta - 1 = 4 l_max + 3 in cos(theta)
-    and n_phi - 1 = 4 l_max in the longitude, which covers products of up
-    to four harmonics of degree <= l_max.  l_max = 12 covers every degree
-    the oracle samples (up to 6) with room to spare.
-    """
-
-    l_max = 12
-
-    def __init__(self):
-        n_theta = 2 * self.l_max + 2
-        n_phi = 4 * self.l_max + 1
-        x, w = np.polynomial.legendre.leggauss(n_theta)
-        self.theta = np.arccos(x)
-        self.theta_weights = w
-        self.phi = 2 * math.pi * np.arange(n_phi) / n_phi
-        self.phi_weight = 2 * math.pi / n_phi
-        # broadcastable meshes: theta along axis 0, phi along axis 1
-        self.T = self.theta[:, None] + 0.0 * self.phi[None, :]
-        self.P = 0.0 * self.theta[:, None] + self.phi[None, :]
-        self._w2d = (self.theta_weights[:, None] * self.phi_weight
-                     * np.ones_like(self.phi)[None, :])
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral over S^2 with the round measure sin(theta) dtheta dphi.
-
-        The sin(theta) factor is absorbed by the Gauss-Legendre weights in
-        cos(theta); summation order is fixed for reproducibility.
-        """
-        return float(np.sum(values * self._w2d))
-
-    def mean(self, values: np.ndarray) -> float:
-        return self.integrate(values) / (4 * math.pi)
-
-    def sample(self, expr) -> np.ndarray:
-        return self.sample_many((expr,))[0]
-
-    def sample_many(self, exprs: tuple) -> tuple[np.ndarray, ...]:
-        """Values of each expression in (theta, phi_c) on the grid."""
-        out = _compiled(tuple(exprs))(self.T, self.P)
-        return tuple(np.broadcast_to(np.asarray(v, dtype=float),
-                                     self.T.shape).copy() for v in out)
-
-
-GRID = SphereGrid()
-
 
 @lru_cache(maxsize=None)
-def _compiled(exprs: tuple):
-    """One numpy function of (theta, phi_c) returning the list of exprs,
-    with common subexpressions evaluated once."""
-    return sp.lambdify((THETA, PHI), list(exprs), modules="numpy", cse=True)
+def _monomial_mean(exponents: tuple[int, ...]) -> Fraction:
+    if any(e % 2 for e in exponents):
+        return Fraction(0)
+    odd = math.prod(math.prod(range(e - 1, 0, -2)) for e in exponents)
+    return Fraction(odd, math.prod(range(3, sum(exponents) + 2, 2)))
 
 
-# ---------------------------------------------------------------------------
-# Harmonics
-# ---------------------------------------------------------------------------
+def sphere_mean(p) -> Fraction:
+    """Mean of the polynomial p over the unit sphere S^2."""
+    return sum((Fraction(int(c.numerator), int(c.denominator))
+                * _monomial_mean(m) for m, c in p.terms()), Fraction(0))
+
 
 @lru_cache(maxsize=None)
 def real_harmonic(l: int, m: int):
-    """Real spherical harmonic of degree l, order m, normalized so the
-    mean-integral of its square is 1 (i.e. sqrt(4 pi) times the usual
-    orthonormal real harmonic)."""
+    """Homogeneous harmonic polynomial of degree l that restricts on S^2 to
+    (-1)^a sin^a(theta) P_l^(a)(cos theta) {1, cos a phi, sin a phi}, with
+    a = |m| and the second factor chosen by the sign of m.
+
+    That is the real spherical harmonic of degree l, order m, with the
+    Condon-Shortley phase and without its irrational normalization: the
+    harmonic whose mean square is 1 is this one times
+    sqrt((2l+1)(l-a)!/(l+a)!), doubled under the root for m != 0.
+    """
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid harmonic (l={l}, m={m})")
-    # (-1)^a N sin^a(theta) P_l^(a)(cos theta) {1, cos a phi, sin a phi}
-    # with N^2 = (2l+1)(l-a)!/(l+a)!, doubled for m != 0; the sign is the
-    # Condon-Shortley phase of the complex harmonic Y_l^a
     a = abs(m)
-    legendre = sp.diff(sp.legendre(l, _x), _x, a).subs(_x, sp.cos(THETA))
-    norm2 = sp.Integer(2 * l + 1) * sp.factorial(l - a) / sp.factorial(l + a)
-    if m == 0:
-        angular = sp.Integer(1)
-    else:
-        norm2 *= 2
-        angular = sp.cos(a * PHI) if m > 0 else sp.sin(a * PHI)
-    return ((-1) ** a * sp.sqrt(norm2) * sp.sin(THETA) ** a * legendre
-            * angular)
+    # |x|^(l-a) P_l^(a)(z/|x|), from
+    # P_l(t) = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) t^(l-2k)
+    zonal = sum((QQ((-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l)
+                    * math.perm(l - 2 * k, a), 2 ** l)
+                 * Z ** (l - 2 * k - a) * _R2 ** k
+                 for k in range((l - a) // 2 + 1)), RING.zero)
+    # Re (x + iy)^a for m >= 0, Im (x + iy)^a for m < 0
+    angular = sum((math.comb(a, j) * (-1) ** (j // 2) * X ** (a - j) * Y ** j
+                   for j in range(0 if m >= 0 else 1, a + 1, 2)), RING.zero)
+    return (-1) ** a * zonal * angular
 
 
 @dataclass(frozen=True)
@@ -163,13 +138,175 @@ class HarmonicSpec:
         return self.l * (self.l + 1)
 
     @property
-    def expr(self):
+    def poly(self):
         return real_harmonic(self.l, self.m)
 
 
 # ---------------------------------------------------------------------------
-# Covariant calculus on the round S^2, derived from the metric
+# Tangential tensors: projected ambient calculus
 # ---------------------------------------------------------------------------
+
+def _tangential(T: Mapping) -> dict:
+    """T with every slot projected by P."""
+    for s in range(len(next(iter(T)))):
+        T = {I: sum((_P[I[s], a] * T[I[:s] + (a,) + I[s + 1:]]
+                     for a in range(3)), RING.zero) for I in T}
+    return T
+
+
+def covariant_derivative(T: Mapping) -> dict:
+    """nabla_k T_I of a tangential tensor {I: polynomial} ({(): f} for a
+    scalar): the ambient derivative d_k T_I with every slot projected.
+
+    For tangent vectors the ambient connection differs from the sphere's
+    by a normal term, which T annihilates because T is tangential."""
+    return _tangential({(k,) + I: T[I].diff(a)
+                        for k, a in enumerate(_AXES) for I in T})
+
+
+def _trace(T: Mapping, rest: tuple = ()):
+    """s^{ij} T_{ij rest}."""
+    return sum((T[(i, i) + rest] for i in range(3)), RING.zero)
+
+
+def _mean_square(*components) -> Fraction:
+    """Sphere mean of the sum of the squares of the components."""
+    return sphere_mean(sum((c ** 2 for c in components), RING.zero))
+
+
+def sphere_hessian(spec: HarmonicSpec) -> dict:
+    """nabla_ij phi = (P D^2F P)_ij - l F P_ij for the homogeneous F of
+    degree l (the Gauss formula, with x . DF = l F)."""
+    F = spec.poly
+    H = _tangential({(i, j): F.diff(a).diff(b) for i, a in enumerate(_AXES)
+                     for j, b in enumerate(_AXES)})
+    return {I: H[I] - spec.l * F * _P[I] for I in H}
+
+
+@lru_cache(maxsize=None)
+def b_tensor(spec: HarmonicSpec) -> MappingProxyType:
+    """b_ij = [2 nabla_ij phi + nu phi s_ij] / (nu - 2), the general
+    [(n-1) nabla_ij phi + nu phi s_ij] / ((n-2)(nu + 1 - n)) at n = 3.
+
+    Memoized per spec; the mapping is read-only because it is shared.
+    """
+    H = sphere_hessian(spec)
+    scale = QQ(1, spec.nu - 2)
+    return MappingProxyType({I: (2 * H[I] + spec.nu * spec.poly * _P[I])
+                             * scale for I in H})
+
+
+@lru_cache(maxsize=None)
+def b_derivative(spec: HarmonicSpec) -> MappingProxyType:
+    """nabla_k b_ij of b_tensor(spec), memoized and read-only."""
+    return MappingProxyType(covariant_derivative(b_tensor(spec)))
+
+
+def _b_divergence(spec: HarmonicSpec) -> dict:
+    """nabla^i b_ij as the tangential covector {(j,): polynomial}."""
+    T = b_derivative(spec)
+    return {(j,): _trace(T, (j,)) for j in range(3)}
+
+
+# ---------------------------------------------------------------------------
+# Identity checks: residuals are sphere means of squared defects
+# ---------------------------------------------------------------------------
+
+def laplacian_check(spec: HarmonicSpec) -> Fraction:
+    """Mean of (s^{ij} nabla_ij phi + nu phi)^2 (sign convention
+    Delta = -div grad makes the trace of the Hessian equal -nu phi)."""
+    return _mean_square(_trace(sphere_hessian(spec)) + spec.nu * spec.poly)
+
+
+def b_trace_residual(spec: HarmonicSpec) -> Fraction:
+    """Mean of (s^{ij} b_ij)^2."""
+    return _mean_square(_trace(b_tensor(spec)))
+
+
+def b_divergence_residual(spec: HarmonicSpec) -> Fraction:
+    """Mean of |nabla^i b_ij + nabla_j phi|^2."""
+    grad = covariant_derivative({(): spec.poly})
+    div = _b_divergence(spec)
+    return _mean_square(*(div[j] + grad[j] for j in div))
+
+
+def b_double_divergence_residual(spec: HarmonicSpec) -> Fraction:
+    """Mean of (nabla^{ij} b_ij - nu phi)^2: the double divergence
+    reproduces the leading curvature part coefficient nu phi."""
+    dd = _trace(covariant_derivative(_b_divergence(spec)))
+    return _mean_square(dd - spec.nu * spec.poly)
+
+
+def qbc_closed_forms(nu, n) -> tuple:
+    """(Q_b, B_b, C_b) for a single unit-normalized harmonic:
+
+    Q_b = (n-1)/(n-2) nu/(nu-n+1)
+    B_b = -(n-1) Q_b + nu
+    C_b = -(n-1) Q_b + (n-1)/(n-2) nu
+
+    Exact for Fraction nu and n, floats otherwise.
+    """
+    if nu == n - 1:
+        raise ExcludedEigenvalue(f"nu = n - 1 = {nu} is excluded")
+    Q = (n - 1) / (n - 2) * nu / (nu - n + 1)
+    B = -(n - 1) * Q + nu
+    C = -(n - 1) * Q + (n - 1) / (n - 2) * nu
+    return Q, B, C
+
+
+def qbc_quadrature(spec: HarmonicSpec) -> tuple[Fraction, Fraction, Fraction]:
+    """(Q, B, C) from their defining mean-integrals, for the harmonic
+    scaled to mean square 1:
+
+    Q = mean int b_ij b^ij
+    B = mean int nabla^i b^jk nabla_j b_ik
+    C = mean int nabla^k b^ij nabla_k b_ij
+    """
+    b, T = b_tensor(spec), b_derivative(spec)
+    norm = sphere_mean(spec.poly ** 2)
+    sums = (sum((b[I] ** 2 for I in b), RING.zero),
+            sum((T[k, i, j] * T[i, k, j] for k, i, j in T), RING.zero),
+            sum((T[I] ** 2 for I in T), RING.zero))
+    return tuple(sphere_mean(s) / norm for s in sums)
+
+
+def u_coefficient_from_qbc(nu: float, n: int, omega: int) -> float:
+    """B_b/2 - C_b/4 - (1 + omega/2)^2 Q_b, the quadrature route to u_k."""
+    Q, B, C = qbc_closed_forms(nu, n)
+    return B / 2 - C / 4 - (1 + omega / 2) ** 2 * Q
+
+
+def i_s_functional(f, rbar, omega: int) -> Fraction:
+    """mean int [c_h1 |nabla f|^2 + c_l2 f^2 + c_rbar f rbar] at n = 3, for
+    polynomials f (mean-free) and rbar, with (c_h1, c_l2, c_rbar) the
+    multipliers of integrals.i_s_coefficients."""
+    mean = sphere_mean(f)
+    if mean:
+        raise NonzeroMean(f"mean of f is {mean}")
+    c_h1, c_l2, c_rbar = i_s_coefficients(3, omega)
+    grad = covariant_derivative({(): f})
+    return sphere_mean(c_h1 * sum((g ** 2 for g in grad.values()), RING.zero)
+                       + c_l2 * f ** 2 + c_rbar * f * rbar)
+
+
+def i_s_minimizer_reference(nu, n, d_value):
+    """-(n-2)^4 nu^2 / d_k, the value of I_S at f = c_k nu phi for the
+    harmonic phi of mean square 1."""
+    return -(n - 2) ** 4 * nu * nu / d_value
+
+
+# ---------------------------------------------------------------------------
+# Annulus scalar-curvature check
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AnnulusReport:
+    bracket: Fraction                 # B/2 - C/4 - (1 + omega/2)^2 Q
+    q_part: Fraction                  # -(1 + omega/2)^2 Q, the radial-term coefficient
+    max_relative_deviation: dict      # t -> max over r of |mean R/(t^2 r^{2w+2}) - bracket|/|bracket|
+    linear_residual_ratios: tuple[float, ...]  # successive deviation ratios
+    max_q_part_deviation: dict        # t -> max over r of the same deviation measured against q_part
+
 
 def christoffel(g, coords) -> list:
     """Gamma[a][b][c] = Gamma^a_{bc} of the diagonal metric diag(g) in the
@@ -192,206 +329,26 @@ def christoffel(g, coords) -> list:
     return [[[symbol(a, b, c) for c in dim] for b in dim] for a in dim]
 
 
-# Tensors on S^2 are mappings from index strings over _IDX to components;
-# _S is the round metric, _INV its inverse, _GAMMA[l + k + i] = Gamma^l_{ki}.
-_IDX = "tp"
-_S = {"tt": sp.Integer(1), "tp": sp.Integer(0), "pt": sp.Integer(0),
-      "pp": sp.sin(THETA) ** 2}
-_INV = {i: 1 / _S[i + i] for i in _IDX}
-_GAMMA = {l + k + i: gamma
-          for l, plane in zip(_IDX, christoffel((_S["tt"], _S["pp"]),
-                                                (THETA, PHI)))
-          for k, row in zip(_IDX, plane) for i, gamma in zip(_IDX, row)}
-
-
-def covariant_derivative(T: Mapping) -> dict:
-    """nabla_k T_I of a covariant tensor given by every component {I: expr},
-    I running over the index strings of one length over "tp" ("" for a
-    scalar); returns {k + I: expr}:
-
-    nabla_k T_{i_1..i_r} = d_k T_{i_1..i_r}
-                           - sum_s Gamma^l_{k i_s} T_{i_1..l..i_r}
-    """
-    out = {}
-    for k, x_k in zip(_IDX, (THETA, PHI)):
-        for I, component in T.items():
-            value = sp.diff(component, x_k)
-            for s, i in enumerate(I):
-                for l in _IDX:
-                    value -= _GAMMA[l + k + i] * T[I[:s] + l + I[s + 1:]]
-            out[k + I] = value
-    return out
-
-
-def _trace(T: Mapping, inv: Mapping, rest: str = ""):
-    """s^{ij} T_{ij rest}, contracting the first two indices with the
-    inverse metric inv (symbolic or sampled)."""
-    return sum(inv[i] * T[i + i + rest] for i in _IDX)
-
-
-def _contract(A: Mapping, B: Mapping, inv: Mapping):
-    """A_I B^I, every index raised with the inverse metric inv."""
-    return sum(math.prod(inv[i] for i in I) * A[I] * B[I] for I in A)
-
-
-def gradient_exprs(f) -> tuple:
-    """Covector components (nabla_t f, nabla_p f)."""
-    return tuple(covariant_derivative({"": f}).values())
-
-
-def grad_norm2_expr(f):
-    """|nabla f|^2 = s^{ij} nabla_i f nabla_j f."""
-    grad = covariant_derivative({"": f})
-    return _contract(grad, grad, _INV)
-
-
-def covariant_hessian_exprs(f) -> dict:
-    """nabla_ij f = nabla_i (nabla f)_j on the round sphere, as symbolic
-    components {tt, tp, pt, pp}."""
-    return covariant_derivative(covariant_derivative({"": f}))
-
-
-def divergence_exprs(spec: HarmonicSpec) -> tuple:
-    """(nabla^i b_it, nabla^i b_ip) of b_tensor_exprs(spec)."""
-    T = b_derivative_exprs(spec)
-    return tuple(_trace(T, _INV, j) for j in _IDX)
-
-
-def covector_divergence_expr(v: tuple):
-    """nabla^j v_j for a covector (v_t, v_p)."""
-    return _trace(covariant_derivative(dict(zip(_IDX, v))), _INV)
-
-
 @lru_cache(maxsize=None)
-def b_tensor_exprs(spec: HarmonicSpec) -> MappingProxyType:
-    """b_ij = [2 nabla_ij phi + nu phi s_ij] / (nu - 2), the general
-    [(n-1) nabla_ij phi + nu phi s_ij] / ((n-2)(nu + 1 - n)) at n = 3.
+def zonal_b(l: int) -> tuple:
+    """(b_tt, b_pp) of the zonal (m = 0) harmonic of degree l, scaled to
+    mean square 1, in the polar coordinates (THETA, phi).
 
-    Memoized per spec; the mapping is read-only because it is shared.
+    They are sqrt(2l+1) times the ambient b pulled back at phi = 0, where the point is
+    (sin, 0, cos), e_theta = (cos, 0, -sin) and e_phi = (0, sin, 0).  A
+    zonal b is invariant under rotations about the z axis, so these are
+    its components at every phi, and it is even under y -> -y, so b_tp
+    vanishes.  On that circle x^2 = 1 - z^2; b_tt and b_pp / x^2 are even
+    in x, so reducing by x^2 + z^2 - 1 leaves polynomials in cos THETA.
     """
-    nu = spec.nu
-    f = spec.expr
-    H = covariant_hessian_exprs(f)
-    denom = sp.Integer(nu - 2)
-    return MappingProxyType({I: (2 * H[I] + nu * f * _S[I]) / denom
-                             for I in H})
-
-
-@lru_cache(maxsize=None)
-def b_derivative_exprs(spec: HarmonicSpec) -> MappingProxyType:
-    """nabla_k b_ij of b_tensor_exprs(spec), memoized and read-only."""
-    return MappingProxyType(covariant_derivative(b_tensor_exprs(spec)))
-
-
-def _sample(exprs: Mapping) -> dict:
-    """{key: values on GRID} of a mapping of expressions."""
-    return dict(zip(exprs, GRID.sample_many(tuple(exprs.values()))))
-
-
-# ---------------------------------------------------------------------------
-# Identity checks
-# ---------------------------------------------------------------------------
-
-def laplacian_check(spec: HarmonicSpec) -> float:
-    """Max |s^{ij} nabla_ij phi + nu phi| over the grid (sign convention
-    Delta = -div grad makes the trace of the Hessian equal -nu phi)."""
-    H = _sample(covariant_hessian_exprs(spec.expr))
-    resid = _trace(H, _sample(_INV)) + spec.nu * GRID.sample(spec.expr)
-    return float(np.max(np.abs(resid)))
-
-
-def b_trace_residual(spec: HarmonicSpec) -> float:
-    """Max |s^{ij} b_ij| over the grid."""
-    b = _sample(b_tensor_exprs(spec))
-    return float(np.max(np.abs(_trace(b, _sample(_INV)))))
-
-
-def b_divergence_residual(spec: HarmonicSpec) -> float:
-    """Max |nabla^i b_ij + nabla_j phi| over the grid, both components."""
-    div_t, div_p = divergence_exprs(spec)
-    gt, gp = gradient_exprs(spec.expr)
-    rt, rp = GRID.sample_many((sp.expand(div_t + gt), sp.expand(div_p + gp)))
-    return float(max(np.max(np.abs(rt)), np.max(np.abs(rp))))
-
-
-def b_double_divergence_residual(spec: HarmonicSpec) -> float:
-    """Max |nabla^{ij} b_ij - nu phi|: the double divergence reproduces the
-    leading curvature part coefficient nu phi."""
-    dd = covector_divergence_expr(divergence_exprs(spec))
-    resid = GRID.sample(sp.expand(dd - spec.nu * spec.expr))
-    return float(np.max(np.abs(resid)))
-
-
-def qbc_closed_forms(nu: float, n: int) -> tuple[float, float, float]:
-    """(Q_b, B_b, C_b) for a single unit-normalized harmonic:
-
-    Q_b = (n-1)/(n-2) nu/(nu-n+1)
-    B_b = -(n-1) Q_b + nu
-    C_b = -(n-1) Q_b + (n-1)/(n-2) nu
-    """
-    if nu == n - 1:
-        raise ExcludedEigenvalue(f"nu = n - 1 = {nu} is excluded")
-    Q = (n - 1) / (n - 2) * nu / (nu - n + 1)
-    B = -(n - 1) * Q + nu
-    C = -(n - 1) * Q + (n - 1) / (n - 2) * nu
-    return Q, B, C
-
-
-def qbc_quadrature(spec: HarmonicSpec) -> tuple[float, float, float]:
-    """(Q, B, C) from their defining mean-integrals:
-
-    Q = mean int b_ij b^ij
-    B = mean int nabla^i b^jk nabla_j b_ik
-    C = mean int nabla^k b^ij nabla_k b_ij
-    """
-    inv = _sample(_INV)
-    b = _sample(b_tensor_exprs(spec))
-    T = _sample(b_derivative_exprs(spec))
-    T_swapped = {I: T[I[1] + I[0] + I[2:]] for I in T}   # nabla_j b_ik
-    return (GRID.mean(_contract(b, b, inv)),
-            GRID.mean(_contract(T, T_swapped, inv)),
-            GRID.mean(_contract(T, T, inv)))
-
-
-def u_coefficient_from_qbc(nu: float, n: int, omega: int) -> float:
-    """B_b/2 - C_b/4 - (1 + omega/2)^2 Q_b, the quadrature route to u_k."""
-    Q, B, C = qbc_closed_forms(nu, n)
-    return B / 2 - C / 4 - (1 + omega / 2) ** 2 * Q
-
-
-def i_s_functional(f, rbar, omega: int) -> float:
-    """mean int [c_h1 |nabla f|^2 + c_l2 f^2 + c_rbar f rbar] at n = 3, for
-    sympy expressions f (mean-free) and rbar, with (c_h1, c_l2, c_rbar)
-    the multipliers of integrals.i_s_coefficients."""
-    values = GRID.sample(f)
-    mean = GRID.mean(values)
-    if abs(mean) > 1e-10:
-        raise NonzeroMean(f"mean of f is {mean:.3e}")
-    c_h1, c_l2, c_rbar = i_s_coefficients(3, omega)
-    integrand = (c_h1 * GRID.sample(grad_norm2_expr(f))
-                 + c_l2 * values ** 2
-                 + c_rbar * values * GRID.sample(rbar))
-    return GRID.mean(integrand)
-
-
-def i_s_minimizer_reference(nu: float, n: int, omega: int,
-                            d_value: float) -> float:
-    """-(n-2)^4 nu^2 / d_k, the value of I_S at f = c_k nu phi."""
-    return -(n - 2) ** 4 * nu * nu / d_value
-
-
-# ---------------------------------------------------------------------------
-# Annulus scalar-curvature check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnnulusReport:
-    bracket_quadrature: float
-    bracket_closed_form: float
-    q_part: float                     # -(1 + omega/2)^2 Q, the radial-term coefficient
-    max_relative_deviation: dict      # t -> max over r of |mean R/(t^2 r^{2w+2}) - bracket|/|bracket|
-    linear_residual_ratios: tuple[float, ...]  # successive deviation ratios
-    max_q_part_deviation: dict        # t -> max over r of the same deviation measured against q_part
+    b = b_tensor(HarmonicSpec(l, 0))
+    circle = X ** 2 + Z ** 2 - 1
+    tt = Z ** 2 * b[0, 0] - 2 * X * Z * b[0, 2] + X ** 2 * b[2, 2]
+    on_circle = {RING.symbols[2]: sp.cos(THETA)}
+    b_tt, b_yy = (p.subs(Y, 0).rem(circle).as_expr().xreplace(on_circle)
+                  for p in (tt, b[1, 1]))
+    unit = sp.sqrt(2 * l + 1)
+    return unit * b_tt, unit * sp.sin(THETA) ** 2 * b_yy
 
 
 @lru_cache(maxsize=None)
@@ -402,17 +359,16 @@ def _annulus_curvature_lambdified(l: int, omega: int):
     The metric is diagonal because the zonal b has no theta-phi component.
     Also returns the area element factor sqrt(g_tt g_pp)/sin(theta).
     """
-    t_s, r_s = sp.symbols("t r", positive=True)
-    spec = HarmonicSpec(l, 0)
-    b = b_tensor_exprs(spec)
-    # bhat_ij = (1/2) b_i^k b_kj ; diagonal case
-    bhat_tt = sp.Rational(1, 2) * b["tt"] ** 2
-    bhat_pp = sp.Rational(1, 2) * b["pp"] ** 2 * _INV["p"]
+    t_s, r_s, phi_s = sp.symbols("t r phi", positive=True)
+    b_tt, b_pp = zonal_b(l)
+    sin2 = sp.sin(THETA) ** 2
     scale = t_s * r_s ** (omega + 2)
-    g_tt = r_s ** 2 * (1 + scale * b["tt"] + scale ** 2 * bhat_tt)
-    g_pp = r_s ** 2 * (_S["pp"] + scale * b["pp"] + scale ** 2 * bhat_pp)
+    # bhat_ij = (1/2) b_i^k b_kj ; diagonal case
+    g_tt = r_s ** 2 * (1 + scale * b_tt + scale ** 2 * b_tt ** 2 / 2)
+    g_pp = r_s ** 2 * (sin2 + scale * b_pp + scale ** 2 * b_pp ** 2
+                       / (2 * sin2))
 
-    coords = (r_s, THETA, PHI)
+    coords = (r_s, THETA, phi_s)
     g = [sp.Integer(1), g_tt, g_pp]       # diagonal entries, phi-independent
     Gamma = christoffel(g, coords)
     R_scalar = sp.Integer(0)
@@ -427,20 +383,52 @@ def _annulus_curvature_lambdified(l: int, omega: int):
                 ric -= Gamma[a][c][dd] * Gamma[dd][bq][a]
         R_scalar += ric / g[bq]
     area_factor = sp.sqrt(g_tt * g_pp) / sp.sin(THETA)
-    f_R = sp.lambdify((t_s, r_s, THETA), R_scalar, modules="numpy", cse=True)
-    f_area = sp.lambdify((t_s, r_s, THETA), area_factor, modules="numpy",
-                         cse=True)
-    return f_R, f_area
+    return tuple(sp.lambdify((t_s, r_s, THETA), f, modules="math", cse=True)
+                 for f in (R_scalar, area_factor))
+
+
+# Gauss-Legendre nodes in cos(THETA); the slice integrands are smooth, and
+# at 26 nodes the rule's error is far below the rounding of R at t = 1e-4
+_NODES = 26
+
+
+def _legendre(u: float) -> tuple[float, float]:
+    """P_NODES(u) and its derivative, by the three-term recurrence."""
+    p0, p1 = 1.0, u
+    for k in range(2, _NODES + 1):
+        p0, p1 = p1, ((2 * k - 1) * u * p1 - (k - 1) * p0) / k
+    return p1, _NODES * (u * p1 - p0) / (u * u - 1)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the Gauss-Legendre rule on [-1, 1]: Newton's
+    method on P_NODES from Tricomi's first guesses, which converges
+    quadratically and reaches rounding within six steps."""
+    rule = []
+    for i in range(_NODES):
+        u = math.cos(math.pi * (i + 0.75) / (_NODES + 0.5))
+        for _ in range(6):
+            p, dp = _legendre(u)
+            u -= p / dp
+        _, dp = _legendre(u)
+        rule.append((u, 2 / ((1 - u * u) * dp * dp)))
+    return tuple(rule)
 
 
 def annulus_mean_curvature(l: int, omega: int, t: float, r: float) -> float:
     """Mean-integral of the scalar curvature over the sphere of radius r
-    in the perturbed cone metric (t = 0 gives flat space, mean 0)."""
+    in the perturbed cone metric (t = 0 gives flat space, mean 0).
+
+    The THETA integral runs in cos(THETA) on the Gauss-Legendre rule,
+    whose weights absorb the sin(THETA) of the round measure."""
     f_R, f_area = _annulus_curvature_lambdified(l, omega)
-    R_vals = np.asarray(f_R(t, r, GRID.theta), dtype=float)
-    area_vals = np.asarray(f_area(t, r, GRID.theta), dtype=float)
-    num = float(np.sum(R_vals * area_vals * GRID.theta_weights))
-    den = float(np.sum(area_vals * GRID.theta_weights))
+    num = den = 0.0
+    for u, w in _gauss_legendre():
+        theta = math.acos(u)
+        area = w * f_area(t, r, theta)
+        num += f_R(t, r, theta) * area
+        den += area
     return num / den
 
 
@@ -459,22 +447,20 @@ def annulus_curvature_check(omega: int = 2, l: int = 2,
     from the full bracket converges to |B/2 - C/4| / |bracket| (which equals
     (Q/2) / |bracket| here, since B/2 - C/4 = -Q/2 in this dimension)
     instead of shrinking with t.  The report therefore records the deviation
-    against both references.
+    against both references.  Q, B and C are the closed forms, which
+    qbc_quadrature matches exactly.
 
     The q_part deviation shrinks as O(t^2): for omega = 2, l = 2 it is
     1.72e-3 at t = 1e-2 and 1.72e-5 at t = 1e-3.  At t = 1e-4 rounding
     dominates.  R is O(t) pointwise but its mean is O(t^2) (about -12 t^2),
-    so the mean loses digits to cancellation and the deviation reads
-    4.4e-7 rather than the 1.7e-7 of the trend.  That floor depends on how
-    the evaluation of R is associated: without common-subexpression
-    elimination it reads 7.3e-7.
+    so the float mean loses digits to cancellation and the deviation reads
+    a few 1e-7 rather than the 1.7e-7 of the trend; the digit depends on
+    how the evaluation of R is associated.
     """
-    spec = HarmonicSpec(l, 0)
-    Q, B, C = qbc_quadrature(spec)
-    bracket = B / 2 - C / 4 - (1 + omega / 2) ** 2 * Q
-    q_part = -((1 + omega / 2) ** 2) * Q
-    Qc, Bc, Cc = qbc_closed_forms(spec.nu, 3)
-    bracket_closed = Bc / 2 - Cc / 4 - (1 + omega / 2) ** 2 * Qc
+    Q, B, C = qbc_closed_forms(Fraction(l * (l + 1)), Fraction(3))
+    q_part = -(1 + Fraction(omega, 2)) ** 2 * Q
+    bracket = B / 2 - C / 4 + q_part
+    bracket_f, q_part_f = float(bracket), float(q_part)
 
     max_dev = {}
     max_dev_q = {}
@@ -484,15 +470,14 @@ def annulus_curvature_check(omega: int = 2, l: int = 2,
         for r in r_values:
             mean_R = annulus_mean_curvature(l, omega, t, r)
             scale = t * t * r ** (2 * omega + 2)
-            devs.append(abs(mean_R - bracket * scale) / abs(bracket * scale))
-            devs_q.append(abs(mean_R - q_part * scale) / abs(q_part * scale))
+            devs.append(abs(mean_R - bracket_f * scale) / abs(bracket_f * scale))
+            devs_q.append(abs(mean_R - q_part_f * scale)
+                          / abs(q_part_f * scale))
         max_dev[t] = max(devs)
         max_dev_q[t] = max(devs_q)
     ts = sorted(t_values, reverse=True)
     ratios = tuple(max_dev_q[b] / max_dev_q[a] for a, b in zip(ts, ts[1:]))
-    return AnnulusReport(bracket_quadrature=bracket,
-                         bracket_closed_form=bracket_closed,
-                         q_part=q_part,
+    return AnnulusReport(bracket=bracket, q_part=q_part,
                          max_relative_deviation=max_dev,
                          linear_residual_ratios=ratios,
                          max_q_part_deviation=max_dev_q)

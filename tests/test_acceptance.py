@@ -56,6 +56,7 @@ from hvcert.sphere import (
     qbc_closed_forms,
     qbc_quadrature,
     real_harmonic,
+    sphere_mean,
 )
 
 
@@ -272,22 +273,19 @@ def test_criterion_09_sphere_identities():
     ok = True
     for l in range(2, 6):
         spec = HarmonicSpec(l, 1)
-        ok &= b_trace_residual(spec) <= 1e-10
-        ok &= b_divergence_residual(spec) <= 1e-6
-        Q, B, C = qbc_quadrature(spec)
-        Qc, Bc, Cc = qbc_closed_forms(spec.nu, 3)
-        ok &= abs(Q - Qc) <= 1e-6 * abs(Qc)
-        ok &= abs(B - Bc) <= 1e-6 * max(abs(Bc), 1.0)
-        ok &= abs(C - Cc) <= 1e-6 * abs(Cc)
+        ok &= b_trace_residual(spec) == 0
+        ok &= b_divergence_residual(spec) == 0
+        ok &= qbc_quadrature(spec) == qbc_closed_forms(F(spec.nu), F(3))
     n, omega, l = 3, 2, 2
     nu = l * (l + 1)
-    d = float(spectral_row(omega, 1).d(F(n)))
+    d = spectral_row(omega, 1).d(F(n))
     c = (n - 2) ** 2 / d
     phi = real_harmonic(l, 0)
     value = i_s_functional(c * nu * phi, nu * phi, omega)
-    ref = i_s_minimizer_reference(nu, n, omega, d)
-    ok &= abs(value - ref) <= 1e-8 * abs(ref)
-    report(9, ok, "b-tensor, Q/B/C, and minimizer identities verified")
+    ref = i_s_minimizer_reference(nu, n, d)
+    # the reference is for a harmonic of mean square 1
+    ok &= value == ref * sphere_mean(phi ** 2)
+    report(9, ok, "b-tensor, Q/B/C, and minimizer identities hold exactly")
     assert ok
 
 

@@ -131,10 +131,13 @@ class TestExitCodes:
          "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
         ["certify", "--omega", "16", "--n", "1859..1860",
          "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
+        ["certify", "--omega", "16", "--n", "10..20"],
+        ["scan", "--omega", "5..6", "--n", "10..15"],
     ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1",
             "unknown-option", "missing-required-option", "coeffs-csv",
             "symbolic-with-n", "symbolic-with-mu-branch", "empty-omega",
-            "scan-with-mu-branch", "certify-with-mu-branch"])
+            "scan-with-mu-branch", "certify-with-mu-branch",
+            "certify-below-ray", "scan-below-ray"])
     def test_out_of_range_input_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -293,8 +296,14 @@ class TestFormats:
              e["chosen_c"]["exact"], e["status"]]
             for e in entries]
 
-    def test_empty_report_is_valid_json(self, capsys):
-        assert main(["scan", "--omega", "5", "--n", "1..10"]) == 0
+    def test_empty_report_is_valid_json(self, tmp_path, capsys):
+        # a saved report without cell entries re-emits as valid JSON; a
+        # scan whose range holds no cell on the ray is a usage error
+        # (TestExitCodes, "scan-below-ray")
+        saved = tmp_path / "empty.json"
+        saved.write_text(json.dumps({"tool_version": "0.1.0", "entries": [],
+                                     "summary": {"mode": "scan"}}))
+        assert main(["report", "--input", str(saved)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["entries"] == []
 
@@ -431,7 +440,7 @@ class TestOracleCommands:
 
     def test_sphere_check_ok_and_repeatable(self, tmp_path):
         # the second run in this process reuses the memoized harmonics,
-        # b tensors and compiled samplers of the first
+        # b tensors and compiled annulus curvature of the first
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["sphere-check", "--output", str(a)]) == 0
         assert main(["sphere-check", "--output", str(b)]) == 0

@@ -303,13 +303,18 @@ class TestExpansionBracket:
 
 
 class TestImports:
-    """The integral oracle runs on math and mpmath alone."""
+    """The oracles run without numpy or scipy: the integral oracle on math
+    and mpmath, the sphere oracle on sympy and math."""
 
     @pytest.mark.parametrize("code", [
         "import hvcert.integrals",
         "from hvcert.cli import main; "
         "assert main(['integrals', '--seed', '1', '--output', sys.argv[1]]) == 0",
-    ], ids=["import", "integrals-command"])
+        "import hvcert.sphere",
+        "from hvcert.cli import main; "
+        "assert main(['sphere-check', '--output', sys.argv[1]]) == 0",
+    ], ids=["import", "integrals-command", "sphere-import",
+            "sphere-check-command"])
     def test_no_scipy_or_numpy(self, tmp_path, code):
         src = str(Path(integrals.__file__).resolve().parents[1])
         env = dict(os.environ)

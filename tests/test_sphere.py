@@ -1,27 +1,30 @@
-"""Sphere oracle: harmonics, covariant calculus, the b tensor, the
-Q/B/C statistics, the I_S functional, and the annulus curvature check."""
+"""Sphere oracle: harmonics, the projected covariant calculus, the b
+tensor, the Q/B/C statistics, the I_S functional, and the annulus curvature
+check.  Every identity on S^2 is decided exactly, as an equality of
+Fractions."""
 
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy as sp
 
 from hvcert.spectral import spectral_family
 from hvcert.sphere import (
-    PHI,
+    RING,
     THETA,
+    X,
+    Y,
+    Z,
     ExcludedEigenvalue,
     HarmonicSpec,
     NonzeroMean,
-    SphereGrid,
     annulus_curvature_check,
     annulus_mean_curvature,
+    b_derivative,
     b_divergence_residual,
-    b_derivative_exprs,
     b_double_divergence_residual,
-    b_tensor_exprs,
+    b_tensor,
     b_trace_residual,
     christoffel,
     i_s_functional,
@@ -30,40 +33,67 @@ from hvcert.sphere import (
     qbc_closed_forms,
     qbc_quadrature,
     real_harmonic,
+    sphere_hessian,
+    sphere_mean,
     u_coefficient_from_qbc,
+    zonal_b,
 )
 
+# polar angles for the textbook harmonics; real, so that re and im of
+# exp(i phi) simplify
+POLAR = sp.symbols("theta phi", real=True)
 
-@pytest.fixture(scope="module")
-def grid():
-    return SphereGrid()
+
+def unit_square(l, m):
+    """(2l+1)(l-|m|)!/(l+|m|)!, doubled for m != 0: the reciprocal of the
+    mean square of real_harmonic(l, m)."""
+    a = abs(m)
+    return Fraction((2 * l + 1) * math.factorial(l - a) * (2 if m else 1),
+                    math.factorial(l + a))
+
+
+def on_sphere(p, cos_t, sin_t, cos_p, sin_p):
+    """The polynomial p at the point with these polar cosines and sines."""
+    x, y, z = RING.symbols
+    return p.as_expr().subs({x: sin_t * cos_p, y: sin_t * sin_p, z: cos_t})
 
 
 class TestGridAndHarmonics:
-    def test_total_measure(self, grid):
-        ones = np.ones_like(grid.T)
-        assert grid.integrate(ones) == pytest.approx(4 * math.pi, rel=1e-13)
-        assert grid.mean(ones) == pytest.approx(1.0, rel=1e-13)
+    def test_total_measure(self):
+        assert sphere_mean(RING.one) == 1
+        assert sphere_mean(X ** 2 + Y ** 2 + Z ** 2) == 1
+        assert sphere_mean(Z ** 2) == Fraction(1, 3)
+        assert sphere_mean(X ** 4) == Fraction(1, 5)
+        assert sphere_mean(X ** 2 * Y ** 2) == Fraction(1, 15)
+        assert sphere_mean(X ** 2 * Y ** 2 * Z ** 2) == Fraction(1, 105)
+        assert sphere_mean(X * Y) == sphere_mean(Z ** 3) == 0
 
-    def test_unit_mean_square(self, grid):
+    def test_unit_mean_square(self):
         for l in range(2, 7):
             for m in range(-l, l + 1):
-                vals = grid.sample(real_harmonic(l, m))
-                assert grid.mean(vals ** 2) == pytest.approx(1.0, abs=1e-10)
+                mean = sphere_mean(real_harmonic(l, m) ** 2)
+                assert mean * unit_square(l, m) == 1, (l, m)
 
-    def test_orthogonality(self, grid):
+    def test_orthogonality(self):
         specs = [(l, m) for l in range(2, 7) for m in range(-l, l + 1)]
-        sampled = {s: grid.sample(real_harmonic(*s)) for s in specs}
         for i, a in enumerate(specs):
             for b in specs[i + 1:]:
-                assert abs(grid.mean(sampled[a] * sampled[b])) < 1e-10, (a, b)
+                product = real_harmonic(*a) * real_harmonic(*b)
+                assert sphere_mean(product) == 0, (a, b)
+
+    def test_harmonic_and_homogeneous(self):
+        for l in range(7):
+            for m in range(-l, l + 1):
+                F = real_harmonic(l, m)
+                assert sum(F.diff(v).diff(v) for v in (X, Y, Z)) == 0
+                assert {sum(e) for e in F.monoms()} == {l}
 
     @staticmethod
-    def ynm_reference(l, m):
+    def ynm_reference(l, m, theta, phi):
         # the textbook definition: sqrt(4 pi) times Y_l^|m|, or sqrt(2)
         # times its real or imaginary part, with sympy's Condon-Shortley
         # phase
-        y = sp.Ynm(l, abs(m), THETA, PHI).expand(func=True)
+        y = sp.Ynm(l, abs(m), theta, phi).expand(func=True)
         if m > 0:
             y = sp.sqrt(2) * sp.re(y)
         elif m < 0:
@@ -71,17 +101,29 @@ class TestGridAndHarmonics:
         return sp.sqrt(4 * sp.pi) * y
 
     def test_closed_form_matches_ynm(self):
+        theta, phi = POLAR
+        trig = (sp.cos(theta), sp.sin(theta), sp.cos(phi), sp.sin(phi))
         for l in range(5):
             for m in range(-l, l + 1):
-                diff = real_harmonic(l, m) - self.ynm_reference(l, m)
+                got = sp.sqrt(unit_square(l, m)) * on_sphere(
+                    real_harmonic(l, m), *trig)
+                diff = got - self.ynm_reference(l, m, theta, phi)
                 assert sp.simplify(diff) == 0, (l, m)
 
-    def test_closed_form_matches_ynm_on_grid(self, grid):
-        for l in (5, 6):
-            for m in range(-l, l + 1):
-                got = grid.sample(real_harmonic(l, m))
-                ref = grid.sample(self.ynm_reference(l, m))
-                assert np.max(np.abs(got - ref)) < 1e-12, (l, m)
+    def test_closed_form_matches_ynm_on_grid(self):
+        # exactly, at points whose polar cosines and sines are rational
+        R = sp.Rational
+        points = [((R(3, 5), R(4, 5)), (R(5, 13), R(12, 13))),
+                  ((R(-8, 17), R(15, 17)), (R(-7, 25), R(-24, 25)))]
+        for (ct, st), (cp, sp_) in points:
+            theta = sp.acos(ct)
+            phi = sp.acos(cp) if sp_ > 0 else -sp.acos(cp)
+            for l in (5, 6):
+                for m in range(-l, l + 1):
+                    got = sp.sqrt(unit_square(l, m)) * on_sphere(
+                        real_harmonic(l, m), ct, st, cp, sp_)
+                    diff = got - self.ynm_reference(l, m, theta, phi)
+                    assert sp.expand(sp.expand_trig(diff)) == 0, (l, m)
 
     def test_low_degrees_excluded(self):
         with pytest.raises(ExcludedEigenvalue):
@@ -96,11 +138,12 @@ class TestGridAndHarmonics:
 
 class TestCovariantCalculus:
     def test_round_metric_christoffel_table(self):
-        # exactly the nonzero symbols the module docstring lists:
+        # the round metric diag(1, sin^2 theta) has exactly
         # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} =
         # Gamma^phi_{phi theta} = cot, and 0 everywhere else
-        s, c = sp.sin(THETA), sp.cos(THETA)
-        gamma = christoffel((sp.Integer(1), s ** 2), (THETA, PHI))
+        theta, phi = POLAR
+        s, c = sp.sin(theta), sp.cos(theta)
+        gamma = christoffel((sp.Integer(1), s ** 2), (theta, phi))
         nonzero = {(0, 1, 1): -s * c, (1, 0, 1): c / s, (1, 1, 0): c / s}
         for a in range(2):
             for b in range(2):
@@ -111,59 +154,75 @@ class TestCovariantCalculus:
     def test_laplacian_eigenrelation(self):
         for l in range(2, 7):
             spec = HarmonicSpec(l, min(l, 2))
-            assert laplacian_check(spec) < 1e-8
+            assert laplacian_check(spec) == 0
+
+    def test_residual_detects_a_wrong_eigenvalue(self):
+        # the mean of (tr Hess phi + (nu + 1) phi)^2 is mean phi^2, not 0
+        spec = HarmonicSpec(3, 2)
+        H = sphere_hessian(spec)
+        defect = sum(H[i, i] for i in range(3)) + (spec.nu + 1) * spec.poly
+        assert sphere_mean(defect ** 2) == sphere_mean(spec.poly ** 2) > 0
 
 
 class TestBTensor:
     def test_memoized_read_only(self):
         spec = HarmonicSpec(2, 0)
-        b = b_tensor_exprs(spec)
-        assert b_tensor_exprs(HarmonicSpec(2, 0)) is b
+        b = b_tensor(spec)
+        assert b_tensor(HarmonicSpec(2, 0)) is b
         with pytest.raises(TypeError):
-            b["tt"] = 0
+            b[0, 0] = 0
         with pytest.raises(TypeError):
-            b_derivative_exprs(spec)["ttt"] = 0
+            b_derivative(spec)[0, 0, 0] = 0
 
     def test_trace_free(self):
         for l in range(2, 6):
-            assert b_trace_residual(HarmonicSpec(l, 1)) < 1e-10
+            assert b_trace_residual(HarmonicSpec(l, 1)) == 0
 
     def test_divergence_identity(self):
         # nabla^i b_ij = -nabla_j phi
         for l in range(2, 6):
-            assert b_divergence_residual(HarmonicSpec(l, 1)) < 1e-6
+            assert b_divergence_residual(HarmonicSpec(l, 1)) == 0
 
     def test_double_divergence(self):
         # nabla^{ij} b_ij = nu phi
         for l in range(2, 6):
-            assert b_double_divergence_residual(HarmonicSpec(l, 1)) < 1e-6
+            assert b_double_divergence_residual(HarmonicSpec(l, 1)) == 0
+
+    def test_zonal_pullback_matches_polar_calculus(self):
+        # for f(theta) = sqrt(2l+1) P_l(cos theta), the polar Hessian is
+        # nabla_tt f = f'' and nabla_pp f = -Gamma^theta_pp f' = sin cos f'
+        for l in (2, 3, 4):
+            nu = l * (l + 1)
+            c, s = sp.cos(THETA), sp.sin(THETA)
+            f = sp.sqrt(2 * l + 1) * sp.legendre(l, c)
+            b_tt = (2 * sp.diff(f, THETA, 2) + nu * f) / (nu - 2)
+            b_pp = (2 * s * c * sp.diff(f, THETA) + nu * f * s ** 2) / (nu - 2)
+            got_tt, got_pp = zonal_b(l)
+            assert sp.simplify(got_tt - b_tt) == 0, l
+            assert sp.simplify(got_pp - b_pp) == 0, l
 
 
 class TestQBC:
     def test_closed_forms_low_degree(self):
-        Q, B, C = qbc_closed_forms(6, 3)     # l = 2 on S^2
-        assert (Q, B, C) == pytest.approx((3.0, 0.0, 6.0))
-        Q, _, _ = qbc_closed_forms(12, 3)    # l = 3
-        assert Q == pytest.approx(12 / 5)
+        Q, B, C = qbc_closed_forms(Fraction(6), Fraction(3))     # l = 2 on S^2
+        assert (Q, B, C) == (3, 0, 6)
+        Q, _, _ = qbc_closed_forms(Fraction(12), Fraction(3))    # l = 3
+        assert Q == Fraction(12, 5)
+        assert qbc_closed_forms(6, 3) == pytest.approx((3.0, 0.0, 6.0))
 
     def test_quadrature_matches_closed_forms(self):
         for l in range(2, 6):
             spec = HarmonicSpec(l, 1)
-            Q, B, C = qbc_quadrature(spec)
-            Qc, Bc, Cc = qbc_closed_forms(spec.nu, 3)
-            assert Q == pytest.approx(Qc, rel=1e-6)
-            assert B == pytest.approx(Bc, abs=1e-6 * max(abs(Bc), 1.0))
-            assert C == pytest.approx(Cc, rel=1e-6)
+            assert qbc_quadrature(spec) == qbc_closed_forms(
+                Fraction(spec.nu), Fraction(3)), l
 
     def test_order_independent_of_m(self):
         ref = qbc_quadrature(HarmonicSpec(3, 0))
         for m in (1, -2, 3):
-            got = qbc_quadrature(HarmonicSpec(3, m))
-            assert got == pytest.approx(ref, rel=1e-8)
+            assert qbc_quadrature(HarmonicSpec(3, m)) == ref, m
 
     def test_u_coefficient_matches_spectral(self):
         # B/2 - C/4 - (1 + w/2)^2 Q against the rational formula at n = 3
-        from fractions import Fraction
         for omega in (2, 4, 6):
             for row in spectral_family(omega):
                 n = Fraction(3)
@@ -171,6 +230,13 @@ class TestQBC:
                 expected = float(row.u_num(n) / row.u_den(n) * row.nu(n))
                 got = u_coefficient_from_qbc(nu, 3, omega)
                 assert got == pytest.approx(expected, rel=1e-12), (omega, row.k)
+
+
+def minimizer_weight(n, omega, nu):
+    """c_k = (n-2)^2 / d_k, with d_k at the harmonic's eigenvalue nu."""
+    d = 4 * ((n - 1) * (n - 2) * nu - n * (n - 2) ** 2
+             + (omega + 2) ** 2 * (n * n + n + 2))
+    return Fraction((n - 2) ** 2, d), d
 
 
 class TestISFunctional:
@@ -181,38 +247,29 @@ class TestISFunctional:
             i_s_functional(f, rbar, 2)
 
     def test_minimizer_value(self):
-        from fractions import Fraction
+        # I_S is quadratic in the profile, so the value at c nu phi is the
+        # unit-mean-square reference times mean phi^2
         n = 3
         for omega, l in ((2, 2), (4, 2), (4, 4)):
             nu = l * (l + 1)
-            d = 4 * ((n - 1) * (n - 2) * nu - n * (n - 2) ** 2
-                     + (omega + 2) ** 2 * (n * n + n + 2))
-            c = (n - 2) ** 2 / d
+            c, d = minimizer_weight(n, omega, nu)
             phi = real_harmonic(l, 0)
-            f = c * nu * phi
-            rbar = nu * phi
-            value = i_s_functional(f, rbar, omega)
-            ref = i_s_minimizer_reference(nu, n, omega, d)
-            assert value == pytest.approx(ref, rel=1e-8), (omega, l)
+            value = i_s_functional(c * nu * phi, nu * phi, omega)
+            ref = i_s_minimizer_reference(nu, n, Fraction(d))
+            assert value == ref * sphere_mean(phi ** 2), (omega, l)
 
     def test_additive_over_orthogonal_components(self):
         n, omega = 3, 4
         parts = []
-        total_f = 0
-        total_r = 0
+        total_f = total_r = RING.zero
         for l in (2, 3):
             nu = l * (l + 1)
-            d = 4 * ((n - 1) * (n - 2) * nu - n * (n - 2) ** 2
-                     + (omega + 2) ** 2 * (n * n + n + 2))
-            c = (n - 2) ** 2 / d
+            c, _ = minimizer_weight(n, omega, nu)
             phi = real_harmonic(l, 0)
-            total_f = total_f + c * nu * phi
-            total_r = total_r + nu * phi
-            f = c * nu * phi
-            r = nu * phi
-            parts.append(i_s_functional(f, r, omega))
-        combined = i_s_functional(total_f, total_r, omega)
-        assert combined == pytest.approx(sum(parts), rel=1e-8)
+            total_f += c * nu * phi
+            total_r += nu * phi
+            parts.append(i_s_functional(c * nu * phi, nu * phi, omega))
+        assert i_s_functional(total_f, total_r, omega) == sum(parts)
 
 
 def annulus_mean_curvature_taylor(l, omega):
@@ -221,7 +278,8 @@ def annulus_mean_curvature_taylor(l, omega):
     dr^2 + g_r, where g_r = r^2 (s + t r^{w+2} b + t^2 r^{2(w+2)} bhat)
     for the zonal harmonic of degree l.
 
-    Independent of the Christoffel route in hvcert.sphere: the slice
+    Independent of the Christoffel route in hvcert.sphere, apart from the
+    pulled-back zonal b (zonal_b) that both read: the slice
     curvature comes from the Brioschi formula, the radial part from the
     Riccati form R = R_{g_r} - |A|^2 - H^2 - 2 d_r H with A = d_r g_r / 2,
     and the theta-integrals are done exactly by sympy.  Each integrand is
@@ -230,11 +288,11 @@ def annulus_mean_curvature_taylor(l, omega):
     int_{-1}^{1} f / s dc, which sympy does faster than the theta form.
     """
     t, r = sp.symbols("t r", positive=True)
-    b = b_tensor_exprs(HarmonicSpec(l, 0))
+    b_tt, b_pp = zonal_b(l)
     s = sp.sin(THETA)
     tau = t * r ** (omega + 2)
-    E = r ** 2 * (1 + tau * b["tt"] + tau ** 2 * b["tt"] ** 2 / 2)
-    G = r ** 2 * (s ** 2 + tau * b["pp"] + tau ** 2 * b["pp"] ** 2 / (2 * s ** 2))
+    E = r ** 2 * (1 + tau * b_tt + tau ** 2 * b_tt ** 2 / 2)
+    G = r ** 2 * (s ** 2 + tau * b_pp + tau ** 2 * b_pp ** 2 / (2 * s ** 2))
     area = sp.sqrt(E * G)
     gauss = -sp.diff(sp.diff(G, THETA) / area, THETA) / (2 * area)
     a_t, a_p = sp.diff(E, r) / (2 * E), sp.diff(G, r) / (2 * G)
@@ -284,7 +342,7 @@ class TestAnnulus:
         # two-dimensional slices: Gauss-Bonnet removes the gradient terms,
         # leaving exactly -(1 + omega/2)^2 Q as the t^2 coefficient
         report = annulus_curvature_check(omega=2, l=2)
-        assert report.q_part == pytest.approx(-12.0, rel=1e-10)
+        assert report.q_part == -12
         assert report.max_q_part_deviation[1e-3] < 1e-3
         assert report.max_q_part_deviation[1e-4] < 1e-4
 
@@ -297,7 +355,7 @@ class TestAnnulus:
         # the deviation from the full B/2 - C/4 - (1+w/2)^2 Q bracket
         # converges to (Q/2)/|bracket| = 1/9 for omega = 2, l = 2
         report = annulus_curvature_check(omega=2, l=2)
-        assert report.bracket_closed_form == pytest.approx(-13.5)
+        assert report.bracket == Fraction(-27, 2)
         for t in (1e-3, 1e-4):
             assert report.max_relative_deviation[t] == pytest.approx(
                 1.0 / 9.0, abs=1e-4)
@@ -305,5 +363,5 @@ class TestAnnulus:
     def test_other_degree(self):
         # l = 3: Q = 12/5, q_part = -4 Q = -9.6
         report = annulus_curvature_check(omega=2, l=3, t_values=(1e-3, 1e-4))
-        assert report.q_part == pytest.approx(-9.6, rel=1e-10)
+        assert report.q_part == Fraction(-48, 5)
         assert report.max_q_part_deviation[1e-3] < 1e-3
