@@ -35,10 +35,12 @@ The annulus check is not one of them: it is specific to 2-sphere slices.
 There Gauss-Bonnet makes the total intrinsic curvature of a slice
 topological, so the gradient terms B/2 - C/4 of the bracket
 B/2 - C/4 - (1 + omega/2)^2 Q drop out and the t^2 coefficient is the
-radial part -(1 + omega/2)^2 Q alone (see annulus_curvature_check).  Its
-metric lives in the polar coordinates (r, THETA, phi), built from the
-zonal b that zonal_b pulls back, and its THETA integral is a float
-Gauss-Legendre rule.
+radial part -(1 + omega/2)^2 Q alone (see annulus_curvature_check).  In
+the split R = 2K - |A|^2 - H^2 - 2 d_r H, Gauss-Bonnet fixes the integral
+of the K term, and the radial terms are closed forms in the zonal b that
+zonal_b pulls back to polar coordinates: the t^2 coefficient is an exact
+sphere mean, and the mean of R at a finite t is one float Gauss-Legendre
+integral over cos theta.
 
 Sign conventions: Delta = -div grad, so the harmonics satisfy
 s^{ij} nabla_ij phi = -nu phi with nu = l(l+1).
@@ -53,7 +55,6 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
@@ -65,7 +66,6 @@ _R2 = X ** 2 + Y ** 2 + Z ** 2
 # P_ij = |x|^2 delta_ij - x_i x_j
 _P = {(i, j): (_R2 if i == j else RING.zero) - a * b
       for i, a in enumerate(_AXES) for j, b in enumerate(_AXES)}
-THETA = sp.Symbol("theta")
 
 
 class ExcludedEigenvalue(ValueError):
@@ -303,93 +303,37 @@ def i_s_minimizer_reference(nu, n, d_value):
 class AnnulusReport:
     bracket: Fraction                 # B/2 - C/4 - (1 + omega/2)^2 Q
     q_part: Fraction                  # -(1 + omega/2)^2 Q, the radial-term coefficient
-    max_relative_deviation: dict      # t -> max over r of |mean R/(t^2 r^{2w+2}) - bracket|/|bracket|
+    # the exact t^2 coefficient of the mean; None unless gamma == -beta
+    t2_coefficient: Fraction | None
+    max_relative_deviation: dict      # t -> |mean R/t^2 - bracket|/|bracket| at tau = t
     linear_residual_ratios: tuple[float, ...]  # successive deviation ratios
-    max_q_part_deviation: dict        # t -> max over r of the same deviation measured against q_part
-
-
-def christoffel(g, coords) -> list:
-    """Gamma[a][b][c] = Gamma^a_{bc} of the diagonal metric diag(g) in the
-    coordinates coords:
-
-    Gamma^a_{bc} = (1/2) g^{aa} (d_b g_ac + d_c g_ab - d_a g_bc)
-    """
-    dim = range(len(coords))
-
-    def symbol(a, b, c):
-        term = sp.Integer(0)
-        if a == b:
-            term += sp.diff(g[a], coords[c])
-        if a == c:
-            term += sp.diff(g[a], coords[b])
-        if b == c:
-            term -= sp.diff(g[b], coords[a])
-        return term / (2 * g[a])
-
-    return [[[symbol(a, b, c) for c in dim] for b in dim] for a in dim]
+    max_q_part_deviation: dict        # t -> the same deviation at tau = t against q_part
 
 
 @lru_cache(maxsize=None)
 def zonal_b(l: int) -> tuple:
-    """(b_tt, b_pp) of the zonal (m = 0) harmonic of degree l, scaled to
-    mean square 1, in the polar coordinates (THETA, phi).
+    """(beta, gamma) = (b_tt, b_pp / sin^2 theta) of the zonal (m = 0) b
+    of degree l in the polar coordinates (theta, phi), as RING polynomials
+    in z = cos theta.  The b of the harmonic with mean square 1 is
+    sqrt(2l+1) times this one.
 
-    They are sqrt(2l+1) times the ambient b pulled back at phi = 0, where the point is
+    They are the ambient b pulled back at phi = 0, where the point is
     (sin, 0, cos), e_theta = (cos, 0, -sin) and e_phi = (0, sin, 0).  A
     zonal b is invariant under rotations about the z axis, so these are
     its components at every phi, and it is even under y -> -y, so b_tp
-    vanishes.  On that circle x^2 = 1 - z^2; b_tt and b_pp / x^2 are even
-    in x, so reducing by x^2 + z^2 - 1 leaves polynomials in cos THETA.
+    vanishes.  On that circle x^2 = 1 - z^2; b_tt and b_pp / sin^2 = b_yy
+    are even in x, so reducing by x^2 + z^2 - 1 leaves polynomials in z.
     """
     b = b_tensor(HarmonicSpec(l, 0))
-    circle = X ** 2 + Z ** 2 - 1
     tt = Z ** 2 * b[0, 0] - 2 * X * Z * b[0, 2] + X ** 2 * b[2, 2]
-    on_circle = {RING.symbols[2]: sp.cos(THETA)}
-    b_tt, b_yy = (p.subs(Y, 0).rem(circle).as_expr().xreplace(on_circle)
-                  for p in (tt, b[1, 1]))
-    unit = sp.sqrt(2 * l + 1)
-    return unit * b_tt, unit * sp.sin(THETA) ** 2 * b_yy
+    return tuple(p.subs(Y, 0).rem(X ** 2 + Z ** 2 - 1) for p in (tt, b[1, 1]))
 
 
-@lru_cache(maxsize=None)
-def _annulus_curvature_lambdified(l: int, omega: int):
-    """Scalar curvature of dr^2 + r^2(s + t r^{w+2} b + t^2 r^{2(w+2)} bhat)
-    for the zonal (m = 0) harmonic of degree l, as a function (t, r, theta).
-
-    The metric is diagonal because the zonal b has no theta-phi component.
-    Also returns the area element factor sqrt(g_tt g_pp)/sin(theta).
-    """
-    t_s, r_s, phi_s = sp.symbols("t r phi", positive=True)
-    b_tt, b_pp = zonal_b(l)
-    sin2 = sp.sin(THETA) ** 2
-    scale = t_s * r_s ** (omega + 2)
-    # bhat_ij = (1/2) b_i^k b_kj ; diagonal case
-    g_tt = r_s ** 2 * (1 + scale * b_tt + scale ** 2 * b_tt ** 2 / 2)
-    g_pp = r_s ** 2 * (sin2 + scale * b_pp + scale ** 2 * b_pp ** 2
-                       / (2 * sin2))
-
-    coords = (r_s, THETA, phi_s)
-    g = [sp.Integer(1), g_tt, g_pp]       # diagonal entries, phi-independent
-    Gamma = christoffel(g, coords)
-    R_scalar = sp.Integer(0)
-    for bq in range(3):
-        c = bq
-        ric = sp.Integer(0)
-        for a in range(3):
-            ric += sp.diff(Gamma[a][bq][c], coords[a])
-            ric -= sp.diff(Gamma[a][bq][a], coords[c])
-            for dd in range(3):
-                ric += Gamma[a][a][dd] * Gamma[dd][bq][c]
-                ric -= Gamma[a][c][dd] * Gamma[dd][bq][a]
-        R_scalar += ric / g[bq]
-    area_factor = sp.sqrt(g_tt * g_pp) / sp.sin(THETA)
-    return tuple(sp.lambdify((t_s, r_s, THETA), f, modules="math", cse=True)
-                 for f in (R_scalar, area_factor))
-
-
-# Gauss-Legendre nodes in cos(THETA); the slice integrands are smooth, and
-# at 26 nodes the rule's error is far below the rounding of R at t = 1e-4
+# Gauss-Legendre nodes in cos(theta); the slice integrands are smooth, and
+# at 26 nodes the rule's error is below the rounding of the mean
 _NODES = 26
+# the amplitudes t of annulus_curvature_check, each a decade below the last
+_T_VALUES = (1e-2, 1e-3, 1e-4)
 
 
 def _legendre(u: float) -> tuple[float, float]:
@@ -416,68 +360,104 @@ def _gauss_legendre() -> tuple[tuple[float, float], ...]:
     return tuple(rule)
 
 
+def _shape_terms(k: int, v: float) -> tuple[float, float]:
+    """(p(v), v p'(v)) of annulus_mean_curvature, h(v) = 1 + v + v^2/2."""
+    h = 1 + v + v * v / 2
+    return (k * v * (1 + v) / (2 * h),
+            k * v * (1 + 2 * v + v * v / 2) / (2 * h * h))
+
+
 def annulus_mean_curvature(l: int, omega: int, t: float, r: float) -> float:
-    """Mean-integral of the scalar curvature over the sphere of radius r
-    in the perturbed cone metric (t = 0 gives flat space, mean 0).
+    """Mean of the scalar curvature R over the sphere of radius r in
+    dr^2 + r^2 (s + tau b + tau^2 bhat), tau = t r^k, k = omega + 2, with
+    b the zonal b of degree l scaled to mean square 1 and
+    bhat_ij = b_i^m b_mj / 2 (t = 0 gives flat space, mean 0).
 
-    The THETA integral runs in cos(THETA) on the Gauss-Legendre rule,
-    whose weights absorb the sin(THETA) of the round measure."""
-    f_R, f_area = _annulus_curvature_lambdified(l, omega)
+    With x = tau beta and y = tau gamma (zonal_b) the slice metric is
+    r^2 (h(x) dtheta^2 + h(y) sin^2 theta dphi^2), h(v) = 1 + v + v^2/2.
+    Since r d_r x = k x, the shape operator of the slice has eigenvalues
+    (1 + p(x))/r and (1 + p(y))/r, with p(v) = k v (1 + v) / (2 h(v)) and
+    v p'(v) = k v (1 + 2v + v^2/2) / (2 h(v)^2).  The 2+1 split
+    R = 2K - |A|^2 - H^2 - 2 d_r H then gives r^2 R = 2 r^2 K - Psi with
+
+        Psi - 2 = 4S + p(x)^2 + p(y)^2 + S^2 + 2k (x p'(x) + y p'(y)),
+
+    S = p(x) + p(y).  The slice's area element is r^2 w dc dphi with
+    c = cos theta and w = sqrt(h(x) h(y)), and Gauss-Bonnet fixes
+    int 2K dA = 8 pi, so
+
+        r^2 <R> = -int [(Psi - 2) w + 2 (w - 1)] dc / int w dc
+
+    over c in [-1, 1] on the Gauss-Legendre rule.  Every term of that
+    integrand vanishes at tau = 0, and w - 1 is taken as
+    (h(x) h(y) - 1)/(w + 1) with h(x) h(y) - 1 expanded, so no O(1) terms
+    cancel.  r^2 <R> depends on t and r only through tau.
+    """
+    k = omega + 2
+    # tau times the unit normalization of b
+    scale = t * r ** k * math.sqrt(2 * l + 1)
+    beta, gamma = ([(m[2], float(a)) for m, a in p.terms()]
+                   for p in zonal_b(l))
     num = den = 0.0
-    for u, w in _gauss_legendre():
-        theta = math.acos(u)
-        area = w * f_area(t, r, theta)
-        num += f_R(t, r, theta) * area
-        den += area
-    return num / den
+    for c, weight in _gauss_legendre():
+        x, y = (scale * sum(a * c ** j for j, a in p) for p in (beta, gamma))
+        (px, dpx), (py, dpy) = _shape_terms(k, x), _shape_terms(k, y)
+        S = px + py
+        psi = 4 * S + px * px + py * py + S * S + 2 * k * (dpx + dpy)
+        # h(x) h(y) - 1
+        hh = (x + y) * (1 + (x + y) / 2 + x * y / 2) + (x * y) ** 2 / 4
+        w = math.sqrt(1 + hh)
+        num += weight * (psi * w + 2 * hh / (w + 1))
+        den += weight * w
+    return -num / (den * r * r)
 
 
-def annulus_curvature_check(omega: int = 2, l: int = 2,
-                            t_values: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-                            r_values: tuple[float, ...] = (0.5, 0.7, 1.0)
-                            ) -> AnnulusReport:
-    """Compare mean int_{S(r)} R dsigma_r / (t^2 r^{2 omega + 2}) with the
-    bracket B/2 - C/4 - (1 + omega/2)^2 Q over a (t, r) grid.
+def annulus_curvature_check(omega: int = 2, l: int = 2) -> AnnulusReport:
+    """The t^2 coefficient of the mean of R over the slices of the
+    perturbed annulus (annulus_mean_curvature), exactly, against the
+    bracket B/2 - C/4 - (1 + omega/2)^2 Q and its radial part.
 
     A three-dimensional annulus has two-dimensional spherical slices, and
     the Gauss-Bonnet theorem makes the total intrinsic curvature of a slice
     a topological constant.  The gradient terms B and C live entirely in
-    that intrinsic part, so on this annulus the exact t^2 coefficient of
-    the mean is the radial part -(1 + omega/2)^2 Q alone, and the deviation
-    from the full bracket converges to |B/2 - C/4| / |bracket| (which equals
-    (Q/2) / |bracket| here, since B/2 - C/4 = -Q/2 in this dimension)
-    instead of shrinking with t.  The report therefore records the deviation
-    against both references.  Q, B and C are the closed forms, which
-    qbc_quadrature matches exactly.
+    that intrinsic part, so on this annulus the t^2 coefficient of the
+    mean is the radial part -(1 + omega/2)^2 Q alone.  With gamma = -beta
+    (b is trace-free on the slice), y = -x, so h(x) h(y) = 1 + x^4/4 and
+    Psi - 2 = k^2 x^2 / 2 + O(x^4).  Hence the mean of R is
+    c2 t^2 r^(2 omega + 2) + O(t^4), with the exact coefficient
 
-    The q_part deviation shrinks as O(t^2): for omega = 2, l = 2 it is
-    1.72e-3 at t = 1e-2 and 1.72e-5 at t = 1e-3.  At t = 1e-4 rounding
-    dominates.  R is O(t) pointwise but its mean is O(t^2) (about -12 t^2),
-    so the float mean loses digits to cancellation and the deviation reads
-    a few 1e-7 rather than the 1.7e-7 of the trend; the digit depends on
-    how the evaluation of R is associated.
+        c2 = -(k^2/4) (2l+1) int_{-1}^{1} beta^2 dz
+           = -(k^2/2) (2l+1) sphere_mean(beta^2),
+
+    since the sphere mean of z^j is half its integral over [-1, 1].  The
+    report holds c2 (None when gamma != -beta, whose check fails), and
+    sphere-check passes only when c2 == q_part.  Q, B and C are the closed
+    forms, which qbc_quadrature matches exactly.
+
+    The float means at tau = t record the deviation against both
+    references.  Against the full bracket it converges to
+    |B/2 - C/4| / |bracket| (which equals (Q/2) / |bracket| here, since
+    B/2 - C/4 = -Q/2 in this dimension) instead of shrinking with t.
+    Against q_part it falls as t^2: for omega = 2, l = 2 it is 1.72e-3,
+    1.72e-5 and 1.72e-7 at t = 1e-2, 1e-3 and 1e-4.
     """
     Q, B, C = qbc_closed_forms(Fraction(l * (l + 1)), Fraction(3))
     q_part = -(1 + Fraction(omega, 2)) ** 2 * Q
     bracket = B / 2 - C / 4 + q_part
-    bracket_f, q_part_f = float(bracket), float(q_part)
+    beta, gamma = zonal_b(l)
+    t2 = None
+    if gamma == -beta:
+        t2 = (-Fraction((omega + 2) ** 2, 2) * (2 * l + 1)
+              * sphere_mean(beta ** 2))
 
-    max_dev = {}
-    max_dev_q = {}
-    for t in t_values:
-        devs = []
-        devs_q = []
-        for r in r_values:
-            mean_R = annulus_mean_curvature(l, omega, t, r)
-            scale = t * t * r ** (2 * omega + 2)
-            devs.append(abs(mean_R - bracket_f * scale) / abs(bracket_f * scale))
-            devs_q.append(abs(mean_R - q_part_f * scale)
-                          / abs(q_part_f * scale))
-        max_dev[t] = max(devs)
-        max_dev_q[t] = max(devs_q)
-    ts = sorted(t_values, reverse=True)
-    ratios = tuple(max_dev_q[b] / max_dev_q[a] for a, b in zip(ts, ts[1:]))
-    return AnnulusReport(bracket=bracket, q_part=q_part,
-                         max_relative_deviation=max_dev,
+    dev, dev_q = {}, {}
+    for t in _T_VALUES:
+        mean_R = annulus_mean_curvature(l, omega, t, 1.0)
+        for out, ref in ((dev, float(bracket)), (dev_q, float(q_part))):
+            out[t] = abs(mean_R - ref * t * t) / abs(ref * t * t)
+    ratios = tuple(dev_q[b] / dev_q[a]
+                   for a, b in zip(_T_VALUES, _T_VALUES[1:]))
+    return AnnulusReport(bracket=bracket, q_part=q_part, t2_coefficient=t2,
+                         max_relative_deviation=dev,
                          linear_residual_ratios=ratios,
-                         max_q_part_deviation=max_dev_q)
+                         max_q_part_deviation=dev_q)

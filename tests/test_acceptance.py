@@ -297,7 +297,8 @@ def test_criterion_10_annulus_bracket():
     halving it.  Proved: the slices of a 3-dimensional annulus are
     2-spheres, Gauss-Bonnet removes the gradient terms, and the
     coefficient is the radial part -(1+w/2)^2 Q (exactly, in test_sphere
-    TestAnnulus).  So the stated thresholds are applied to the radial
+    TestAnnulus).  So the exact t^2 coefficient of the check must equal
+    the radial part, the stated thresholds are applied to the radial
     part, and the deviation from the full bracket must stay pinned at the
     closed form (Q/2)/|bracket| = 1/9, which refutes the stated form."""
     omega, l = 2, 2
@@ -305,7 +306,8 @@ def test_criterion_10_annulus_bracket():
     dev_q = rep.max_q_part_deviation
     ts = sorted(dev_q, reverse=True)
     shrinking = all(dev_q[b] < 0.5 * dev_q[a] for a, b in zip(ts, ts[1:]))
-    radial_ok = dev_q[1e-3] <= 0.05 and shrinking
+    radial_ok = (dev_q[1e-3] <= 0.05 and shrinking
+                 and rep.t2_coefficient == rep.q_part)
     Q, B, C = qbc_closed_forms(F(l * (l + 1)), F(3))
     bracket = B / 2 - C / 4 - (1 + F(omega, 2)) ** 2 * Q
     pinned = float(Q / 2 / abs(bracket))
@@ -317,5 +319,5 @@ def test_criterion_10_annulus_bracket():
     report(10, ok, f"deviation vs radial part at t=1e-3: {dev_q[1e-3]:.2e}, "
                    f"halving per decade: {shrinking}; vs stated full bracket: "
                    f"{dev[1e-3]:.4f}, pinned at (Q/2)/|bracket| = {pinned:.4f}")
-    assert radial_ok, dev_q
+    assert radial_ok, (rep.t2_coefficient, dev_q)
     assert pinned_ok, (dev, pinned)

@@ -440,7 +440,7 @@ class TestOracleCommands:
 
     def test_sphere_check_ok_and_repeatable(self, tmp_path):
         # the second run in this process reuses the memoized harmonics,
-        # b tensors and compiled annulus curvature of the first
+        # b tensors, zonal b and Gauss-Legendre rule of the first
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["sphere-check", "--output", str(a)]) == 0
         assert main(["sphere-check", "--output", str(b)]) == 0

@@ -3,16 +3,17 @@ tensor, the Q/B/C statistics, the I_S functional, and the annulus curvature
 check.  Every identity on S^2 is decided exactly, as an equality of
 Fractions."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
+from hvcert.cli import main
 from hvcert.spectral import spectral_family
 from hvcert.sphere import (
     RING,
-    THETA,
     X,
     Y,
     Z,
@@ -26,7 +27,6 @@ from hvcert.sphere import (
     b_double_divergence_residual,
     b_tensor,
     b_trace_residual,
-    christoffel,
     i_s_functional,
     i_s_minimizer_reference,
     laplacian_check,
@@ -42,6 +42,7 @@ from hvcert.sphere import (
 # polar angles for the textbook harmonics; real, so that re and im of
 # exp(i phi) simplify
 POLAR = sp.symbols("theta phi", real=True)
+THETA = sp.Symbol("theta")
 
 
 def unit_square(l, m):
@@ -50,6 +51,17 @@ def unit_square(l, m):
     a = abs(m)
     return Fraction((2 * l + 1) * math.factorial(l - a) * (2 if m else 1),
                     math.factorial(l + a))
+
+
+def zonal_b_polar(l):
+    """(b_tt, b_pp) of the zonal b of degree l scaled to mean square 1, as
+    sympy expressions in THETA, from the ring pair (beta, gamma) of
+    zonal_b: b_tt = beta and b_pp = sin^2 gamma at z = cos THETA, times
+    sqrt(2l+1)."""
+    on_circle = {RING.symbols[2]: sp.cos(THETA)}
+    beta, gamma = (sp.sqrt(2 * l + 1) * p.as_expr().xreplace(on_circle)
+                   for p in zonal_b(l))
+    return beta, sp.sin(THETA) ** 2 * gamma
 
 
 def on_sphere(p, cos_t, sin_t, cos_p, sin_p):
@@ -137,20 +149,6 @@ class TestGridAndHarmonics:
 
 
 class TestCovariantCalculus:
-    def test_round_metric_christoffel_table(self):
-        # the round metric diag(1, sin^2 theta) has exactly
-        # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} =
-        # Gamma^phi_{phi theta} = cot, and 0 everywhere else
-        theta, phi = POLAR
-        s, c = sp.sin(theta), sp.cos(theta)
-        gamma = christoffel((sp.Integer(1), s ** 2), (theta, phi))
-        nonzero = {(0, 1, 1): -s * c, (1, 0, 1): c / s, (1, 1, 0): c / s}
-        for a in range(2):
-            for b in range(2):
-                for k in range(2):
-                    want = nonzero.get((a, b, k), 0)
-                    assert sp.simplify(gamma[a][b][k] - want) == 0, (a, b, k)
-
     def test_laplacian_eigenrelation(self):
         for l in range(2, 7):
             spec = HarmonicSpec(l, min(l, 2))
@@ -188,6 +186,12 @@ class TestBTensor:
         for l in range(2, 6):
             assert b_double_divergence_residual(HarmonicSpec(l, 1)) == 0
 
+    def test_zonal_slice_trace_free(self):
+        for l in range(2, 7):
+            beta, gamma = zonal_b(l)
+            assert gamma == -beta != 0, l
+            assert {m[:2] for m in beta.monoms()} == {(0, 0)}, l
+
     def test_zonal_pullback_matches_polar_calculus(self):
         # for f(theta) = sqrt(2l+1) P_l(cos theta), the polar Hessian is
         # nabla_tt f = f'' and nabla_pp f = -Gamma^theta_pp f' = sin cos f'
@@ -197,7 +201,7 @@ class TestBTensor:
             f = sp.sqrt(2 * l + 1) * sp.legendre(l, c)
             b_tt = (2 * sp.diff(f, THETA, 2) + nu * f) / (nu - 2)
             b_pp = (2 * s * c * sp.diff(f, THETA) + nu * f * s ** 2) / (nu - 2)
-            got_tt, got_pp = zonal_b(l)
+            got_tt, got_pp = zonal_b_polar(l)
             assert sp.simplify(got_tt - b_tt) == 0, l
             assert sp.simplify(got_pp - b_pp) == 0, l
 
@@ -278,7 +282,7 @@ def annulus_mean_curvature_taylor(l, omega):
     dr^2 + g_r, where g_r = r^2 (s + t r^{w+2} b + t^2 r^{2(w+2)} bhat)
     for the zonal harmonic of degree l.
 
-    Independent of the Christoffel route in hvcert.sphere, apart from the
+    Independent of the Gauss-Bonnet route in hvcert.sphere, apart from the
     pulled-back zonal b (zonal_b) that both read: the slice
     curvature comes from the Brioschi formula, the radial part from the
     Riccati form R = R_{g_r} - |A|^2 - H^2 - 2 d_r H with A = d_r g_r / 2,
@@ -288,7 +292,7 @@ def annulus_mean_curvature_taylor(l, omega):
     int_{-1}^{1} f / s dc, which sympy does faster than the theta form.
     """
     t, r = sp.symbols("t r", positive=True)
-    b_tt, b_pp = zonal_b(l)
+    b_tt, b_pp = zonal_b_polar(l)
     s = sp.sin(THETA)
     tau = t * r ** (omega + 2)
     E = r ** 2 * (1 + tau * b_tt + tau ** 2 * b_tt ** 2 / 2)
@@ -321,8 +325,27 @@ def annulus_mean_curvature_taylor(l, omega):
 
 
 class TestAnnulus:
+    # (l, omega, t, r) -> the mean computed by the former route, which
+    # built the full 3-dimensional scalar curvature from Christoffel
+    # symbols and their derivatives in sympy
+    CHRISTOFFEL_REFERENCE = {(2, 2, 0.1, 0.9): -0.06849600190710999,
+                             (3, 2, 0.05, 1.0): -0.02484906754436594}
+
     def test_flat_at_zero_amplitude(self):
         assert abs(annulus_mean_curvature(2, 2, 0.0, 0.7)) < 1e-12
+
+    def test_matches_christoffel_reference(self):
+        for args, want in self.CHRISTOFFEL_REFERENCE.items():
+            got = annulus_mean_curvature(*args)
+            assert got == pytest.approx(want, rel=1e-9, abs=0), args
+
+    def test_depends_only_on_tau(self):
+        # r^2 <R>(t, r) == <R>(t r^(omega+2), 1)
+        for l, omega, t, r in ((2, 2, 0.1, 0.9), (3, 2, 0.05, 0.7),
+                               (2, 3, 0.02, 0.8), (4, 4, 0.01, 1.3)):
+            scaled = annulus_mean_curvature(l, omega, t * r ** (omega + 2), 1)
+            got = r * r * annulus_mean_curvature(l, omega, t, r)
+            assert got == pytest.approx(scaled, rel=1e-12, abs=0), (l, omega)
 
     def test_t2_coefficient_exact(self):
         # the t^2 coefficient is exactly the radial part -(1 + w/2)^2 Q,
@@ -342,14 +365,41 @@ class TestAnnulus:
         # two-dimensional slices: Gauss-Bonnet removes the gradient terms,
         # leaving exactly -(1 + omega/2)^2 Q as the t^2 coefficient
         report = annulus_curvature_check(omega=2, l=2)
-        assert report.q_part == -12
+        assert report.q_part == report.t2_coefficient == -12
         assert report.max_q_part_deviation[1e-3] < 1e-3
         assert report.max_q_part_deviation[1e-4] < 1e-4
 
-    def test_q_part_residual_shrinks_with_t(self):
+    def test_exact_coefficient_over_degrees(self):
+        for l in range(2, 6):
+            Q, _, _ = qbc_closed_forms(Fraction(l * (l + 1)), Fraction(3))
+            for omega in (2, 3, 4):
+                report = annulus_curvature_check(omega=omega, l=l)
+                assert isinstance(report.t2_coefficient, Fraction)
+                assert report.t2_coefficient == report.q_part, (l, omega)
+                assert report.q_part == -Fraction(omega + 2, 2) ** 2 * Q
+
+    @pytest.mark.parametrize("pair", [
+        lambda beta, gamma: (beta, 2 * gamma),
+        lambda beta, gamma: (2 * beta, -2 * beta),
+    ], ids=["gamma-not-minus-beta", "beta-scaled"])
+    def test_wrong_zonal_b_fails_closed(self, pair, monkeypatch, tmp_path):
+        good = zonal_b(2)
+        monkeypatch.setattr("hvcert.sphere.zonal_b", lambda l: pair(*good))
         report = annulus_curvature_check(omega=2, l=2)
+        assert report.t2_coefficient != report.q_part
+        out = tmp_path / "sphere.json"
+        assert main(["sphere-check", "--output", str(out)]) == 1
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["annulus"]["ok"] is False
+        assert summary["ok"] is False
+
+    def test_q_part_residual_shrinks_with_t(self):
+        # the deviation from q_part is a t^2 law: the t^3 term vanishes, so
+        # each decade of t divides it by 100
+        report = annulus_curvature_check(omega=2, l=2)
+        assert len(report.linear_residual_ratios) == 2
         for ratio in report.linear_residual_ratios:
-            assert ratio < 0.2
+            assert 0.0095 <= ratio <= 0.0105
 
     def test_bracket_deviation_is_topologically_forced(self):
         # the deviation from the full B/2 - C/4 - (1+w/2)^2 Q bracket
@@ -362,6 +412,6 @@ class TestAnnulus:
 
     def test_other_degree(self):
         # l = 3: Q = 12/5, q_part = -4 Q = -9.6
-        report = annulus_curvature_check(omega=2, l=3, t_values=(1e-3, 1e-4))
-        assert report.q_part == Fraction(-48, 5)
+        report = annulus_curvature_check(omega=2, l=3)
+        assert report.q_part == report.t2_coefficient == Fraction(-48, 5)
         assert report.max_q_part_deviation[1e-3] < 1e-3
