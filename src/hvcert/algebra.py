@@ -3,10 +3,10 @@
 Everything downstream (coefficient families, interval certificates, the
 all-dimension positivity proofs) is built on the one polynomial type here:
 dense polynomials over ``fractions.Fraction``.  A rational function is a
-pair (num, den) of them with a monic den.  Also here: partial-fraction
-decompositions of such a pair over distinct linear factors, certified
-rational enclosures of square roots, and a Sturm-based decision procedure
-for strict positivity of a polynomial on a ray ``[n0, +oo)``.
+pair (num, den) of them.  Also here: partial-fraction decompositions of
+such a pair whose den has distinct rational roots, certified rational
+enclosures of square roots, and a Sturm-based decision procedure for
+strict positivity of a polynomial on a ray ``[n0, +oo)``.
 
 No floating point is used anywhere in this module.
 """
@@ -27,7 +27,7 @@ class AlgebraError(ValueError):
 
 
 class InvalidFactorization(AlgebraError):
-    """The supplied linear factors do not factor the denominator."""
+    """The supplied roots are not the distinct roots of the denominator."""
 
 
 class NegativeRadicand(AlgebraError):
@@ -63,11 +63,6 @@ class Polynomial:
     @staticmethod
     def x() -> "Polynomial":
         return Polynomial([0, 1])
-
-    @staticmethod
-    def linear_root(root: RationalLike) -> "Polynomial":
-        """The monic linear polynomial n - root."""
-        return Polynomial([-_as_fraction(root), 1])
 
     # -- basic queries -------------------------------------------------
 
@@ -270,46 +265,26 @@ SimplePoles = tuple[tuple[Fraction, Fraction], ...]
 
 
 def partial_fractions(num: Polynomial, den: Polynomial,
-                      factors: Sequence[Polynomial]
+                      roots: Sequence[RationalLike]
                       ) -> tuple[Polynomial, SimplePoles]:
-    """Decompose num/den into a polynomial part plus simple fractions over
-    the given distinct linear factors of the monic denominator den.
+    """Decompose num/den into its polynomial part plus simple fractions,
+    given den.degree distinct roots of den.
 
-    Returns (polynomial_part, simple_poles), where simple_poles holds pairs
-    (root, residue) meaning residue/(n - root).  The factors must be
-    linear, with pairwise distinct roots, and their monic product must
-    equal den; the polynomial part may have degree at most 2.
+    Returns (num // den, simple_poles), where simple_poles holds pairs
+    (root, residue) meaning residue/(n - root), in the order of roots.
+    Those roots are then every root of den, each simple, so the residue at
+    r is num(r)/den'(r), zero where num shares the root; den need not be
+    monic.  The polynomial part may have degree at most 2.
     """
-    roots = []
-    for fac in factors:
-        if fac.degree != 1:
-            raise InvalidFactorization(f"non-linear factor {fac}")
-        roots.append(-fac.coeffs[0] / fac.coeffs[1])
-    if len(set(roots)) != len(roots):
-        raise InvalidFactorization("repeated factors")
-    product = Polynomial([1])
-    for r in roots:
-        product = product * Polynomial.linear_root(r)
-    if product != den:
+    roots = [_as_fraction(r) for r in roots]
+    if (len(roots) != den.degree or len(set(roots)) != len(roots)
+            or any(den(r) for r in roots)):
         raise InvalidFactorization(
-            "factors do not multiply to the denominator")
+            f"the roots are not {den.degree} distinct roots of {den}")
     if num.degree - den.degree > 2:
         raise InvalidFactorization("numerator degree excess > 2")
-
-    poly_part, remainder = num.divmod(den)
-    poles = []
-    for r in roots:
-        others = Fraction(1)
-        for s in roots:
-            if s != r:
-                others *= (r - s)
-        poles.append((r, remainder(r) / others))
-    recombined = poly_part * den
-    for r, residue in poles:
-        recombined += (den // Polynomial.linear_root(r)).scale(residue)
-    if recombined != num:
-        raise InvalidFactorization("reconstruction mismatch")  # pragma: no cover
-    return poly_part, tuple(poles)
+    slope = den.derivative()
+    return num // den, tuple((r, num(r) / slope(r)) for r in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .algebra import (
     sign_with_sqrts,
     sqrt_enclosure,
 )
-from .spectral import SpectralRow, closed_forms, spectral_family
+from .spectral import RowForms, closed_forms, spectral_family
 
 _N = Polynomial.x()
 
@@ -207,14 +207,14 @@ def roots_at(omega: int, n: int) -> list[RootPair]:
             f"n={n} violates n >= 2*omega+6 = {2 * omega + 6}")
     grid = -(-_WIDTH.denominator // _WIDTH.numerator)
     pairs = []
-    for k, row in enumerate(closed_forms(omega, n).rows, 1):
+    for row in closed_forms(omega, n).rows:
         delta_num, delta_den = _lowest(row.delta_num, row.delta_den)
         if row.d <= 0 or delta_num <= 0:
             raise InternalConsistencyError(
-                f"d or Delta not positive at omega={omega}, n={n}, k={k}")
+                f"d or Delta not positive at omega={omega}, n={n}, k={row.k}")
         u2_num, u2_den = _lowest(row.u_num, row.u_den * row.nu)
         pairs.append(RootPair(
-            k, n, row.d, u2_num, u2_den, delta_num, delta_den,
+            row.k, n, row.d, u2_num, u2_den, delta_num, delta_den,
             *isqrt_enclosure(delta_num, delta_den, grid)))
     return pairs
 
@@ -300,15 +300,19 @@ def _exact_nonempty(pairs: Sequence[RootPair], n: int,
 # All-dimension symbolic certificates
 # ---------------------------------------------------------------------------
 
-def delta_partial_fraction(row: SpectralRow) -> tuple[Polynomial, SimplePoles]:
-    """Partial fractions of Delta_k over its three linear poles n = 2,
-    n = -m and n = 1 - m (m = omega - 2k + 1 >= 1, so they are distinct):
-    (polynomial part, ((root, residue), ...)).  The row is not reduced by
-    a gcd, so a pole that cancelled against -P(nu_k) would show up as a
-    zero residue; spectral_family's docstring proves none does, and the
-    tests check every residue is nonzero."""
-    factors = [Polynomial.linear_root(r) for r in row.delta_pole_candidates()]
-    return partial_fractions(row.delta_num, row.delta_den, factors)
+def delta_partial_fraction(omega: int,
+                           row: RowForms) -> tuple[Polynomial, SimplePoles]:
+    """Partial fractions of Delta_k = delta_num/delta_den of one row of
+    spectral_family(omega): (polynomial part, ((root, residue), ...)).
+    The poles are the roots n = 2, n = -m and n = 1 - m of the factors
+    n - 2, nu_k - n + 1 = m(n+m) and nu_k = (m+1)(n+m-1) of delta_den,
+    with m = omega - 2k + 1 >= 1, so they are distinct, and each residue
+    is delta_num(r)/delta_den'(r).  The row is not reduced by a gcd, so a
+    pole that cancelled against -P(nu_k) would show up as a zero residue;
+    spectral_family's docstring proves none does, and the tests check
+    every residue is nonzero."""
+    m = omega - 2 * row.k + 1
+    return partial_fractions(row.delta_num, row.delta_den, (2, -m, 1 - m))
 
 
 def symbolic_certificate(omega: int) -> SymbolicCertificate:
@@ -339,9 +343,9 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
             return verdict(("lower_bound", omega, row.k))
         # Delta_k - a (n + b/(2a))^2 = (r + den (c - b^2/(4a))) / den > 0 on
         # the ray: its numerator and its denominator must both be proved
-        # positive there.  The denominator is monic, so it cannot be
-        # negative on the whole ray; an unproved denominator sign fails the
-        # bound.
+        # positive there.  The denominator has a positive leading
+        # coefficient, so it cannot be negative on the whole ray; an
+        # unproved denominator sign fails the bound.
         den_ok, _ = nonnegative_on_ray(den, n0)
         ok, wit = nonnegative_on_ray(r + den.scale(c - b * b / (4 * a)), n0)
         check = LowerBoundCheck(k=row.k, a=a, b=b, witness=wit)

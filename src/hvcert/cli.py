@@ -4,13 +4,15 @@ verifications, and sphere-oracle runs, with deterministic reports.
 Reports share one shape across formats.  The JSON payload is
 {tool_version, config_echo, entries, summary}; each entry carries exactly
 the fields {omega, n, nonempty, x, y, chosen_c, status}.  Rationals are
-serialized dually, a 30-digit decimal preview next to the exact num/den
-string, so downstream tools never lose exactness.  The x and y lists hold
-midpoints of the rational enclosures of the trinomial roots (the roots
-themselves are quadratic irrationals).  CSV, which only certify and scan
-reports can be written as, has the JSON entry fields as columns in the
-same order, with the exact strings of x and y joined by ';'; it is an
-output format only, and nothing reads it back.
+serialized dually: exact is the num/den string, so downstream tools never
+lose exactness, and decimal is its quotient to 30 significant digits.
+The x and y lists approximate the trinomial roots (quadratic
+irrationals) by the midpoints of their rational enclosures, each within
+(n-2)/(2 d_k) * 1e-30 of its root, so the last digits of a decimal need
+not be the root's.  CSV, which only certify and scan reports can be
+written as, has the JSON entry fields as columns in the same order, with
+the exact strings of x and y joined by ';'; it is an output format only,
+and nothing reads it back.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed while the
 command demanded success, 2 usage or I/O error.
@@ -110,8 +112,10 @@ def rational_payload(value: Fraction) -> dict:
 
 def entry_from_certificate(cert: IntervalCertificate) -> dict:
     # roots are quadratic irrationals; report the enclosure midpoint,
-    # reduced to a readable denominator (error ~1e-40, far inside the
-    # 1e-30 enclosure width)
+    # within (n-2)/(2 d_k) * 1e-30 of the root, reduced to a readable
+    # denominator (error ~1e-40, inside the enclosure); its decimal is
+    # the 30-digit quotient of that rational, not the root rounded to 30
+    # digits
     xs = []
     ys = []
     for pair in cert.pairs:
@@ -308,12 +312,15 @@ def cmd_coeffs(config: RunConfig) -> tuple[dict, int]:
     omega = config.omega[0]
     rows = []
     for row in spectral_family(omega):
-        poly_part, poles = delta_partial_fraction(row)
+        poly_part, poles = delta_partial_fraction(omega, row)
+        # printed with a monic denominator
+        scale = 1 / row.u_den.leading
         rows.append({
             "k": row.k,
             "nu": str(row.nu),
             "d": str(row.d),
-            "u_over_nu": f"({row.u_num}) / ({row.u_den})",
+            "u_over_nu": f"({row.u_num.scale(scale)}) / "
+                         f"({row.u_den.scale(scale)})",
             "delta_polynomial_part": str(poly_part),
             "delta_simple_poles": [
                 {"root": rational_payload(root),

@@ -12,13 +12,13 @@ and the derived quantities are
     Delta_k  = (n-2)^2 - d_k u_k / nu_k^2
 
 each built from the two linear factors of the auxiliary polynomial P
-below.  closed_forms writes them once, by ring operations that work on
-any dimension argument.  At n = Polynomial.x() they give the family of
-exact polynomials in n (spectral_family, lemma_polynomial), with u_k/nu_k
-and Delta_k as numerator/denominator pairs, which the all-n certificate
-and the coefficient table read.  At an integer n they give the integer
-numerators and denominators that one (omega, n) cell needs, so a cell
-never builds the family.
+(see ClosedForms).  closed_forms writes them once, by ring operations
+that work on any dimension argument, and is their only form.  At
+n = Polynomial.x() it gives the family of exact polynomials in n
+(spectral_family), with u_k/nu_k and Delta_k as numerator/denominator
+pairs, which the all-n certificate, the lemma and the coefficient table
+read.  At an integer n it gives the integer numerators and denominators
+that one (omega, n) cell needs, so a cell never builds the family.
 
 This module also houses the two purely polynomial lemmas used
 downstream: the decreasing auxiliary polynomial P(x) whose negativity at
@@ -43,16 +43,7 @@ from .algebra import (
 
 
 class SpectralRangeError(AlgebraError):
-    """k outside [1, floor(omega/2)] or omega too small."""
-
-
-def _check_range(omega: int, k: int) -> None:
-    if omega < 2:
-        raise SpectralRangeError(
-            f"omega={omega} has an empty eigencomponent family")
-    if not 1 <= k <= omega // 2:
-        raise SpectralRangeError(
-            f"k={k} outside [1, {omega // 2}] for omega={omega}")
+    """omega too small for a nonempty eigencomponent family."""
 
 
 _N = Polynomial.x()
@@ -63,6 +54,7 @@ class RowForms(NamedTuple):
     and denominators of u_k/nu_k = b(nu_k) / (4(n-2)(nu_k-n+1)) and
     Delta_k = -P(nu_k) / ((n-2) nu_k (nu_k-n+1)), each of the type of n."""
 
+    k: int
     nu: Any
     d: Any
     u_num: Any
@@ -72,9 +64,16 @@ class RowForms(NamedTuple):
 
 
 class ClosedForms(NamedTuple):
-    """The factors a(x) = a1 x + a0 and b(x) = b1 x + b0 of LemmaPolynomial,
-    the coefficients of P(x) = A x^2 + B x + C, and the rows
-    k = 1..floor(omega/2), in order."""
+    """The auxiliary polynomial P(x) = a(x) b(x) - (n-2)^3 x (x-n+1)
+    = A x^2 + B x + C, with linear factors a(x) = a1 x + a0 and
+    b(x) = b1 x + b0:
+
+    a(x) = (n-1)(n-2)x - n(n-2)^2 + (w+2)^2(n^2+n+2)
+    b(x) = (n-3)(x-n+1) - (n-1)^2 - (n-1)(w+2)^2
+
+    and the rows k = 1..floor(omega/2), in order, read off them, so that
+    P(nu_k) = -delta_num governs the sign of Delta_k.  The x-derivative
+    collapses to P'(x) = -2(n-2)x - 2n(n-2)^3 + 2(n^2-3n-2)(w+2)^2."""
 
     a1: Any
     a0: Any
@@ -89,10 +88,10 @@ class ClosedForms(NamedTuple):
 def closed_forms(omega: int, n) -> ClosedForms:
     """Every closed form of one omega at dimension n, by ring operations only.
 
-    Generic over n: with Polynomial.x() it gives the polynomials that
-    lemma_polynomial and spectral_family are built from; with an int n it
-    gives plain integers, which is all one (omega, n) cell needs, so a cell
-    never builds the family."""
+    Generic over n: with Polynomial.x() it gives the polynomial family
+    (spectral_family) and the lemma's P; with an int n it gives plain
+    integers, which is all one (omega, n) cell needs, so a cell never
+    builds the family."""
     w2 = (omega + 2) ** 2
     a1 = (n - 1) * (n - 2)
     a0 = -n * (n - 2) ** 2 + w2 * (n ** 2 + n + 2)
@@ -105,7 +104,7 @@ def closed_forms(omega: int, n) -> ClosedForms:
     for k in range(1, omega // 2 + 1):
         nu = (omega - 2 * k + 2) * (n + (omega - 2 * k))
         shifted = nu - n + 1
-        rows.append(RowForms(nu=nu, d=4 * (a1 * nu + a0),
+        rows.append(RowForms(k=k, nu=nu, d=4 * (a1 * nu + a0),
                              u_num=b1 * nu + b0, u_den=4 * (n - 2) * shifted,
                              delta_num=-((A * nu + B) * nu + C),
                              delta_den=(n - 2) * nu * shifted))
@@ -113,115 +112,31 @@ def closed_forms(omega: int, n) -> ClosedForms:
                        rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class SpectralRow:
-    """Row k of one omega over Q[n]: nu_k and d_k, and u_k/nu_k and Delta_k
-    as numerator/denominator pairs with monic denominators."""
-
-    omega: int
-    k: int
-    nu: Polynomial
-    d: Polynomial
-    u_num: Polynomial
-    u_den: Polynomial
-    delta_num: Polynomial
-    delta_den: Polynomial
-
-    def delta_pole_candidates(self) -> tuple[Fraction, ...]:
-        """Roots of the three linear factors of delta_den: n = 2 from the
-        (n-2) prefactor, and the roots of nu_k - n + 1 = m(n+m) and
-        nu_k = (m+1)(n+m-1) with m = omega - 2k + 1."""
-        m = self.omega - 2 * self.k + 1
-        return (Fraction(2), Fraction(-m), Fraction(1 - m))
-
-
-def spectral_row(omega: int, k: int) -> SpectralRow:
-    _check_range(omega, k)
-    return spectral_family(omega)[k - 1]
-
-
-def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    scale = 1 / den.leading
-    return num.scale(scale), den.scale(scale)
-
-
 @functools.cache
-def spectral_family(omega: int) -> tuple[SpectralRow, ...]:
-    """All rows k = 1..floor(omega/2) as polynomials in n, built once per
-    omega (the rows are frozen, so every caller may share them).  The
-    all-n certificates and the coefficient table read them; a single cell
-    evaluates closed_forms at its integer n instead.
+def spectral_family(omega: int) -> tuple[RowForms, ...]:
+    """The rows of closed_forms at n = Polynomial.x(), built once per
+    omega (no operation mutates a row or its Polynomials, so every caller
+    may share them).
+    The all-n certificates and the coefficient table read them; a single
+    cell evaluates closed_forms at its integer n instead.
 
-    Each pair of closed_forms is only made monic: it is already in lowest
-    terms.  With m = omega - 2k + 1 >= 1, u_den = 4m(n-2)(n+m) and
-    delta_den = m(m+1)(n-2)(n+m)(n+m-1), and no numerator vanishes at a
-    root of its denominator.  b(nu_k) is -(m+1)^2 - (omega+2)^2 at n = 2
-    and (m+1)((omega+2)^2 - m - 1) at n = -m, both nonzero; the same
-    substitution leaves P(nu_k) nonzero at n = 2, n = -m and n = 1 - m.
+    Each pair is already in lowest terms.  With m = omega - 2k + 1 >= 1,
+    u_den = 4m(n-2)(n+m) and delta_den = m(m+1)(n-2)(n+m)(n+m-1), and no
+    numerator vanishes at a root of its denominator.  b(nu_k) is
+    -(m+1)^2 - (omega+2)^2 at n = 2 and (m+1)((omega+2)^2 - m - 1) at
+    n = -m, both nonzero; the same substitution leaves P(nu_k) nonzero at
+    n = 2, n = -m and n = 1 - m.  The denominators are not monic: their
+    leading coefficients are 4m and m(m+1), both positive.
     """
     if omega < 2:
         raise SpectralRangeError(
             f"omega={omega} has an empty eigencomponent family")
-    rows = []
-    for k, row in enumerate(closed_forms(omega, _N).rows, 1):
-        u_num, u_den = _monic(row.u_num, row.u_den)
-        delta_num, delta_den = _monic(row.delta_num, row.delta_den)
-        rows.append(SpectralRow(omega=omega, k=k, nu=row.nu, d=row.d,
-                                u_num=u_num, u_den=u_den,
-                                delta_num=delta_num, delta_den=delta_den))
-    return tuple(rows)
+    return closed_forms(omega, _N).rows
 
 
 # ---------------------------------------------------------------------------
 # The decreasing auxiliary polynomial P
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LemmaPolynomial:
-    """P(x) = a(x) b(x) - (n-2)^3 x (x-n+1) = A x^2 + B x + C over Q[n],
-    with linear factors a(x) = a1 x + a0 and b(x) = b1 x + b0:
-
-    a(x) = (n-1)(n-2)x - n(n-2)^2 + (w+2)^2(n^2+n+2)
-    b(x) = (n-3)(x-n+1) - (n-1)^2 - (n-1)(w+2)^2
-
-    closed_forms reads every spectral row off them: d_k = 4 a(nu_k),
-    u_k/nu_k = b(nu_k) / (4(n-2)(nu_k-n+1)) and
-    Delta_k = -P(nu_k) / ((n-2) nu_k (nu_k-n+1)), so U_k = P(nu_k) governs
-    the sign of Delta_k.  The x-derivative collapses to the closed form
-    P'(x) = -2(n-2)x - 2n(n-2)^3 + 2(n^2-3n-2)(w+2)^2.
-    """
-
-    omega: int
-    a1: Polynomial
-    a0: Polynomial
-    b1: Polynomial
-    b0: Polynomial
-    A: Polynomial
-    B: Polynomial
-    C: Polynomial
-
-    def pprime_matches_closed_form(self) -> bool:
-        """P'(x) = 2A x + B against the closed form, coefficient by
-        coefficient in x."""
-        w2 = (self.omega + 2) ** 2
-        return (2 * self.A == -2 * (_N - 2)
-                and self.B == (-2 * _N * (_N - 2) ** 3
-                               + w2 * (2 * (_N ** 2 - 3 * _N - 2))))
-
-    def at(self, value: Polynomial) -> Polynomial:
-        """P(value(n)) as a Polynomial in n, by Horner."""
-        return (self.A * value + self.B) * value + self.C
-
-
-@functools.cache
-def lemma_polynomial(omega: int) -> LemmaPolynomial:
-    f = closed_forms(omega, _N)
-    lp = LemmaPolynomial(omega=omega, a1=f.a1, a0=f.a0, b1=f.b1, b0=f.b0,
-                         A=f.A, B=f.B, C=f.C)
-    if not lp.pprime_matches_closed_form():  # pragma: no cover
-        raise AlgebraError("P' does not match its closed form")
-    return lp
-
 
 @dataclass(frozen=True)
 class LemmaPolyWitness:
@@ -248,12 +163,11 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
         raise SpectralRangeError(
             f"omega={omega} has an empty eigencomponent family")
     n0 = 2 * omega + 6
-    lp = lemma_polynomial(omega)
+    forms = closed_forms(omega, _N)
     ok = True
 
-    rows = spectral_family(omega)
     d_wits = []
-    for row in rows:
+    for row in forms.rows:
         good, w = nonnegative_on_ray(row.d, n0)
         ok = ok and good
         d_wits.append(w)
@@ -265,12 +179,15 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
     good, decreasing_wit = nonnegative_on_ray(decreasing_poly, n0)
     ok = ok and good
 
-    good, at_2n_wit = nonnegative_on_ray(-lp.at(2 * _N), n0)
+    two_n = 2 * _N
+    good, at_2n_wit = nonnegative_on_ray(
+        -((forms.A * two_n + forms.B) * two_n + forms.C), n0)
     ok = ok and good
 
     per_k = []
-    for row in rows:
-        good, w = nonnegative_on_ray(-lp.at(row.nu), n0)
+    for row in forms.rows:
+        # delta_num = -P(nu_k)
+        good, w = nonnegative_on_ray(row.delta_num, n0)
         ok = ok and good
         per_k.append(w)
 

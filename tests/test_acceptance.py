@@ -30,6 +30,7 @@ from hvcert.certify import (
     smallest_failing_n,
     symbolic_certificate,
 )
+from hvcert.cli import RunConfig, cmd_coeffs
 from hvcert.integrals import (
     RadialProfile,
     inte_identity_check,
@@ -44,7 +45,6 @@ from hvcert.spectral import (
     p2_identity_check,
     p2_value,
     spectral_family,
-    spectral_row,
 )
 from hvcert.sphere import (
     HarmonicSpec,
@@ -113,8 +113,8 @@ def f2_combination_ratio(n, w):
 
 def test_criterion_01_spectral_tables_exact():
     """nu_k, d_k, u_k/nu_k and the Delta expansions for omega in {5,6,7}
-    match the published tables; u_k/nu_k is compared as a fraction over
-    a monic denominator."""
+    match the published tables; u_k/nu_k is compared as a fraction, and
+    the coefficient table prints it over a monic denominator."""
     listings = {
         (5, 1): (poly(15, 5), 4 * poly(128, 10, 53, 4), None, None),
         (5, 2): (poly(3, 3), 4 * poly(104, 42, 47, 2),
@@ -142,20 +142,24 @@ def test_criterion_01_spectral_tables_exact():
     }
     ok = True
     for (omega, k), (nu, d, u_over_nu, delta) in listings.items():
-        row = spectral_row(omega, k)
-        ok &= row.nu == nu and row.d == d
+        row = spectral_family(omega)[k - 1]
+        ok &= row.k == k and row.nu == nu and row.d == d
         if u_over_nu is not None:
             num, den = u_over_nu
             ok &= row.u_num * den == num * row.u_den
-            ok &= row.u_den.leading == 1
+            table, _ = cmd_coeffs(RunConfig(command="coeffs",
+                                            omega=(omega, omega)))
+            scale = 1 / den.leading
+            ok &= (table["summary"]["coefficients"][k - 1]["u_over_nu"]
+                   == f"({num.scale(scale)}) / ({den.scale(scale)})")
         if delta is not None:
-            poly_part, poles = delta_partial_fraction(row)
+            poly_part, poles = delta_partial_fraction(omega, row)
             ok &= poly_part == delta[0]
             ok &= dict(poles) == delta[1]
             recombined = poly_part * row.delta_den
             for root, residue in poles:
                 recombined += (row.delta_den
-                               // Polynomial.linear_root(root)).scale(residue)
+                               // Polynomial([-root, 1])).scale(residue)
             ok &= recombined == row.delta_num
     report(1, ok, "omega in {5,6,7} tables reproduced exactly")
     assert ok
@@ -278,7 +282,7 @@ def test_criterion_09_sphere_identities():
         ok &= qbc_quadrature(spec) == qbc_closed_forms(F(spec.nu), F(3))
     n, omega, l = 3, 2, 2
     nu = l * (l + 1)
-    d = spectral_row(omega, 1).d(F(n))
+    d = spectral_family(omega)[0].d(F(n))
     c = (n - 2) ** 2 / d
     phi = real_harmonic(l, 0)
     value = i_s_functional(c * nu * phi, nu * phi, omega)

@@ -76,6 +76,11 @@ class TestPolynomial:
 N = sp.Symbol("n")
 
 
+def linear(root):
+    """The monic linear polynomial n - root."""
+    return Polynomial([-Fraction(root), 1])
+
+
 def to_sympy(p):
     return sum((sp.Rational(c.numerator, c.denominator) * N ** i
                 for i, c in enumerate(p.coeffs)), sp.Integer(0))
@@ -97,60 +102,60 @@ def assert_matches_sympy(num, den, expansion):
 
 class TestPartialFractions:
     def test_three_pole_reconstruction(self):
-        den = (Polynomial.linear_root(2) * Polynomial.linear_root(-2)
-               * Polynomial.linear_root(-1))
+        den = linear(2) * linear(-2) * linear(-1)
         num = poly(2, 0, 0, 1)
-        exp = partial_fractions(num, den, [Polynomial.linear_root(2),
-                                           Polynomial.linear_root(-2),
-                                           Polynomial.linear_root(-1)])
+        exp = partial_fractions(num, den, [2, -2, -1])
         assert_matches_sympy(num, den, exp)
 
     def test_rejects_wrong_factors(self):
         with pytest.raises(InvalidFactorization):
-            partial_fractions(poly(1), poly(-1, 0, 1),
-                              [Polynomial.linear_root(1),
-                               Polynomial.linear_root(2)])
+            partial_fractions(poly(1), poly(-1, 0, 1), [1, 2])
 
     def test_rejects_repeated_factors(self):
         with pytest.raises(InvalidFactorization):
-            partial_fractions(poly(1), poly(1, 2, 1),
-                              [Polynomial.linear_root(-1),
-                               Polynomial.linear_root(-1)])
+            partial_fractions(poly(1), poly(1, 2, 1), [-1, -1])
 
-    def test_rejects_nonlinear_factor_excess_and_non_monic_den(self):
+    def test_rejects_missing_roots_and_degree_excess(self):
+        # n^2 + 1 has no rational root to name, and n^2 - 1 has two
         with pytest.raises(InvalidFactorization):
-            partial_fractions(poly(1), poly(1, 0, 1), [poly(1, 0, 1)])
+            partial_fractions(poly(1), poly(1, 0, 1), [])
         with pytest.raises(InvalidFactorization):
-            partial_fractions(poly(0, 0, 0, 0, 1), poly(0, 1),
-                              [Polynomial.linear_root(0)])
+            partial_fractions(poly(1), poly(-1, 0, 1), [1])
         with pytest.raises(InvalidFactorization):
-            partial_fractions(poly(1), poly(0, 2),
-                              [Polynomial.linear_root(0)])
+            partial_fractions(poly(0, 0, 0, 0, 1), poly(0, 1), [0])
+
+    def test_non_monic_denominator(self):
+        # 1/(2n) has residue 1/2 at n = 0; scaling num and den together
+        # leaves the expansion unchanged
+        assert partial_fractions(poly(1), poly(0, 2), [0]) == (
+            poly(), ((0, Fraction(1, 2)),))
+        num, den = poly(2, 0, 0, 1), linear(2) * linear(-1)
+        assert (partial_fractions(num.scale(-3), den.scale(-3), [2, -1])
+                == partial_fractions(num, den, [2, -1]))
 
     def test_residue_lookup(self):
         _, poles = partial_fractions(poly(1), poly(0, 1) * poly(-1, 1),
-                                     [Polynomial.linear_root(0),
-                                      Polynomial.linear_root(1)])
+                                     [0, 1])
         assert dict(poles)[0] == -1
         assert dict(poles)[1] == 1
 
     @given(st.lists(rationals, min_size=1, max_size=8),
            st.lists(st.integers(min_value=-20, max_value=20),
-                    min_size=1, max_size=4, unique=True))
+                    min_size=1, max_size=4, unique=True),
+           rationals.filter(bool))
     @settings(max_examples=150, deadline=None)
-    def test_roundtrip_random(self, num_cs, roots):
+    def test_roundtrip_random(self, num_cs, roots, scale):
         # every draw, a numerator sharing a root with den included: that
-        # pole gets residue 0
+        # pole gets residue 0; den carries a nonzero leading coefficient
         num = Polynomial(num_cs)
-        den = Polynomial([1])
+        den = Polynomial([scale])
         for r in roots:
-            den = den * Polynomial.linear_root(r)
-        factors = [Polynomial.linear_root(r) for r in roots]
+            den = den * linear(r)
         if num.degree - den.degree > 2:
             with pytest.raises(InvalidFactorization):
-                partial_fractions(num, den, factors)
+                partial_fractions(num, den, roots)
             return
-        assert_matches_sympy(num, den, partial_fractions(num, den, factors))
+        assert_matches_sympy(num, den, partial_fractions(num, den, roots))
 
 
 class TestRayPositivity:
@@ -178,7 +183,7 @@ class TestRayPositivity:
         for r in roots:
             if p.degree >= 8:
                 break
-            p = p * Polynomial.linear_root(r)
+            p = p * linear(r)
         assume(not p.is_zero())
         n0 = Fraction(n0)
         expected = sp.Poly(to_sympy(p), N).count_roots(

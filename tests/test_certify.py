@@ -2,6 +2,7 @@
 certificate, and the omega = 16 breakdown.  Scans run through hvcert.cli
 and are tested in test_cli.py."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -189,17 +190,41 @@ class TestSymbolicCertificate:
         assert cert.failure is not None
         assert cert.failure[0] == "pair"
 
+    def test_proofs_are_fixed(self):
+        # every lower bound (k, a_k, b_k) and pair check (i, j and the
+        # rational sqrt(a) bounds) of omega = 3..16 with its witness
+        # method and root count, byte for byte: the report pins only the
+        # failure tuple.  All 180 proved inequalities fire the shifted-
+        # coefficient test; the one Sturm witness is omega = 16's failing
+        # pair (1, 7), with one root on the ray
+        def proof_lines(omega):
+            cert = symbolic_certificate(omega)
+            for lb in cert.lower_bounds:
+                w = lb.witness
+                yield (f"{omega} lb {lb.k} {lb.a} {lb.b} {w.method}"
+                       f" {w.root_count}")
+            for pc in cert.pair_checks:
+                w = pc.witness
+                yield (f"{omega} pair {pc.i} {pc.j} {pc.lb_i_sqrt_a}"
+                       f" {pc.lb_j_sqrt_a} {w.method} {w.root_count}")
+
+        lines = [line for omega in range(3, 17) for line in proof_lines(omega)]
+        assert len(lines) == 181
+        assert [line for line in lines if "sturm" in line] == [
+            "16 pair 1 7 88388347648318440550105545263/"
+            "250000000000000000000000000000 88388347648318440550105545263/"
+            "125000000000000000000000000000 sturm 1"]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "e835af9bdae53b7141f99412cb7420c12cb9b8ec0c7af70a06208d0c389b67a2")
+
     def test_unproved_denominator_sign_fails(self, monkeypatch):
         # Delta = n^2 - 1/(n-20) has the pole n = 20 on the ray n >= 12:
         # Delta - n^2 = -1/(n-20) changes sign there, so the lower bound
         # Delta > n^2 must not be reported as proved
         class RowWithPoleOnRay:
-            omega, k, d = 3, 1, Polynomial([1])
+            k, d = 1, Polynomial([1])
             delta_num = Polynomial([-1, 0, -20, 1])
             delta_den = Polynomial([-20, 1])
-
-            def delta_pole_candidates(self):
-                return (F(20),)
 
         monkeypatch.setattr(certify, "spectral_family",
                             lambda omega: (RowWithPoleOnRay(),))
@@ -211,17 +236,10 @@ class TestSymbolicCertificate:
         # omega = 5's rows relabelled k = 2, 1, so d_1 < d_2: the pair
         # checks take only i < j and scale by d_i, d_j, which is sound only
         # when d_1 > d_2 > 0 is proved on the ray
-        class Relabelled:
-            def __init__(self, row, k):
-                self.omega, self.k = row.omega, k
-                self.d = row.d
-                self.delta_num, self.delta_den = row.delta_num, row.delta_den
-                self.delta_pole_candidates = row.delta_pole_candidates
-
         first, second = spectral_family(5)
         monkeypatch.setattr(
             certify, "spectral_family",
-            lambda omega: (Relabelled(first, 2), Relabelled(second, 1)))
+            lambda omega: (first._replace(k=2), second._replace(k=1)))
         cert = symbolic_certificate(5)
         assert not cert.ok
         assert cert.failure == ("d_order", 5, 1)
@@ -253,7 +271,7 @@ class TestSymbolicCertificate:
             rows = {row.k: row for row in spectral_family(omega)}
             for lb in cert.lower_bounds:
                 row = rows[lb.k]
-                poly, _ = delta_partial_fraction(row)
+                poly, _ = delta_partial_fraction(omega, row)
                 assert (lb.a, lb.b) == (poly.coeffs[2], poly.coeffs[1])
                 square = (n + lb.b / (2 * lb.a)) ** 2
                 ref = row.delta_num - square.scale(lb.a) * row.delta_den

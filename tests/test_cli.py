@@ -257,9 +257,14 @@ class TestDeterminism:
          "90b5e6c53e36e517ebbe8fc20ff5632f0f4e3a936be4516647769b21a1d7ff89"),
         ("certify --omega 3..16 --symbolic",
          "76a721ac1799e028b0ebf21c7c1e7016cc4966ae38d4508f0bbf9f7c229c8b42"),
+        ("coeffs --omega 7 --format markdown",
+         "98badef2843af30c909e4acd4b7079e07da5cd750ebc7ce541d4102fd8eda778"),
+        ("coeffs --omega 16 --format markdown",
+         "b4e58715d7362ddb8306e939b42c6a9e3c4e5c6d35f482cbc699ce28400fbea1"),
     ], ids=["scan-16-threshold", "certify-16-threshold", "certify-3",
             "certify-7", "certify-11", "certify-15", "coeffs-5", "coeffs-7",
-            "coeffs-16", "symbolic-3-16"])
+            "coeffs-16", "symbolic-3-16", "coeffs-7-markdown",
+            "coeffs-16-markdown"])
     def test_report_digest_is_fixed(self, tmp_path, args, digest):
         # sha256 of the whole JSON report: every cell's enclosure
         # midpoints, chosen c and verdict, byte for byte, on both sides of
@@ -267,7 +272,8 @@ class TestDeterminism:
         # faster cell kernel must give these reports unchanged; likewise
         # the coefficient tables (u_k/nu_k and the Delta_k partial
         # fractions) and the all-n certificates, whose omega = 16 failure
-        # exits 1 after writing its report
+        # exits 1 after writing its report; the markdown tables pin the
+        # monic u_k/nu_k string and the residues as printed fractions
         out = tmp_path / "r.json"
         main(args.split() + ["--jobs", "1", "--output", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -8,7 +8,6 @@ of Delta_1 under the label Delta_3; the pole locations n = -6, -5 identify
 it unambiguously, so the frozen data keys it by pole structure.)
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -18,20 +17,25 @@ from hypothesis import strategies as st
 
 from hvcert.algebra import InvalidFactorization, Polynomial
 from hvcert.certify import delta_partial_fraction, roots_at
+from hvcert.cli import RunConfig, cmd_coeffs
 from hvcert.spectral import (
     SpectralRangeError,
     check_lemma_poly,
     closed_forms,
-    lemma_polynomial,
     p2_identity_check,
     p2_value,
     spectral_family,
-    spectral_row,
 )
 
 
 def poly(*ascending):
     return Polynomial(ascending)
+
+
+def family_row(omega, k):
+    row = spectral_family(omega)[k - 1]
+    assert row.k == k
+    return row
 
 
 N = sp.Symbol("n")
@@ -60,30 +64,31 @@ def assert_pair_equals(num, den, reference):
 
 class TestEigenvalueFamily:
     def test_nu_values(self):
-        assert spectral_row(5, 1).nu == poly(15, 5)     # 5(n+3)
-        assert spectral_row(5, 2).nu == poly(3, 3)      # 3(n+1)
-        assert spectral_row(6, 1).nu == poly(24, 6)     # 6(n+4)
-        assert spectral_row(6, 2).nu == poly(8, 4)      # 4(n+2)
-        assert spectral_row(7, 1).nu == poly(35, 7)     # 7(n+5)
-        assert spectral_row(7, 2).nu == poly(15, 5)     # 5(n+3)
-        assert spectral_row(7, 3).nu == poly(3, 3)      # 3(n+1)
+        assert family_row(5, 1).nu == poly(15, 5)     # 5(n+3)
+        assert family_row(5, 2).nu == poly(3, 3)      # 3(n+1)
+        assert family_row(6, 1).nu == poly(24, 6)     # 6(n+4)
+        assert family_row(6, 2).nu == poly(8, 4)      # 4(n+2)
+        assert family_row(7, 1).nu == poly(35, 7)     # 7(n+5)
+        assert family_row(7, 2).nu == poly(15, 5)     # 5(n+3)
+        assert family_row(7, 3).nu == poly(3, 3)      # 3(n+1)
 
     def test_family_size_is_floor_half(self):
         for omega in range(2, 21):
-            assert len(spectral_family(omega)) == omega // 2
+            family = spectral_family(omega)
+            assert [row.k for row in family] == list(range(1, omega // 2 + 1))
 
     def test_out_of_range(self):
         with pytest.raises(SpectralRangeError):
-            spectral_row(5, 3)
-        with pytest.raises(SpectralRangeError):
             spectral_family(1)
+        with pytest.raises(SpectralRangeError):
+            check_lemma_poly(1)
 
     def test_nu_at_least_2n_on_ray(self):
         # every eigencomponent satisfies nu_k >= 2n for n >= 0:
         # nu_k - 2n = (w-2k)(n + w-2k+2) + 2(w-2k) + 4 ... checked directly
         for omega in range(2, 16):
             for k in range(1, omega // 2 + 1):
-                diff = spectral_row(omega, k).nu - poly(0, 2)
+                diff = family_row(omega, k).nu - poly(0, 2)
                 if diff.is_zero():       # the last component of even omega
                     continue
                 n0 = 2 * omega + 6
@@ -97,19 +102,19 @@ class TestDCoefficients:
         n = Polynomial.x()
         for omega in range(2, 21):
             for k in range(1, omega // 2 + 1):
-                nu = spectral_row(omega, k).nu
+                nu = family_row(omega, k).nu
                 expected = 4 * ((n - 1) * (n - 2) * nu - n * (n - 2) ** 2
                                 + (omega + 2) ** 2 * (n * n + n + 2))
-                assert spectral_row(omega, k).d == expected
+                assert family_row(omega, k).d == expected
 
     def test_listed_values(self):
-        assert spectral_row(5, 1).d == 4 * poly(128, 10, 53, 4)
-        assert spectral_row(5, 2).d == 4 * poly(104, 42, 47, 2)
-        assert spectral_row(6, 1).d == 4 * poly(176, 0, 74, 5)
-        assert spectral_row(6, 2).d == 4 * poly(144, 44, 64, 3)
-        assert spectral_row(7, 1).d == 4 * poly(232, -14, 99, 6)
-        assert spectral_row(7, 2).d == 4 * poly(192, 42, 85, 4)
-        assert spectral_row(7, 3).d == 4 * poly(168, 74, 79, 2)
+        assert family_row(5, 1).d == 4 * poly(128, 10, 53, 4)
+        assert family_row(5, 2).d == 4 * poly(104, 42, 47, 2)
+        assert family_row(6, 1).d == 4 * poly(176, 0, 74, 5)
+        assert family_row(6, 2).d == 4 * poly(144, 44, 64, 3)
+        assert family_row(7, 1).d == 4 * poly(232, -14, 99, 6)
+        assert family_row(7, 2).d == 4 * poly(192, 42, 85, 4)
+        assert family_row(7, 3).d == 4 * poly(168, 74, 79, 2)
 
     def test_strictly_decreasing_in_k(self):
         # d_k = 4 a(nu_k) with a linear in x, so d_k - d_{k+1} is
@@ -119,31 +124,33 @@ class TestDCoefficients:
         n = Polynomial.x()
         for omega in range(2, 25):
             for k in range(1, omega // 2):
-                row, nxt = spectral_row(omega, k), spectral_row(omega, k + 1)
+                row, nxt = family_row(omega, k), family_row(omega, k + 1)
                 gap = row.nu - nxt.nu
                 assert all(c > 0 for c in gap.coeffs), (omega, k)
                 assert row.d - nxt.d == 4 * (n - 1) * (n - 2) * gap
 
 
 class TestUOverNu:
-    def check(self, row, num, den):
-        # the listed fraction, by cross-multiplication, over a monic u_den
+    def check(self, omega, k, num, den):
+        # the listed fraction, by cross-multiplication, and the coefficient
+        # table prints it over a monic denominator
+        row = family_row(omega, k)
         assert row.u_num * den == num * row.u_den
-        assert row.u_den.leading == 1
+        payload, _ = cmd_coeffs(RunConfig(command="coeffs",
+                                          omega=(omega, omega)))
+        printed = payload["summary"]["coefficients"][k - 1]["u_over_nu"]
+        scale = 1 / den.leading
+        assert printed == f"({num.scale(scale)}) / ({den.scale(scale)})"
 
     def test_listed_values(self):
         # u_2/nu_2 for omega = 5: (n^2 - 49n + 36) / (8(n-2)(n+2))
-        self.check(spectral_row(5, 2), poly(36, -49, 1),
-                   8 * poly(-2, 1) * poly(2, 1))
+        self.check(5, 2, poly(36, -49, 1), 8 * poly(-2, 1) * poly(2, 1))
         # omega = 6: (n^2 - 31n + 18) / (6(n-2)(n+3))
-        self.check(spectral_row(6, 2), poly(18, -31, 1),
-                   6 * poly(-2, 1) * poly(3, 1))
+        self.check(6, 2, poly(18, -31, 1), 6 * poly(-2, 1) * poly(3, 1))
         # omega = 7: (3n^2 - 75n + 32) / (16(n-2)(n+4)) for k = 2
-        self.check(spectral_row(7, 2), poly(32, -75, 3),
-                   16 * poly(-2, 1) * poly(4, 1))
+        self.check(7, 2, poly(32, -75, 3), 16 * poly(-2, 1) * poly(4, 1))
         # omega = 7: (n^2 - 81n + 68) / (8(n-2)(n+2)) for k = 3
-        self.check(spectral_row(7, 3), poly(68, -81, 1),
-                   8 * poly(-2, 1) * poly(2, 1))
+        self.check(7, 3, poly(68, -81, 1), 8 * poly(-2, 1) * poly(2, 1))
 
     def test_rows_match_definitions(self):
         # u_k/nu_k and Delta_k from their definitions, cancelled by sympy,
@@ -168,7 +175,8 @@ class TestUOverNu:
 
 class TestDeltaExpansions:
     def check(self, omega, k, poly_part, poles):
-        got_part, got_poles = delta_partial_fraction(spectral_row(omega, k))
+        got_part, got_poles = delta_partial_fraction(omega,
+                                                     family_row(omega, k))
         assert got_part == poly_part
         assert dict(got_poles) == poles
 
@@ -204,7 +212,7 @@ class TestDeltaExpansions:
         # polynomial part plus simple poles, summed by sympy, is Delta_k
         for omega in (5, 6, 7):
             for row in spectral_family(omega):
-                poly_part, poles = delta_partial_fraction(row)
+                poly_part, poles = delta_partial_fraction(omega, row)
                 total = to_sympy(poly_part) + sum(
                     sp.Rational(res.numerator, res.denominator)
                     / (N - sp.Rational(r.numerator, r.denominator))
@@ -213,9 +221,11 @@ class TestDeltaExpansions:
                 assert sp.cancel(total - delta) == 0
 
     def test_wrong_poles_fail_closed(self):
-        row = spectral_row(7, 1)
+        row = family_row(7, 1)
         with pytest.raises(InvalidFactorization):
-            delta_partial_fraction(dataclasses.replace(row, k=2))
+            delta_partial_fraction(7, row._replace(k=2))
+        with pytest.raises(InvalidFactorization):
+            delta_partial_fraction(9, row)
 
     def test_pole_candidates_cover_actual_poles(self):
         # the pairs are in lowest terms: with m = omega - 2k + 1, u_num is
@@ -228,7 +238,8 @@ class TestDeltaExpansions:
                 assert all(row.u_num(F(r)) for r in (2, -m)), (omega, row.k)
                 assert all(row.delta_num(F(r)) for r in (2, -m, 1 - m)), \
                     (omega, row.k)
-                _, poles = delta_partial_fraction(row)
+                _, poles = delta_partial_fraction(omega, row)
+                assert [root for root, _ in poles] == [2, -m, 1 - m]
                 assert all(residue for _, residue in poles)
 
 
@@ -256,15 +267,25 @@ class TestIntegerClosedForms:
 
 class TestLemmaPolynomial:
     def test_derivative_closed_form(self):
+        # P'(x) = 2A x + B against -2(n-2)x - 2n(n-2)^3
+        # + 2(n^2-3n-2)(w+2)^2, coefficient by coefficient in x, over Q[n]
+        # and at integer n
+        n = Polynomial.x()
         for omega in range(2, 21):
-            assert lemma_polynomial(omega).pprime_matches_closed_form()
+            w2 = (omega + 2) ** 2
+            for dim in (n, 2 * omega + 6, 1000):
+                forms = closed_forms(omega, dim)
+                assert 2 * forms.A == -2 * (dim - 2)
+                assert forms.B == (-2 * dim * (dim - 2) ** 3
+                                   + 2 * w2 * (dim ** 2 - 3 * dim - 2))
 
     def test_value_at_nu_matches_rows(self):
         # P(nu_k) = (nu_k - n + 1) d_k [(n-2) u_k/nu_k - (n-2)^3 nu_k/d_k]
         for omega in (2, 5, 9):
-            lp = lemma_polynomial(omega)
+            forms = closed_forms(omega, Polynomial.x())
             for row in spectral_family(omega):
-                p_at_nu = lp.at(row.nu)
+                p_at_nu = (forms.A * row.nu + forms.B) * row.nu + forms.C
+                assert p_at_nu == -row.delta_num
                 for n in (F(7), F(30), F(101, 3)):
                     nu, d = row.nu(n), row.d(n)
                     u_over_nu = row.u_num(n) / row.u_den(n)
