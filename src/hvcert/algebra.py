@@ -274,15 +274,13 @@ def partial_fractions(num: Polynomial, den: Polynomial,
     (root, residue) meaning residue/(n - root), in the order of roots.
     Those roots are then every root of den, each simple, so the residue at
     r is num(r)/den'(r), zero where num shares the root; den need not be
-    monic.  The polynomial part may have degree at most 2.
+    monic, and num may exceed den in degree by any amount.
     """
     roots = [_as_fraction(r) for r in roots]
     if (len(roots) != den.degree or len(set(roots)) != len(roots)
             or any(den(r) for r in roots)):
         raise InvalidFactorization(
             f"the roots are not {den.degree} distinct roots of {den}")
-    if num.degree - den.degree > 2:
-        raise InvalidFactorization("numerator degree excess > 2")
     slope = den.derivative()
     return num // den, tuple((r, num(r) / slope(r)) for r in roots)
 

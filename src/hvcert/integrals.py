@@ -6,18 +6,25 @@ The one-dimensional integrals
 
 carry every coefficient of the eps-expansion of the Yamabe functional at a
 concentrated Aubin bubble.  When 2a - b > 1 the limit has the Beta closed
-form I_a^b = Beta((b+1)/2, a - (b+1)/2) / 2; all identity checks here pit
-that closed form against tanh-sinh quadrature (mpmath) and against each
-other through the integration-by-parts recurrences.  Gamma values come from
-`math`, in log space where they would overflow a float.
+form I_a^b = Beta((b+1)/2, a - (b+1)/2) / 2.  The float identity checks
+here pit that closed form against tanh-sinh quadrature (mpmath) and
+against each other through the integration-by-parts recurrences, each at
+a fixed relative tolerance.  Gamma values come from `math`, in log space
+where they would overflow a float.  The f^2 coefficient identity is
+decided exactly instead: the ratio of two integrals whose parameters
+differ by integer steps is rational (beta_ratio), and P_2 is read from
+spectral.closed_forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import fp, mp
+
+from .spectral import closed_forms
 
 # math.gamma overflows past 171.62
 _GAMMA_MAX = 170.0
@@ -282,96 +289,75 @@ def radial_yamabe(profile: RadialProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The f^2 coefficient identity and the assembled expansion bracket
+# The f^2 coefficient identity, decided exactly
 # ---------------------------------------------------------------------------
 
-def p2_value_float(n: float, omega: int) -> float:
-    """P_2(omega+2) = 4(omega+2)^2(n^2+n+2) - 4n(n-2)^2."""
-    X = omega + 2
-    return 4 * X * X * (n * n + n + 2) - 4 * n * (n - 2) ** 2
+def _gamma_ratio(x: Fraction, x0: Fraction) -> Fraction:
+    """Gamma(x) / Gamma(x0) for positive x, x0 an integer apart, by
+    Gamma(y + 1) = y Gamma(y)."""
+    out = Fraction(1)
+    while x0 < x:
+        out *= x0
+        x0 += 1
+    while x < x0:
+        out /= x
+        x += 1
+    return out
 
 
-def norme_f2_combination(n: int, omega: int) -> float:
-    """The five-integral combination collecting the f^2 coefficient:
+def beta_ratio(a: int, b: int, a0: int, b0: int) -> Fraction:
+    """I_a^b / I_{a0}^{b0} exactly, for convergent integer parameters
+    with b - b0 even (the steps of the integration-by-parts recurrences).
 
-        (omega-n+4)^2 I_n^{2w+n+5} + 2(w+2)(omega-n+4) I_n^{2w+n+3}
-        + (w+2)^2 I_n^{2w+n+1} - (N-1)(n-2)^2 I_n^{2w+n+3} I_n^{n+1} / I_n^{n-1}
+    With p = (b+1)/2, I_a^b = Gamma(p) Gamma(a-p) / (2 Gamma(a)), and each
+    Gamma argument differs from its counterpart by an integer, so the
+    ratio is a product of rationals.
     """
-    if n <= 2 * omega + 6:
-        raise DivergentIntegral("combination requires n > 2 omega + 6")
-    w = omega
-    N = 2 * n / (n - 2)
-    return ((w - n + 4) ** 2 * i_closed(n, 2 * w + n + 5)
-            + 2 * (w + 2) * (w - n + 4) * i_closed(n, 2 * w + n + 3)
-            + (w + 2) ** 2 * i_closed(n, 2 * w + n + 1)
-            - (N - 1) * (n - 2) ** 2 * i_closed(n, 2 * w + n + 3)
-            * i_closed(n, n + 1) / i_closed(n, n - 1))
+    for x, y in ((a, b), (a0, b0)):
+        if y <= -1 or 2 * x - y <= 1:
+            raise DivergentIntegral(f"(a={x}, b={y}) not convergent")
+    if (b - b0) % 2:
+        raise ValueError(f"b - b0 = {b - b0} is odd")
+    p, p0 = Fraction(b + 1, 2), Fraction(b0 + 1, 2)
+    return (_gamma_ratio(p, p0) * _gamma_ratio(a - p, a0 - p0)
+            / _gamma_ratio(Fraction(a), Fraction(a0)))
 
 
 def norme_f2_check(n: int, omega: int) -> dict:
-    """Compare the combination with +/- P_2(omega+2)/(4(n-1)(n-2)) I_{n-2}^{n+2w+1}
-    to a relative 1e-10.
+    """Decide in exact rationals whether the five-integral combination
 
-    The derivation gives the + sign: the combination equals
+        (omega-n+4)^2 I_n^{2w+n+5} + 2(w+2)(omega-n+4) I_n^{2w+n+3}
+        + (w+2)^2 I_n^{2w+n+1} - (N-1)(n-2)^2 I_n^{2w+n+3} I_n^{n+1} / I_n^{n-1}
+
+    equals +P_2(omega+2)/(4(n-1)(n-2)) I_{n-2}^{n+2w+1} or its negative.
+
+    The combination over I_{n-2}^{n+2w+1} (combination_ratio) is a sum of
+    beta_ratio terms, and P_2(omega+2)/(4(n-1)(n-2)) (plus_p2_ratio) is
+    a0/((n-1)(n-2)) with a0 from spectral.closed_forms.  The derivation
+    gives the + sign: the combination equals
     -[n(n-2)^2 - (omega+2)^2(n^2+n+2)]/((n-1)(n-2)) I_{n-2}^{n+2w+1},
     and that bracket is exactly -P_2(omega+2)/4.  Both signs are reported
     so the caller can see which convention a statement matches.
     """
-    lhs = norme_f2_combination(n, omega)
-    scale = i_closed(n - 2, n + 2 * omega + 1) / (4 * (n - 1) * (n - 2))
-    rhs_plus = p2_value_float(n, omega) * scale
-    rhs_minus = -rhs_plus
-    denom = max(abs(lhs), 1e-300)
+    if n <= 2 * omega + 6:
+        raise DivergentIntegral("combination requires n > 2 omega + 6")
+    w = omega
+
+    def i(b):
+        return beta_ratio(n, b, n - 2, n + 2 * w + 1)
+
+    N = Fraction(2 * n, n - 2)
+    combination = ((w - n + 4) ** 2 * i(2 * w + n + 5)
+                   + 2 * (w + 2) * (w - n + 4) * i(2 * w + n + 3)
+                   + (w + 2) ** 2 * i(2 * w + n + 1)
+                   - (N - 1) * (n - 2) ** 2 * i(2 * w + n + 3)
+                   * beta_ratio(n, n + 1, n, n - 1))
+    plus_p2 = Fraction(closed_forms(omega, n).a0, (n - 1) * (n - 2))
     return {
         "n": n,
         "omega": omega,
-        "combination": lhs,
-        "rhs_plus_p2": rhs_plus,
-        "rhs_minus_p2": rhs_minus,
-        "matches_plus_p2": abs(lhs - rhs_plus) <= 1e-10 * denom,
-        "matches_minus_p2": abs(lhs - rhs_minus) <= 1e-10 * denom,
+        "combination_ratio": combination,
+        "plus_p2_ratio": plus_p2,
+        "matches_plus_p2": combination == plus_p2,
+        "matches_minus_p2": combination == -plus_p2,
     }
-
-
-@dataclass(frozen=True)
-class ExpansionBracket:
-    """The braced coefficient of eps^(2 omega + 4) in I_g(phi_eps),
-    assembled from four mean-integral statistics of the angular profile f
-    and the curvature:
-
-        value = (n-2)^2 curvature_mean + I_S(f)
-        I_S(f) = 4(n-1)(n-2) f_h1
-                 - [4n(n-2)^2 - 4(omega+2)^2(n^2+n+2)] f_l2
-                 - 2(n-2)^2 f_rbar
-
-    A negative value certifies that the functional dips strictly below the
-    round-sphere level n(n-2) omega_{n-1}^{2/n} / 4 for small eps.
-    """
-
-    n: int
-    omega: int
-    curvature_mean: float
-    f_l2: float
-    f_h1: float
-    f_rbar: float
-    value: float
-    logarithmic: bool
-
-
-def i_s_coefficients(n: float, omega: int) -> tuple[float, float, float]:
-    """(h1, l2, rbar) multipliers of the I_S functional; l2 is
-    P_2(omega+2)."""
-    return (4 * (n - 1) * (n - 2), p2_value_float(n, omega),
-            -2 * (n - 2) ** 2)
-
-
-def expansion_bracket(n: int, omega: int, curvature_mean: float,
-                      f_l2: float, f_h1: float, f_rbar: float) -> ExpansionBracket:
-    if n < 2 * omega + 6:
-        raise ValueError(f"n={n} below the admissible range 2*omega+6")
-    ch1, cl2, crbar = i_s_coefficients(n, omega)
-    value = ((n - 2) ** 2 * curvature_mean
-             + ch1 * f_h1 + cl2 * f_l2 + crbar * f_rbar)
-    return ExpansionBracket(n=n, omega=omega, curvature_mean=curvature_mean,
-                            f_l2=f_l2, f_h1=f_h1, f_rbar=f_rbar, value=value,
-                            logarithmic=(n == 2 * omega + 6))

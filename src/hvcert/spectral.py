@@ -21,10 +21,11 @@ read.  At an integer n it gives the integer numerators and denominators
 that one (omega, n) cell needs, so a cell never builds the family.
 
 This module also houses the two purely polynomial lemmas used
-downstream: the decreasing auxiliary polynomial P(x) whose negativity at
-x = nu_k yields Delta_k > 0 on the ray n >= 2 omega + 6, and the even
-quadratic P_2 collecting the f^2 coefficient of the test-function
-expansion.
+downstream, both read off closed_forms: the decreasing auxiliary
+polynomial P(x) = A x^2 + B x + C whose negativity at x = nu_k yields
+Delta_k > 0 on the ray n >= 2 omega + 6 (check_lemma_poly), and
+P_2(omega+2) = 4 a0, the f^2 coefficient of the test-function expansion
+(p2_value), which the integral and sphere oracles read from here.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ class ClosedForms(NamedTuple):
 
     and the rows k = 1..floor(omega/2), in order, read off them, so that
     P(nu_k) = -delta_num governs the sign of Delta_k.  The x-derivative
-    collapses to P'(x) = -2(n-2)x - 2n(n-2)^3 + 2(n^2-3n-2)(w+2)^2."""
+    collapses to P'(x) = 2A x + B with A = -(n-2) and
+    B = -2n(n-2)^3 + 2(n^2-3n-2)(w+2)^2, and 4 a0 is the f^2 coefficient
+    P_2(w+2) = 4(w+2)^2(n^2+n+2) - 4n(n-2)^2."""
 
     a1: Any
     a0: Any
@@ -143,6 +146,7 @@ class LemmaPolyWitness:
     omega: int
     ray_start: int
     d_positive: tuple[RayPositivityWitness, ...]
+    x_coefficient: RayPositivityWitness
     decreasing: RayPositivityWitness
     value_at_2n: RayPositivityWitness
     per_k: tuple[RayPositivityWitness, ...]
@@ -154,10 +158,11 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
 
     Since (nu_k - n + 1) d_k [ (n-2) u_k/nu_k - (n-2)^3 nu_k/d_k ] expands
     to exactly P(nu_k), and nu_k - n + 1 = m(n+m) > 0, it suffices that
-    d_k > 0 and P(nu_k) < 0 on the ray.  P is decreasing in x for x > 0
-    once n(n-2)^3 >= (n^2-3n-2)(omega+2)^2, and every nu_k is >= 2n, so
-    P(2n) < 0 closes the argument; each P(nu_k) < 0 is also certified
-    directly as a belt-and-braces check.
+    d_k > 0 and P(nu_k) < 0 on the ray.  -P'(x) = -2A x - B, with
+    -A = n - 2 and -B/2 = n(n-2)^3 - (n^2-3n-2)(omega+2)^2, so P is
+    decreasing in x for x > 0 once both are proved positive; every nu_k
+    is >= 2n, so P(2n) < 0 closes the argument; each P(nu_k) < 0 is also
+    certified directly as a belt-and-braces check.
     """
     if omega < 2:
         raise SpectralRangeError(
@@ -172,11 +177,10 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
         ok = ok and good
         d_wits.append(w)
 
-    # -P'(x) = 2(n-2)x + 2[n(n-2)^3 - (n^2-3n-2)(omega+2)^2]: positive for
-    # all x >= 0 iff the x-free part is nonnegative (x-coefficient is > 0).
-    w2 = (omega + 2) ** 2
-    decreasing_poly = _N * (_N - 2) ** 3 - w2 * (_N ** 2 - 3 * _N - 2)
-    good, decreasing_wit = nonnegative_on_ray(decreasing_poly, n0)
+    # -P'(x) = -2A x - B is positive for all x >= 0 once -A > 0 and -B > 0
+    good, x_coefficient_wit = nonnegative_on_ray(-forms.A, n0)
+    ok = ok and good
+    good, decreasing_wit = nonnegative_on_ray(-forms.B, n0)
     ok = ok and good
 
     two_n = 2 * _N
@@ -193,6 +197,7 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
 
     return ok, LemmaPolyWitness(omega=omega, ray_start=n0,
                                 d_positive=tuple(d_wits),
+                                x_coefficient=x_coefficient_wit,
                                 decreasing=decreasing_wit,
                                 value_at_2n=at_2n_wit,
                                 per_k=tuple(per_k))
@@ -201,11 +206,6 @@ def check_lemma_poly(omega: int) -> tuple[bool, LemmaPolyWitness]:
 # ---------------------------------------------------------------------------
 # The even quadratic P_2
 # ---------------------------------------------------------------------------
-
-def p2_closed_form(X: Fraction) -> Polynomial:
-    """P_2(X) = 4 X^2 (n^2+n+2) - 4 n (n-2)^2, X standing for omega+2."""
-    return 4 * X * X * (_N ** 2 + _N + 2) - 4 * _N * (_N - 2) ** 2
-
 
 def p2_expanded(X: Fraction) -> Polynomial:
     """The four-product definition of P_2 at a rational X, over Q[n]."""
@@ -221,16 +221,16 @@ def p2_expanded(X: Fraction) -> Polynomial:
 
 
 def p2_identity_check() -> bool:
-    """Exact equality of the expanded P_2 with 4X^2(n^2+n+2) - 4n(n-2)^2.
+    """Exact equality of the expanded P_2 with 4 a0 of closed_forms at
+    omega = X - 2, which is 4X^2(n^2+n+2) - 4n(n-2)^2.
 
     Both sides have degree at most 4 in X over Q[n], so agreement at the
     five points X = 0..4 proves the identity.
     """
-    return all(p2_expanded(Fraction(X)) == p2_closed_form(Fraction(X))
+    return all(p2_expanded(Fraction(X)) == 4 * closed_forms(X - 2, _N).a0
                for X in range(5))
 
 
 def p2_value(omega: int) -> Polynomial:
-    """P_2(omega+2) as a Polynomial in n."""
-    return p2_closed_form(Fraction(omega + 2))
-
+    """P_2(omega+2) = 4 a0 as a Polynomial in n."""
+    return 4 * closed_forms(omega, _N).a0

@@ -6,9 +6,9 @@ functional) are dimension-generic: their derivations use only
 Delta phi = nu phi, the constant-curvature relation
 R_lijm = s_lj s_im - s_lm s_ij and trace bookkeeping.  This module
 decides them exactly on S^2 (n = 3, nu = l(l+1)).  Only the closed forms
-(qbc_closed_forms, u_coefficient_from_qbc, i_s_minimizer_reference) take
-n, because they are the dimension-generic formulas the sphere means are
-compared with.
+(qbc_closed_forms, u_coefficient_from_qbc, i_s_coefficients,
+i_s_minimizer_reference) take n, because they are the dimension-generic
+formulas the sphere means are compared with.
 
 Every function on S^2 is the restriction of a polynomial in x, y, z
 (sympy's sparse RING over QQ), and a tangential tensor is a mapping from
@@ -58,7 +58,7 @@ from types import MappingProxyType
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from .integrals import i_s_coefficients
+from .spectral import closed_forms
 
 RING, X, Y, Z = ring("x,y,z", QQ)
 _AXES = (X, Y, Z)
@@ -270,16 +270,26 @@ def qbc_quadrature(spec: HarmonicSpec) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(sphere_mean(s) / norm for s in sums)
 
 
-def u_coefficient_from_qbc(nu: float, n: int, omega: int) -> float:
-    """B_b/2 - C_b/4 - (1 + omega/2)^2 Q_b, the quadrature route to u_k."""
+def u_coefficient_from_qbc(nu, n, omega: int):
+    """B_b/2 - C_b/4 - (1 + omega/2)^2 Q_b, the quadrature route to u_k.
+
+    Exact for Fraction nu and n, floats otherwise."""
     Q, B, C = qbc_closed_forms(nu, n)
-    return B / 2 - C / 4 - (1 + omega / 2) ** 2 * Q
+    return B / 2 - C / 4 - (1 + Fraction(omega, 2)) ** 2 * Q
+
+
+def i_s_coefficients(n, omega: int) -> tuple:
+    """(h1, l2, rbar) multipliers of the I_S functional at dimension n:
+    4(n-1)(n-2), P_2(omega+2) = 4 a0 of spectral.closed_forms, and
+    -2(n-2)^2."""
+    return (4 * (n - 1) * (n - 2), 4 * closed_forms(omega, n).a0,
+            -2 * (n - 2) ** 2)
 
 
 def i_s_functional(f, rbar, omega: int) -> Fraction:
     """mean int [c_h1 |nabla f|^2 + c_l2 f^2 + c_rbar f rbar] at n = 3, for
     polynomials f (mean-free) and rbar, with (c_h1, c_l2, c_rbar) the
-    multipliers of integrals.i_s_coefficients."""
+    multipliers of i_s_coefficients."""
     mean = sphere_mean(f)
     if mean:
         raise NonzeroMean(f"mean of f is {mean}")

@@ -99,8 +99,9 @@ def bubble_ratio(a, b, a0, b0):
 
 
 def f2_combination_ratio(n, w):
-    """The five-integral combination of norme_f2_combination divided by
-    I_{n-2}^{n+2w+1}, in exact rational arithmetic."""
+    """The five-integral combination of norme_f2_check divided by
+    I_{n-2}^{n+2w+1}, in exact rational arithmetic: the reference the
+    shipped check is compared with."""
     def i(b):
         return bubble_ratio(n, b, n - 2, n + 2 * w + 1)
     N = F(2 * n, n - 2)
@@ -225,7 +226,9 @@ def test_criterion_06_f2_coefficient_minus_sign():
     -P_2(w+2)/(4(n-1)(n-2)) I_{n-2}^{n+2w+1}.  Proved: it equals
     +P_2(w+2)/(4(n-1)(n-2)) I_{n-2}^{n+2w+1}, decided here in exact
     rationals at each pair (P_2 is nonzero there, so the stated minus sign
-    is refuted) and identically in n, w in test_integrals."""
+    is refuted) and identically in n, w in test_integrals.  The shipped
+    norme_f2_check, which `hvcert integrals` reports, decides the same
+    signs in exact rationals and must agree."""
     symbolic_ok = p2_identity_check()
     pairs = ((16, 3), (20, 5), (30, 9))
     exact_plus = exact_minus = True
@@ -235,17 +238,17 @@ def test_criterion_06_f2_coefficient_minus_sign():
         exact_plus &= ratio == expected
         exact_minus &= ratio == -expected
     reports = [norme_f2_check(n, w) for n, w in pairs]
-    float_ok = all(r["matches_plus_p2"] and not r["matches_minus_p2"]
-                   for r in reports)
-    ok = symbolic_ok and exact_plus and not exact_minus and float_ok
+    shipped_ok = all(r["matches_plus_p2"] and not r["matches_minus_p2"]
+                     for r in reports)
+    ok = symbolic_ok and exact_plus and not exact_minus and shipped_ok
     report(6, ok, f"symbolic identity {'holds' if symbolic_ok else 'fails'}; "
                   f"exact +P_2 match: {exact_plus}; stated -P_2 match: "
-                  f"{exact_minus} (refuted); float check agrees: {float_ok}")
+                  f"{exact_minus} (refuted); shipped check agrees: {shipped_ok}")
     assert symbolic_ok
     assert exact_plus and not exact_minus, (
         "the combination must equal +P_2/(4(n-1)(n-2)) I_{n-2}^{n+2w+1} "
         "exactly, and not the stated -P_2 form")
-    assert float_ok
+    assert shipped_ok
 
 
 def test_criterion_07_integral_identities():

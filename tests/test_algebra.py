@@ -115,14 +115,26 @@ class TestPartialFractions:
         with pytest.raises(InvalidFactorization):
             partial_fractions(poly(1), poly(1, 2, 1), [-1, -1])
 
-    def test_rejects_missing_roots_and_degree_excess(self):
+    def test_rejects_missing_roots(self):
         # n^2 + 1 has no rational root to name, and n^2 - 1 has two
         with pytest.raises(InvalidFactorization):
             partial_fractions(poly(1), poly(1, 0, 1), [])
         with pytest.raises(InvalidFactorization):
             partial_fractions(poly(1), poly(-1, 0, 1), [1])
-        with pytest.raises(InvalidFactorization):
-            partial_fractions(poly(0, 0, 0, 0, 1), poly(0, 1), [0])
+
+    @pytest.mark.parametrize("num, den, roots", [
+        (poly(0, 0, 0, 0, 1), poly(0, 1), [0]),            # n^4 / n
+        (poly(1, 0, 0, 0, 0, 1), poly(-1, 0, 1), [1, -1]),  # (n^5+1)/(n^2-1)
+    ])
+    def test_degree_excess_three_roundtrip(self, num, den, roots):
+        # the polynomial part takes any degree: it times den plus each
+        # residue times den/(n - r) gives num back
+        poly_part, poles = partial_fractions(num, den, roots)
+        assert poly_part.degree == 3
+        assert poly_part * den + sum(
+            (residue * (den // linear(r)) for r, residue in poles),
+            Polynomial()) == num
+        assert_matches_sympy(num, den, (poly_part, poles))
 
     def test_non_monic_denominator(self):
         # 1/(2n) has residue 1/2 at n = 0; scaling num and den together
@@ -145,16 +157,13 @@ class TestPartialFractions:
            rationals.filter(bool))
     @settings(max_examples=150, deadline=None)
     def test_roundtrip_random(self, num_cs, roots, scale):
-        # every draw, a numerator sharing a root with den included: that
-        # pole gets residue 0; den carries a nonzero leading coefficient
+        # every draw, a numerator sharing a root with den and one of any
+        # degree excess included: a shared root's pole gets residue 0; den
+        # carries a nonzero leading coefficient
         num = Polynomial(num_cs)
         den = Polynomial([scale])
         for r in roots:
             den = den * linear(r)
-        if num.degree - den.degree > 2:
-            with pytest.raises(InvalidFactorization):
-                partial_fractions(num, den, roots)
-            return
         assert_matches_sympy(num, den, partial_fractions(num, den, roots))
 
 

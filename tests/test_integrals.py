@@ -1,11 +1,12 @@
 """Bubble integrals I_a^b, sharp constants, the concentration limit, and
-the f^2 coefficient identity."""
+the exact f^2 coefficient identity."""
 
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -21,23 +22,21 @@ from hvcert.integrals import (
     RadialProfile,
     best_constant,
     best_constant_l1,
-    expansion_bracket,
+    beta_ratio,
     hardy_constant,
-    i_s_coefficients,
     i_closed,
     i_quadrature,
     i_truncated,
     inte_identity_check,
     k2_inverse_square,
     norme_f2_check,
-    p2_value_float,
     radial_yamabe,
     recurrence_check,
     rela_shorthand_report,
     sphere_volume,
     truncation_bound,
 )
-from hvcert.spectral import p2_value
+from hvcert.cli import main
 
 
 class TestBubbleIntegrals:
@@ -240,6 +239,7 @@ class TestF2Coefficient:
         for n, omega in ((16, 3), (20, 5), (30, 9)):
             report = norme_f2_check(n, omega)
             assert report["matches_plus_p2"], (n, omega)
+            assert report["combination_ratio"] == report["plus_p2_ratio"] != 0
 
     def test_does_not_match_minus_p2(self):
         for n, omega in ((16, 3), (20, 5), (30, 9)):
@@ -271,35 +271,45 @@ class TestF2Coefficient:
         with pytest.raises(DivergentIntegral):
             norme_f2_check(12, 3)   # n = 2 omega + 6 diverges
 
+    def test_flipped_p2_fails_closed(self, monkeypatch, tmp_path):
+        # a P_2 of the wrong sign must match the refuted -P_2 form and
+        # make the integrals command fail
+        good = integrals.closed_forms
 
-class TestP2Copies:
-    def test_float_copies_equal_the_exact_p2(self):
-        # P_2(omega+2) is written in spectral.p2_value (exact), in
-        # p2_value_float, and as the f^2 multiplier of i_s_coefficients
-        for omega in range(2, 21):
-            exact = p2_value(omega)
-            for n in range(2 * omega + 6, 2 * omega + 41):
-                value = p2_value_float(n, omega)
-                assert value == float(exact(n)), (n, omega)
-                assert i_s_coefficients(n, omega)[1] == value, (n, omega)
+        def flipped(omega, n):
+            forms = good(omega, n)
+            return forms._replace(a0=-forms.a0)
+
+        monkeypatch.setattr("hvcert.integrals.closed_forms", flipped)
+        for n, omega in ((16, 3), (20, 5), (30, 9)):
+            report = norme_f2_check(n, omega)
+            assert not report["matches_plus_p2"], (n, omega)
+            assert report["matches_minus_p2"], (n, omega)
+        out = tmp_path / "integrals.json"
+        assert main(["integrals", "--seed", "1", "--output", str(out)]) == 1
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["ok"] is False
+        assert all(pair == {"matches_plus_p2": False, "matches_minus_p2": True}
+                   for pair in summary["norme_f2"].values())
 
 
-class TestExpansionBracket:
-    def test_logarithmic_flag_at_threshold(self):
-        br = expansion_bracket(12, 3, 0.0, 1.0, 1.0, 0.0)
-        assert br.logarithmic
-        br = expansion_bracket(13, 3, 0.0, 1.0, 1.0, 0.0)
-        assert not br.logarithmic
+class TestBetaRatio:
+    @pytest.mark.parametrize("a, b, a0, b0", [
+        (16, 27, 14, 23), (20, 36, 20, 34), (30, 31, 30, 29), (7, 3, 9, 5),
+    ])
+    def test_matches_float_closed_form(self, a, b, a0, b0):
+        exact = beta_ratio(a, b, a0, b0)
+        assert isinstance(exact, Fraction)
+        assert float(exact) == pytest.approx(
+            i_closed(a, b) / i_closed(a0, b0), rel=1e-13)
 
-    def test_below_threshold_rejected(self):
+    def test_guards(self):
+        with pytest.raises(DivergentIntegral):
+            beta_ratio(4, 7, 4, 5)      # 2a - b = 1
+        with pytest.raises(DivergentIntegral):
+            beta_ratio(4, 5, 4, -1)     # b0 = -1
         with pytest.raises(ValueError):
-            expansion_bracket(11, 3, 0.0, 1.0, 1.0, 0.0)
-
-    def test_linear_assembly(self):
-        a = expansion_bracket(20, 3, 1.0, 0.0, 0.0, 0.0)
-        assert a.value == pytest.approx((20 - 2) ** 2)
-        b = expansion_bracket(20, 3, 0.0, 0.0, 1.0, 0.0)
-        assert b.value == pytest.approx(4 * 19 * 18)
+            beta_ratio(4, 4, 4, 5)      # Gamma arguments half a step apart
 
 
 class TestImports:

@@ -298,6 +298,9 @@ class TestLemmaPolynomial:
             ok, witness = check_lemma_poly(omega)
             assert ok, f"omega={omega}"
             assert witness.ray_start == 2 * omega + 6
+            # -P' = 2(n-2)x - B: both of its x-coefficients are proved
+            assert witness.x_coefficient.positive
+            assert witness.decreasing.positive
             assert witness.value_at_2n.positive
 
     def test_numeric_sanity(self):

@@ -11,7 +11,7 @@ import pytest
 import sympy as sp
 
 from hvcert.cli import main
-from hvcert.spectral import spectral_family
+from hvcert.spectral import p2_value, spectral_family
 from hvcert.sphere import (
     RING,
     X,
@@ -27,6 +27,7 @@ from hvcert.sphere import (
     b_double_divergence_residual,
     b_tensor,
     b_trace_residual,
+    i_s_coefficients,
     i_s_functional,
     i_s_minimizer_reference,
     laplacian_check,
@@ -226,14 +227,15 @@ class TestQBC:
             assert qbc_quadrature(HarmonicSpec(3, m)) == ref, m
 
     def test_u_coefficient_matches_spectral(self):
-        # B/2 - C/4 - (1 + w/2)^2 Q against the rational formula at n = 3
-        for omega in (2, 4, 6):
+        # B/2 - C/4 - (1 + w/2)^2 Q equals the rational formula at n = 3
+        # exactly, odd omega included
+        for omega in (2, 3, 4, 5, 6):
             for row in spectral_family(omega):
                 n = Fraction(3)
-                nu = float(row.nu(n))
-                expected = float(row.u_num(n) / row.u_den(n) * row.nu(n))
-                got = u_coefficient_from_qbc(nu, 3, omega)
-                assert got == pytest.approx(expected, rel=1e-12), (omega, row.k)
+                expected = row.u_num(n) / row.u_den(n) * row.nu(n)
+                got = u_coefficient_from_qbc(row.nu(n), n, omega)
+                assert isinstance(got, Fraction)
+                assert got == expected, (omega, row.k)
 
 
 def minimizer_weight(n, omega, nu):
@@ -244,6 +246,13 @@ def minimizer_weight(n, omega, nu):
 
 
 class TestISFunctional:
+    def test_f2_multiplier_is_p2(self):
+        # read off closed_forms at an integer n, against the polynomial
+        for omega in range(2, 21):
+            p2 = p2_value(omega)
+            for n in (3, *range(2 * omega + 6, 2 * omega + 41)):
+                assert i_s_coefficients(n, omega)[1] == p2(n), (n, omega)
+
     def test_requires_zero_mean(self):
         f = 1 + real_harmonic(2, 0)
         rbar = real_harmonic(2, 0)
