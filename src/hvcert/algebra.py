@@ -4,9 +4,9 @@ Everything downstream (coefficient families, interval certificates, the
 all-dimension positivity proofs) is built on the one polynomial type here:
 dense polynomials over ``fractions.Fraction``.  A rational function is a
 pair (num, den) of them.  Also here: partial-fraction decompositions of
-such a pair whose den has distinct rational roots, certified rational
-enclosures of square roots, and a Sturm-based decision procedure for
-strict positivity of a polynomial on a ray ``[n0, +oo)``.
+such a pair whose den has distinct rational roots, integer square-root
+enclosures, exact signs of sums of square roots, and a Sturm-based
+decision procedure for strict positivity on a ray ``[n0, +oo)``.
 
 No floating point is used anywhere in this module.
 """
@@ -31,7 +31,7 @@ class InvalidFactorization(AlgebraError):
 
 
 class NegativeRadicand(AlgebraError):
-    """sqrt_enclosure called on a negative rational."""
+    """sqrt_enclosure or sign_with_sqrts given a negative radicand."""
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -289,14 +289,7 @@ def partial_fractions(num: Polynomial, den: Polynomial,
 # Square-root enclosures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SqrtEnclosure:
-    lower: Fraction
-    upper: Fraction
-    radicand: Fraction
-
-
-def isqrt_enclosure(p: int, q: int, grid: int) -> tuple[int, int, int]:
+def sqrt_enclosure(p: int, q: int, grid: int) -> tuple[int, int, int]:
     """Integer bounds lo/den <= sqrt(p/q) <= hi/den for p/q >= 0 in lowest
     terms, q > 0 and grid >= 1.  A rational square gives lo = hi =
     isqrt(p) over den = isqrt(q).  Otherwise den = grid, lo = s and
@@ -308,19 +301,6 @@ def isqrt_enclosure(p: int, q: int, grid: int) -> tuple[int, int, int]:
         return pn, pn, pd
     s = math.isqrt(p * grid * grid // q)
     return s, s + 1, grid
-
-
-def sqrt_enclosure(x: RationalLike, width: RationalLike) -> SqrtEnclosure:
-    """Rational bounds l <= sqrt(x) <= u on the grid of step 1/D,
-    D = ceil(1/width), so u - l = 1/D <= width: isqrt_enclosure's bounds
-    as Fractions.  A rational square gives l = u = sqrt(x)."""
-    x = _as_fraction(x)
-    width = _as_fraction(width)
-    if width <= 0:
-        raise AlgebraError("width must be positive")
-    grid = -(-width.denominator // width.numerator)
-    lo, hi, den = isqrt_enclosure(x.numerator, x.denominator, grid)
-    return SqrtEnclosure(Fraction(lo, den), Fraction(hi, den), x)
 
 
 # ---------------------------------------------------------------------------

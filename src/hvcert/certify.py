@@ -14,8 +14,8 @@ That is the only case modelled here; prior work settles deg R-bar > omega.
 
 Two layers are provided.  certify_at decides a single (omega, n) cell
 exactly, in one pass, in plain integers: every root is m (m -/+
-sqrt(Delta_k)) / d_k with m = n - 2, sqrt(Delta_k) is enclosed on a grid
-of step 1e-30 by integer square roots, the bounds are compared by
+sqrt(Delta_k)) / d_k with m = n - 2, sqrt(Delta_k) is enclosed on the
+grid of step 1/_GRID = 1e-30 by sqrt_enclosure, the bounds are compared by
 cross-multiplication, and a candidate c = p/q read off them is validated
 by the sign of each trinomial multiplied out to an integer; a Fraction is
 built only for a value a report shows.  When the enclosures do not
@@ -41,7 +41,6 @@ from .algebra import (
     Polynomial,
     RayPositivityWitness,
     SimplePoles,
-    isqrt_enclosure,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -68,8 +67,8 @@ class RootPair:
     x_k, y_k = m (m -/+ sqrt(Delta_k)) / d_k.  A pair holds integers only:
     d_k, u_k/nu_k^2 = u2_num/u2_den and Delta_k = delta_num/delta_den in
     lowest terms with positive denominators, and the enclosure
-    sqrt_lo/sqrt_den <= sqrt(Delta_k) <= sqrt_hi/sqrt_den.  The Fraction
-    views below are built on demand; certify_at reads the integers.
+    sqrt_lo/sqrt_den <= sqrt(Delta_k) <= sqrt_hi/sqrt_den of sqrt_enclosure
+    on the grid _GRID.  Only the midpoints a report shows are Fractions.
     """
 
     k: int
@@ -82,38 +81,6 @@ class RootPair:
     sqrt_lo: int
     sqrt_hi: int
     sqrt_den: int
-
-    @property
-    def d_value(self) -> Fraction:
-        return Fraction(self.d)
-
-    @property
-    def u_over_nu2(self) -> Fraction:
-        return Fraction(self.u2_num, self.u2_den)
-
-    @property
-    def delta_value(self) -> Fraction:
-        return Fraction(self.delta_num, self.delta_den)
-
-    def _bound(self, sign: int, sqrt_num: int) -> Fraction:
-        m, den = self.n - 2, self.sqrt_den
-        return Fraction(m * (m * den + sign * sqrt_num), self.d * den)
-
-    @property
-    def x_lower(self) -> Fraction:
-        return self._bound(-1, self.sqrt_hi)
-
-    @property
-    def x_upper(self) -> Fraction:
-        return self._bound(-1, self.sqrt_lo)
-
-    @property
-    def y_lower(self) -> Fraction:
-        return self._bound(1, self.sqrt_lo)
-
-    @property
-    def y_upper(self) -> Fraction:
-        return self._bound(1, self.sqrt_hi)
 
     def midpoints(self) -> tuple[Fraction, Fraction]:
         """The midpoints of the enclosures of x_k and of y_k,
@@ -179,7 +146,7 @@ class SymbolicCertificate:
 # Per-dimension certificates
 # ---------------------------------------------------------------------------
 
-_WIDTH = Fraction(1, 10 ** 30)
+_GRID = 10 ** 30
 
 
 def _lowest(num: int, den: int) -> tuple[int, int]:
@@ -195,7 +162,7 @@ def roots_at(omega: int, n: int) -> list[RootPair]:
 
     d_k, u_k/nu_k^2 and Delta_k come from closed_forms at the integer n,
     which gives integer numerators and denominators, and sqrt(Delta_k) is
-    enclosed by isqrt_enclosure on the grid of step _WIDTH (read at each
+    enclosed by sqrt_enclosure on the grid of step 1/_GRID (read at each
     call); the spectral family is never built and no Fraction is made.  A
     d_k or Delta_k that is not positive, which check_lemma_poly excludes
     on the ray, raises InternalConsistencyError.
@@ -205,7 +172,6 @@ def roots_at(omega: int, n: int) -> list[RootPair]:
     if n < 2 * omega + 6:
         raise HypothesisViolated(
             f"n={n} violates n >= 2*omega+6 = {2 * omega + 6}")
-    grid = -(-_WIDTH.denominator // _WIDTH.numerator)
     pairs = []
     for row in closed_forms(omega, n).rows:
         delta_num, delta_den = _lowest(row.delta_num, row.delta_den)
@@ -215,7 +181,7 @@ def roots_at(omega: int, n: int) -> list[RootPair]:
         u2_num, u2_den = _lowest(row.u_num, row.u_den * row.nu)
         pairs.append(RootPair(
             row.k, n, row.d, u2_num, u2_den, delta_num, delta_den,
-            *isqrt_enclosure(delta_num, delta_den, grid)))
+            *sqrt_enclosure(delta_num, delta_den, _GRID)))
     return pairs
 
 
@@ -234,9 +200,9 @@ def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
         (n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j).
     """
     pi, pj = pairs[i], pairs[j]
-    const = (n - 2) * (pj.d_value - pi.d_value)
-    return sign_with_sqrts(const, [(pj.d_value, pi.delta_value),
-                                   (pi.d_value, pj.delta_value)])
+    return sign_with_sqrts((n - 2) * (pj.d - pi.d), [
+        (pj.d, Fraction(pi.delta_num, pi.delta_den)),
+        (pi.d, Fraction(pj.delta_num, pj.delta_den))])
 
 
 def certify_at(omega: int, n: int) -> IntervalCertificate:
@@ -254,10 +220,11 @@ def certify_at(omega: int, n: int) -> IntervalCertificate:
     """
     pairs = tuple(roots_at(omega, n))
     chosen_c, status = None, "undecided"
-    # with m = n - 2 > 0 and den_k = d_k sqrt_den_k > 0, x_upper / m =
-    # (m sqrt_den - sqrt_lo) / den_k and y_lower / m = (m sqrt_den +
-    # sqrt_lo) / den_k: keep the largest and the smallest as integer pairs,
-    # compared by cross-multiplication, and the indices they come from
+    # with m = n - 2 > 0 and den_k = d_k sqrt_den_k > 0, the upper bound
+    # of x_k over m is (m sqrt_den - sqrt_lo) / den_k and the lower bound
+    # of y_k over m is (m sqrt_den + sqrt_lo) / den_k: keep the largest
+    # and the smallest as integer pairs, compared by cross-multiplication,
+    # and the indices they come from
     m = n - 2
     lower_num = upper_num = None
     for index, pair in enumerate(pairs):
@@ -288,10 +255,11 @@ def _exact_nonempty(pairs: Sequence[RootPair], n: int,
                     first: tuple[int, int]) -> bool:
     """max_k x_k < min_k y_k decided via exact pairwise signs.  The pair
     first = (i, j) whose enclosures overlapped, y_i against x_j, is decided
-    before the others: it is the one that proves a cell empty, and the
-    verdict does not depend on the order."""
+    before the others, since it is the one that proves a cell empty, and
+    is not decided again; the verdict does not depend on the order."""
     q = len(pairs)
-    order = [first] + [(i, j) for i in range(q) for j in range(q) if i != j]
+    order = [first] + [(i, j) for i in range(q) for j in range(q)
+                       if i != j and (i, j) != first]
     return all(_pair_sign(pairs, i, j, n) > 0   # y_i > x_j
                for i, j in order)
 
@@ -354,7 +322,8 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
         # sqrt(a) under-approximation below to stay a lower bound
         if not (den_ok and ok) or n0 + b / (2 * a) <= 0:
             return verdict(("lower_bound", omega, row.k))
-        lb_data[row.k] = (a, b, sqrt_enclosure(a, _WIDTH).lower)
+        lo, _, lo_den = sqrt_enclosure(a.numerator, a.denominator, _GRID)
+        lb_data[row.k] = (a, b, Fraction(lo, lo_den))
 
     # the pair checks scale the sqrt(Delta) lower bounds by d_i and d_j and
     # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray

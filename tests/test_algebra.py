@@ -16,7 +16,6 @@ from hvcert.algebra import (
     NegativeRadicand,
     Polynomial,
     count_roots_on_ray,
-    isqrt_enclosure,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -233,69 +232,61 @@ class TestRayPositivity:
             assert min(p(s) for s in samples) >= 0
 
 
+def is_square(x):
+    """x = p/q, in lowest terms, is the square of a rational."""
+    return (math.isqrt(x.numerator) ** 2 == x.numerator
+            and math.isqrt(x.denominator) ** 2 == x.denominator)
+
+
 class TestSqrtEnclosure:
     def test_perfect_square(self):
-        enc = sqrt_enclosure(Fraction(9, 4), Fraction(1, 10 ** 20))
-        assert enc.lower == enc.upper == Fraction(3, 2)
+        # a square collapses to lo == hi over isqrt(q), whatever the grid
+        assert sqrt_enclosure(9, 4, 10 ** 20) == (3, 3, 2)
 
     def test_bracketing(self):
-        enc = sqrt_enclosure(2, Fraction(1, 10 ** 30))
-        assert enc.lower ** 2 < 2 < enc.upper ** 2
-        assert enc.upper - enc.lower <= Fraction(1, 10 ** 30)
+        lo, hi, den = sqrt_enclosure(2, 1, 10 ** 30)
+        assert Fraction(lo, den) ** 2 < 2 < Fraction(hi, den) ** 2
+        assert (hi - lo, den) == (1, 10 ** 30)
 
     def test_negative_radicand(self):
         with pytest.raises(NegativeRadicand):
-            sqrt_enclosure(-1, Fraction(1, 100))
-
-    @given(st.fractions(min_value=Fraction(1, 1000), max_value=10 ** 6,
-                        max_denominator=10 ** 6))
-    @settings(max_examples=200, deadline=None)
-    def test_random_bracketing(self, x):
-        enc = sqrt_enclosure(x, Fraction(1, 10 ** 15))
-        assert enc.lower >= 0
-        assert enc.lower ** 2 <= x <= enc.upper ** 2
-        assert enc.upper - enc.lower <= Fraction(1, 10 ** 15)
-
-    @given(st.fractions(min_value=0, max_value=10 ** 6,
-                        max_denominator=10 ** 6),
-           st.integers(min_value=0, max_value=30))
-    @settings(max_examples=200, deadline=None)
-    def test_endpoints_on_decimal_grid(self, x, k):
-        # lower = floor(sqrt(x) 10^k) / 10^k, with the floor taken from an
-        # 80-digit decimal square root rather than an integer square root
-        assume(not (math.isqrt(x.numerator) ** 2 == x.numerator
-                    and math.isqrt(x.denominator) ** 2 == x.denominator))
-        enc = sqrt_enclosure(x, Fraction(1, 10 ** k))
-        assert enc.upper - enc.lower == Fraction(1, 10 ** k)
-        ctx = decimal.Context(prec=80)
-        root = ctx.sqrt(ctx.divide(decimal.Decimal(x.numerator),
-                                   decimal.Decimal(x.denominator)))
-        floor = int(ctx.scaleb(root, k).to_integral_value(decimal.ROUND_FLOOR))
-        assert enc.lower == Fraction(floor, 10 ** k)
+            sqrt_enclosure(-1, 1, 100)
 
     @given(st.one_of(
                st.fractions(min_value=0, max_value=10 ** 6,
                             max_denominator=10 ** 6),
                st.fractions(min_value=0, max_value=10 ** 3,
                             max_denominator=10 ** 3).map(lambda r: r * r)),
-           st.fractions(min_value=Fraction(1, 10 ** 40), max_value=2,
-                        max_denominator=10 ** 40))
+           st.integers(min_value=1, max_value=10 ** 40))
     @settings(max_examples=300, deadline=None)
-    def test_wrapper_is_integer_core(self, x, width):
-        # sqrt_enclosure is the Fraction view of isqrt_enclosure on the
-        # grid ceil(1/width); squares give lo == hi over isqrt(q)
-        grid = math.ceil(1 / width)
-        lo, hi, den = isqrt_enclosure(x.numerator, x.denominator, grid)
-        enc = sqrt_enclosure(x, width)
-        assert (enc.lower, enc.upper) == (Fraction(lo, den), Fraction(hi, den))
-        square = (math.isqrt(x.numerator) ** 2 == x.numerator
-                  and math.isqrt(x.denominator) ** 2 == x.denominator)
-        if square:
+    def test_random_bracketing(self, x, grid):
+        # squares give lo == hi over isqrt(q); any other radicand is
+        # strictly inside one step 1/grid
+        lo, hi, den = sqrt_enclosure(x.numerator, x.denominator, grid)
+        assert 0 <= lo <= hi
+        if is_square(x):
             assert lo == hi and den == math.isqrt(x.denominator)
             assert Fraction(lo, den) ** 2 == x
         else:
             assert (hi - lo, den) == (1, grid)
             assert Fraction(lo, den) ** 2 < x < Fraction(hi, den) ** 2
+
+    @given(st.fractions(min_value=0, max_value=10 ** 6,
+                        max_denominator=10 ** 6),
+           st.integers(min_value=0, max_value=30))
+    @settings(max_examples=200, deadline=None)
+    def test_endpoints_on_decimal_grid(self, x, k):
+        # lo = floor(sqrt(x) 10^k) on den = 10^k, with the floor taken
+        # from an 80-digit decimal square root rather than an integer
+        # square root
+        assume(not is_square(x))
+        lo, hi, den = sqrt_enclosure(x.numerator, x.denominator, 10 ** k)
+        assert (hi - lo, den) == (1, 10 ** k)
+        ctx = decimal.Context(prec=80)
+        root = ctx.sqrt(ctx.divide(decimal.Decimal(x.numerator),
+                                   decimal.Decimal(x.denominator)))
+        floor = int(ctx.scaleb(root, k).to_integral_value(decimal.ROUND_FLOOR))
+        assert lo == floor
 
 
 small_rationals = st.fractions(min_value=-100, max_value=100,

@@ -31,6 +31,19 @@ def trinomial_value(d, u_over_nu2, n, c):
     return d / (2 * (n - 2)) * c * c - (n - 2) * c + F(n - 2) * u_over_nu2 / 2
 
 
+def bounds(pair):
+    """(x_lower, x_upper, y_lower, y_upper): the enclosures of the roots
+    m (m -/+ sqrt(Delta_k)) / d_k, m = n - 2, rebuilt as Fractions from the
+    pair's integer sqrt bounds sqrt_lo/sqrt_den and sqrt_hi/sqrt_den."""
+    m, den = pair.n - 2, pair.sqrt_den
+
+    def root(sign, sqrt_num):
+        return F(m * (m * den + sign * sqrt_num), pair.d * den)
+
+    return (root(-1, pair.sqrt_hi), root(-1, pair.sqrt_lo),
+            root(1, pair.sqrt_lo), root(1, pair.sqrt_hi))
+
+
 def sign(v):
     return (v > 0) - (v < 0)
 
@@ -46,9 +59,10 @@ class TestRootPairs:
         for omega in range(3, 16):
             for n in (2 * omega + 6, 2 * omega + 50, 400):
                 for pair in roots_at(omega, n):
-                    assert pair.x_upper < pair.y_lower
-                    assert pair.x_lower <= pair.x_upper
-                    assert pair.y_lower <= pair.y_upper
+                    x_lower, x_upper, y_lower, y_upper = bounds(pair)
+                    assert x_upper < y_lower
+                    assert x_lower <= x_upper
+                    assert y_lower <= y_upper
 
     def test_roots_solve_trinomial(self):
         # x_k and y_k bracket the sign change of the trinomial in c
@@ -56,15 +70,16 @@ class TestRootPairs:
         for pair, row in zip(roots_at(omega, n), spectral_family(omega)):
             d = row.d(F(n))
             u_over_nu2 = row.u_num(F(n)) / (row.u_den(F(n)) * row.nu(F(n)))
-            inside = (pair.x_upper + pair.y_lower) / 2
+            _, x_upper, y_lower, y_upper = bounds(pair)
+            inside = (x_upper + y_lower) / 2
             assert trinomial_value(d, u_over_nu2, F(n), inside) < 0
-            outside = pair.y_upper * 2 + 1
+            outside = y_upper * 2 + 1
             assert trinomial_value(d, u_over_nu2, F(n), outside) > 0
 
     def test_square_delta_encloses_exactly(self, monkeypatch):
         # a row whose Delta is the square 9/4 (given as 18/8, not in lowest
         # terms): the integer enclosure collapses to lo == hi over isqrt(q)
-        # and gives the bounds and midpoints sqrt_enclosure's do
+        # and gives the bounds and midpoints of the exact root 3/2
         forms = closed_forms(5, 20)
         first = forms.rows[0]
         square = forms._replace(rows=(
@@ -72,12 +87,12 @@ class TestRootPairs:
         monkeypatch.setattr(certify, "closed_forms", lambda omega, n: square)
         pair = roots_at(5, 20)[0]
         assert (pair.sqrt_lo, pair.sqrt_hi, pair.sqrt_den) == (3, 3, 2)
-        assert pair.delta_value == F(9, 4)
-        enc = sqrt_enclosure(F(9, 4), certify._WIDTH)
-        assert enc.lower == enc.upper == F(3, 2)
+        assert (pair.delta_num, pair.delta_den) == (9, 4)
+        assert sqrt_enclosure(9, 4, certify._GRID) == (3, 3, 2)
         base, rc = F(18 ** 2, first.d), F(18, first.d)
-        assert pair.x_lower == pair.x_upper == base - rc * enc.lower
-        assert pair.y_lower == pair.y_upper == base + rc * enc.upper
+        x_lower, x_upper, y_lower, y_upper = bounds(pair)
+        assert x_lower == x_upper == base - rc * F(3, 2)
+        assert y_lower == y_upper == base + rc * F(3, 2)
         assert pair.midpoints() == (base - rc * F(3, 2), base + rc * F(3, 2))
 
 
@@ -86,7 +101,8 @@ class TestIntegerKernel:
     @settings(max_examples=100, deadline=None)
     def test_matches_fraction_reference(self, data, omega):
         # the reference is the polynomial family at Fraction(n) and
-        # sqrt_enclosure, never the integer rows roots_at reads
+        # sqrt_enclosure of that Fraction, never the integer rows roots_at
+        # reads
         n = data.draw(st.integers(min_value=2 * omega + 6, max_value=5000))
         nf, m = F(n), F(n - 2)
         cert = certify_at(omega, n)
@@ -95,13 +111,14 @@ class TestIntegerKernel:
         for pair, row in zip(cert.pairs, family):
             d = row.d(nf)
             u_over_nu2 = row.u_num(nf) / (row.u_den(nf) * row.nu(nf))
-            enc = sqrt_enclosure(row.delta_num(nf) / row.delta_den(nf),
-                                 certify._WIDTH)
+            delta = row.delta_num(nf) / row.delta_den(nf)
+            lo, hi, den = sqrt_enclosure(delta.numerator, delta.denominator,
+                                         certify._GRID)
+            lower, upper = F(lo, den), F(hi, den)
             base, rc = m * m / d, m / d
-            x_lower, x_upper = base - rc * enc.upper, base - rc * enc.lower
-            y_lower, y_upper = base + rc * enc.lower, base + rc * enc.upper
-            assert (pair.x_lower, pair.x_upper) == (x_lower, x_upper)
-            assert (pair.y_lower, pair.y_upper) == (y_lower, y_upper)
+            x_lower, x_upper = base - rc * upper, base - rc * lower
+            y_lower, y_upper = base + rc * lower, base + rc * upper
+            assert bounds(pair) == (x_lower, x_upper, y_lower, y_upper)
             assert pair.midpoints() == ((x_lower + x_upper) / 2,
                                         (y_lower + y_upper) / 2)
             # rationals inside ]x_upper, y_lower[, outside it on both
@@ -142,7 +159,8 @@ class TestCertifyAt:
     def test_chosen_c_inside_all_intervals(self):
         cert = certify_at(7, 40)
         for pair in cert.pairs:
-            assert pair.x_upper < cert.chosen_c < pair.y_lower
+            _, x_upper, y_lower, _ = bounds(pair)
+            assert x_upper < cert.chosen_c < y_lower
 
     def test_cells_never_build_the_family(self, monkeypatch):
         # a cell evaluates the closed forms at its integer n; the
@@ -342,12 +360,26 @@ class TestOmegaSixteen:
 
     def test_loose_enclosures_fail_closed(self, monkeypatch, capsys):
         # the gap at (16, 1858) is 2e-10: enclosures of width 1/10 cannot
-        # separate it, and the cell is left undecided rather than refined
-        monkeypatch.setattr(certify, "_WIDTH", F(1, 10))
+        # separate it, and the cell is left undecided rather than refined.
+        # Its exact pairwise signs are all positive: each of the 8 * 7
+        # ordered pairs is decided once, the overlapping one included
+        monkeypatch.setattr(certify, "_GRID", 10)
+        pair_sign = certify._pair_sign
+        calls = []
+
+        def counting(pairs, i, j, n):
+            calls.append((i, j))
+            return pair_sign(pairs, i, j, n)
+
+        monkeypatch.setattr(certify, "_pair_sign", counting)
         cert = certify_at(16, 1858)
         assert cert.status == "undecided"
         assert cert.chosen_c is None and not cert.nonempty
+        assert sorted(calls) == [(i, j) for i in range(8) for j in range(8)
+                                 if i != j]
+        calls.clear()
         assert certify_at(16, 1859).status == "empty"
+        assert len(calls) == len(set(calls))
         assert main(["certify", "--omega", "16", "--n", "1858..1859",
                      "--jobs", "1"]) == 1
         out = json.loads(capsys.readouterr().out)

@@ -4,11 +4,13 @@ that match the JSON entries."""
 import csv
 import errno
 import hashlib
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -452,3 +454,21 @@ class TestOracleCommands:
         assert main(["sphere-check", "--output", str(b)]) == 0
         assert json.loads(a.read_text())["summary"]["ok"] is True
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestTracedNames:
+    def test_wrapped_and_oracle_names_resolve(self):
+        # perfbench/tracing.py replaces these names in a traced run; a
+        # rename in hvcert must show here, not only in a traced benchmark.
+        # The file is executed from its source, so nothing is written
+        # next to it
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        tracing = types.ModuleType("tracing")
+        exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+        names = [(mod, attr) for mod, attr, _ in tracing.WRAPPED]
+        names += [(mod, attr) for mod, attrs in tracing.ORACLES.values()
+                  for attr in attrs]
+        assert ("hvcert.certify", "sqrt_enclosure") in names
+        for mod, attr in names:
+            assert callable(getattr(importlib.import_module(mod), attr,
+                                    None)), (mod, attr)

@@ -8,6 +8,7 @@ of Delta_1 under the label Delta_3; the pole locations n = -6, -5 identify
 it unambiguously, so the frozen data keys it by pole structure.)
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -256,13 +257,15 @@ class TestIntegerClosedForms:
         assert len(forms.rows) == len(family)
         for row, fam, pair in zip(forms.rows, family, roots_at(omega, n)):
             assert all(type(v) is int for v in row)
+            assert all(type(getattr(pair, field.name)) is int
+                       for field in dataclasses.fields(pair))
             u_over_nu2 = fam.u_num(nf) / (fam.u_den(nf) * fam.nu(nf))
             delta = fam.delta_num(nf) / fam.delta_den(nf)
-            assert row.d == fam.d(nf) == pair.d_value
+            assert row.d == fam.d(nf) == pair.d
             assert F(row.u_num, row.u_den * row.nu) == u_over_nu2
-            assert pair.u_over_nu2 == u_over_nu2
+            assert F(pair.u2_num, pair.u2_den) == u_over_nu2
             assert F(row.delta_num, row.delta_den) == delta
-            assert pair.delta_value == delta
+            assert F(pair.delta_num, pair.delta_den) == delta
 
 
 class TestLemmaPolynomial:
