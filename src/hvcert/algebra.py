@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 

@@ -11,10 +11,10 @@ i_s_minimizer_reference) take n, because they are the dimension-generic
 formulas the sphere means are compared with.
 
 Every function on S^2 is the restriction of a polynomial in x, y, z
-(sympy's sparse RING over QQ), and a tangential tensor is a mapping from
-ambient index tuples over range(3) to such polynomials.  With the
-tangential projector P = |x|^2 I - x x^T, which is I - x x^T on S^2 and
-kills x identically:
+(XYZPoly: sparse, integer numerators over one denominator), and a
+tangential tensor is a mapping from ambient index tuples over range(3) to
+such polynomials.  With the tangential projector P = |x|^2 I - x x^T,
+which is I - x x^T on S^2 and kills x identically:
 
 * the harmonic of degree l is a homogeneous harmonic polynomial F
   (real_harmonic), and the Gauss formula gives its spherical Hessian
@@ -55,17 +55,163 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from sympy.polys.domains import QQ
-from sympy.polys.rings import ring
-
 from .spectral import closed_forms
 
-RING, X, Y, Z = ring("x,y,z", QQ)
-_AXES = (X, Y, Z)
+# the monomial x^a y^b z^c is the key packing a + b + c, a, b and c in
+# _BITS bits each, degree highest: adding keys multiplies monomials while
+# no degree exceeds _MASK, and the largest key has the largest degree
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_DEGREE = 3 * _BITS
+
+
+def _key(a: int, b: int, c: int) -> int:
+    return ((a + b + c) << _DEGREE) | (a << 2 * _BITS) | (b << _BITS) | c
+
+
+# the keys of x, y and z
+_UNITS = (_key(1, 0, 0), _key(0, 1, 0), _key(0, 0, 1))
+
+
+def _exponents(key: int) -> tuple[int, int, int]:
+    return (key >> 2 * _BITS) & _MASK, (key >> _BITS) & _MASK, key & _MASK
+
+
+def _degree(num: dict) -> int:
+    return max(num, default=0) >> _DEGREE
+
+
+def _reduced(num: dict, den: int) -> XYZPoly:
+    """The polynomial sum(num[k] x^k) / den, zero terms dropped and the
+    common factor of the numerators and den divided out."""
+    num = {k: c for k, c in num.items() if c}
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
+    p = object.__new__(XYZPoly)
+    p._num, p._den = num, den
+    return p
+
+
+class XYZPoly:
+    """Polynomial in x, y, z with rational coefficients: integer
+    numerators keyed by packed exponents over one positive denominator,
+    with no factor common to it and every numerator, so == is
+    structural.
+
+    Values are immutable.  int and Fraction operands are constants."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, c: int | Fraction = 0):
+        c = Fraction(c)
+        self._num = {0: c.numerator} if c else {}
+        self._den = c.denominator
+
+    def _coerce(self, other) -> XYZPoly | None:
+        if isinstance(other, XYZPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return XYZPoly(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        num = {k: c * sa for k, c in self._num.items()}
+        for k, c in other._num.items():
+            num[k] = num.get(k, 0) + c * sb
+        return _reduced(num, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _reduced({k: -c for k, c in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            other = Fraction(other)
+        if isinstance(other, Fraction):
+            a, b = other.numerator, other.denominator
+            return _reduced({k: c * a for k, c in self._num.items()},
+                            self._den * b)
+        if not isinstance(other, XYZPoly):
+            return NotImplemented
+        if _degree(self._num) + _degree(other._num) > _MASK:
+            raise OverflowError(f"degree above {_MASK}")
+        num: dict = {}
+        get = num.get
+        for ka, ca in self._num.items():
+            for kb, cb in other._num.items():
+                k = ka + kb
+                num[k] = get(k, 0) + ca * cb
+        return _reduced(num, self._den * other._den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        out = XYZPoly(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def diff(self, axis: int) -> XYZPoly:
+        """The partial derivative along x, y or z (axis 0, 1 or 2)."""
+        shift = (2 - axis) * _BITS
+        num = {}
+        for k, c in self._num.items():
+            e = (k >> shift) & _MASK
+            if e:
+                num[k - _UNITS[axis]] = c * e
+        return _reduced(num, self._den)
+
+    def terms(self) -> list[tuple[tuple[int, int, int], Fraction]]:
+        """(exponents of x, y and z, coefficient) pairs in descending lex
+        order."""
+        return sorted(((_exponents(k), Fraction(c, self._den))
+                       for k, c in self._num.items()), reverse=True)
+
+    def on_meridian(self) -> XYZPoly:
+        """The normal form on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
+        x^2 -> 1 - z^2, leaving at most the first power of x.  In lex order
+        this is sympy's p.subs(y, 0).rem(x^2 + z^2 - 1)."""
+        num: dict = {}
+        for k, c in self._num.items():
+            a, b, e = _exponents(k)
+            if b:
+                continue
+            # x^a z^e = x^(a mod 2) (1 - z^2)^(a // 2) z^e
+            j = a // 2
+            for i in range(j + 1):
+                key = _key(a % 2, 0, e + 2 * i)
+                num[key] = num.get(key, 0) + (-1) ** i * math.comb(j, i) * c
+        return _reduced(num, self._den)
+
+
+X, Y, Z = (_reduced({unit: 1}, 1) for unit in _UNITS)
+_ZERO = XYZPoly()
 _R2 = X ** 2 + Y ** 2 + Z ** 2
 # P_ij = |x|^2 delta_ij - x_i x_j
-_P = {(i, j): (_R2 if i == j else RING.zero) - a * b
-      for i, a in enumerate(_AXES) for j, b in enumerate(_AXES)}
+_P = {(i, j): (_R2 if i == j else _ZERO) - a * b
+      for i, a in enumerate((X, Y, Z)) for j, b in enumerate((X, Y, Z))}
 
 
 class ExcludedEigenvalue(ValueError):
@@ -81,17 +227,18 @@ class NonzeroMean(ValueError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _monomial_mean(exponents: tuple[int, ...]) -> Fraction:
+def _monomial_mean(key: int) -> Fraction:
+    exponents = _exponents(key)
     if any(e % 2 for e in exponents):
         return Fraction(0)
     odd = math.prod(math.prod(range(e - 1, 0, -2)) for e in exponents)
     return Fraction(odd, math.prod(range(3, sum(exponents) + 2, 2)))
 
 
-def sphere_mean(p) -> Fraction:
+def sphere_mean(p: XYZPoly) -> Fraction:
     """Mean of the polynomial p over the unit sphere S^2."""
-    return sum((Fraction(int(c.numerator), int(c.denominator))
-                * _monomial_mean(m) for m, c in p.terms()), Fraction(0))
+    return sum((c * _monomial_mean(k) for k, c in p._num.items()),
+               Fraction(0)) / p._den
 
 
 @lru_cache(maxsize=None)
@@ -110,13 +257,14 @@ def real_harmonic(l: int, m: int):
     a = abs(m)
     # |x|^(l-a) P_l^(a)(z/|x|), from
     # P_l(t) = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) t^(l-2k)
-    zonal = sum((QQ((-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l)
-                    * math.perm(l - 2 * k, a), 2 ** l)
+    zonal = sum((Fraction((-1) ** k * math.comb(l, k)
+                          * math.comb(2 * l - 2 * k, l)
+                          * math.perm(l - 2 * k, a), 2 ** l)
                  * Z ** (l - 2 * k - a) * _R2 ** k
-                 for k in range((l - a) // 2 + 1)), RING.zero)
+                 for k in range((l - a) // 2 + 1)), _ZERO)
     # Re (x + iy)^a for m >= 0, Im (x + iy)^a for m < 0
     angular = sum((math.comb(a, j) * (-1) ** (j // 2) * X ** (a - j) * Y ** j
-                   for j in range(0 if m >= 0 else 1, a + 1, 2)), RING.zero)
+                   for j in range(0 if m >= 0 else 1, a + 1, 2)), _ZERO)
     return (-1) ** a * zonal * angular
 
 
@@ -150,7 +298,7 @@ def _tangential(T: Mapping) -> dict:
     """T with every slot projected by P."""
     for s in range(len(next(iter(T)))):
         T = {I: sum((_P[I[s], a] * T[I[:s] + (a,) + I[s + 1:]]
-                     for a in range(3)), RING.zero) for I in T}
+                     for a in range(3)), _ZERO) for I in T}
     return T
 
 
@@ -160,26 +308,25 @@ def covariant_derivative(T: Mapping) -> dict:
 
     For tangent vectors the ambient connection differs from the sphere's
     by a normal term, which T annihilates because T is tangential."""
-    return _tangential({(k,) + I: T[I].diff(a)
-                        for k, a in enumerate(_AXES) for I in T})
+    return _tangential({(k,) + I: T[I].diff(k) for k in range(3) for I in T})
 
 
 def _trace(T: Mapping, rest: tuple = ()):
     """s^{ij} T_{ij rest}."""
-    return sum((T[(i, i) + rest] for i in range(3)), RING.zero)
+    return sum((T[(i, i) + rest] for i in range(3)), _ZERO)
 
 
 def _mean_square(*components) -> Fraction:
     """Sphere mean of the sum of the squares of the components."""
-    return sphere_mean(sum((c ** 2 for c in components), RING.zero))
+    return sphere_mean(sum((c ** 2 for c in components), _ZERO))
 
 
 def sphere_hessian(spec: HarmonicSpec) -> dict:
     """nabla_ij phi = (P D^2F P)_ij - l F P_ij for the homogeneous F of
     degree l (the Gauss formula, with x . DF = l F)."""
     F = spec.poly
-    H = _tangential({(i, j): F.diff(a).diff(b) for i, a in enumerate(_AXES)
-                     for j, b in enumerate(_AXES)})
+    H = _tangential({(i, j): F.diff(i).diff(j) for i in range(3)
+                     for j in range(3)})
     return {I: H[I] - spec.l * F * _P[I] for I in H}
 
 
@@ -191,7 +338,7 @@ def b_tensor(spec: HarmonicSpec) -> MappingProxyType:
     Memoized per spec; the mapping is read-only because it is shared.
     """
     H = sphere_hessian(spec)
-    scale = QQ(1, spec.nu - 2)
+    scale = Fraction(1, spec.nu - 2)
     return MappingProxyType({I: (2 * H[I] + spec.nu * spec.poly * _P[I])
                              * scale for I in H})
 
@@ -264,9 +411,9 @@ def qbc_quadrature(spec: HarmonicSpec) -> tuple[Fraction, Fraction, Fraction]:
     """
     b, T = b_tensor(spec), b_derivative(spec)
     norm = sphere_mean(spec.poly ** 2)
-    sums = (sum((b[I] ** 2 for I in b), RING.zero),
-            sum((T[k, i, j] * T[i, k, j] for k, i, j in T), RING.zero),
-            sum((T[I] ** 2 for I in T), RING.zero))
+    sums = (sum((b[I] ** 2 for I in b), _ZERO),
+            sum((T[k, i, j] * T[i, k, j] for k, i, j in T), _ZERO),
+            sum((T[I] ** 2 for I in T), _ZERO))
     return tuple(sphere_mean(s) / norm for s in sums)
 
 
@@ -295,7 +442,7 @@ def i_s_functional(f, rbar, omega: int) -> Fraction:
         raise NonzeroMean(f"mean of f is {mean}")
     c_h1, c_l2, c_rbar = i_s_coefficients(3, omega)
     grad = covariant_derivative({(): f})
-    return sphere_mean(c_h1 * sum((g ** 2 for g in grad.values()), RING.zero)
+    return sphere_mean(c_h1 * sum((g ** 2 for g in grad.values()), _ZERO)
                        + c_l2 * f ** 2 + c_rbar * f * rbar)
 
 
@@ -323,8 +470,8 @@ class AnnulusReport:
 @lru_cache(maxsize=None)
 def zonal_b(l: int) -> tuple:
     """(beta, gamma) = (b_tt, b_pp / sin^2 theta) of the zonal (m = 0) b
-    of degree l in the polar coordinates (theta, phi), as RING polynomials
-    in z = cos theta.  The b of the harmonic with mean square 1 is
+    of degree l in the polar coordinates (theta, phi), as polynomials in
+    z = cos theta.  The b of the harmonic with mean square 1 is
     sqrt(2l+1) times this one.
 
     They are the ambient b pulled back at phi = 0, where the point is
@@ -336,7 +483,7 @@ def zonal_b(l: int) -> tuple:
     """
     b = b_tensor(HarmonicSpec(l, 0))
     tt = Z ** 2 * b[0, 0] - 2 * X * Z * b[0, 2] + X ** 2 * b[2, 2]
-    return tuple(p.subs(Y, 0).rem(X ** 2 + Z ** 2 - 1) for p in (tt, b[1, 1]))
+    return tuple(p.on_meridian() for p in (tt, b[1, 1]))
 
 
 # Gauss-Legendre nodes in cos(theta); the slice integrands are smooth, and

@@ -263,10 +263,12 @@ class TestDeterminism:
          "98badef2843af30c909e4acd4b7079e07da5cd750ebc7ce541d4102fd8eda778"),
         ("coeffs --omega 16 --format markdown",
          "b4e58715d7362ddb8306e939b42c6a9e3c4e5c6d35f482cbc699ce28400fbea1"),
+        ("sphere-check",
+         "2e09b60cfebb1ea2896ba478933214b1d92de263f1ec4c039684676de162c692"),
     ], ids=["scan-16-threshold", "certify-16-threshold", "certify-3",
             "certify-7", "certify-11", "certify-15", "coeffs-5", "coeffs-7",
             "coeffs-16", "symbolic-3-16", "coeffs-7-markdown",
-            "coeffs-16-markdown"])
+            "coeffs-16-markdown", "sphere-check"])
     def test_report_digest_is_fixed(self, tmp_path, args, digest):
         # sha256 of the whole JSON report: every cell's enclosure
         # midpoints, chosen c and verdict, byte for byte, on both sides of
@@ -275,7 +277,8 @@ class TestDeterminism:
         # the coefficient tables (u_k/nu_k and the Delta_k partial
         # fractions) and the all-n certificates, whose omega = 16 failure
         # exits 1 after writing its report; the markdown tables pin the
-        # monic u_k/nu_k string and the residues as printed fractions
+        # monic u_k/nu_k string and the residues as printed fractions; the
+        # sphere-check report pins the annulus deviations to the last digit
         out = tmp_path / "r.json"
         main(args.split() + ["--jobs", "1", "--output", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -454,6 +457,28 @@ class TestOracleCommands:
         assert main(["sphere-check", "--output", str(b)]) == 0
         assert json.loads(a.read_text())["summary"]["ok"] is True
         assert a.read_bytes() == b.read_bytes()
+
+    def test_runs_without_sympy(self, tmp_path):
+        # sympy is a test-only reference: every hvcert module imports, and
+        # sphere-check runs, without loading it
+        src = str(Path(hvcert.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "import hvcert\n"
+            "for m in pkgutil.iter_modules(hvcert.__path__):\n"
+            "    importlib.import_module('hvcert.' + m.name)\n"
+            "from hvcert.cli import main\n"
+            "assert main(['sphere-check', '--output', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'sympy'))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "sphere.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestTracedNames:

@@ -9,17 +9,21 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from hvcert.cli import main
 from hvcert.spectral import p2_value, spectral_family
 from hvcert.sphere import (
-    RING,
     X,
     Y,
     Z,
     ExcludedEigenvalue,
     HarmonicSpec,
     NonzeroMean,
+    XYZPoly,
     annulus_curvature_check,
     annulus_mean_curvature,
     b_derivative,
@@ -44,6 +48,14 @@ from hvcert.sphere import (
 # exp(i phi) simplify
 POLAR = sp.symbols("theta phi", real=True)
 THETA = sp.Symbol("theta")
+# the sympy reference for XYZPoly
+RING = ring("x,y,z", QQ)[0]
+
+
+def as_sympy(p):
+    """The XYZPoly p as an element of RING, built from its terms."""
+    return RING.from_dict({m: QQ(c.numerator, c.denominator)
+                           for m, c in p.terms()})
 
 
 def unit_square(l, m):
@@ -60,7 +72,8 @@ def zonal_b_polar(l):
     zonal_b: b_tt = beta and b_pp = sin^2 gamma at z = cos THETA, times
     sqrt(2l+1)."""
     on_circle = {RING.symbols[2]: sp.cos(THETA)}
-    beta, gamma = (sp.sqrt(2 * l + 1) * p.as_expr().xreplace(on_circle)
+    beta, gamma = (sp.sqrt(2 * l + 1)
+                   * as_sympy(p).as_expr().xreplace(on_circle)
                    for p in zonal_b(l))
     return beta, sp.sin(THETA) ** 2 * gamma
 
@@ -68,12 +81,94 @@ def zonal_b_polar(l):
 def on_sphere(p, cos_t, sin_t, cos_p, sin_p):
     """The polynomial p at the point with these polar cosines and sines."""
     x, y, z = RING.symbols
-    return p.as_expr().subs({x: sin_t * cos_p, y: sin_t * sin_p, z: cos_t})
+    return as_sympy(p).as_expr().subs(
+        {x: sin_t * cos_p, y: sin_t * sin_p, z: cos_t})
+
+
+# a polynomial as {exponents: coefficient}, with small exponents and
+# coefficients that share factors, so that denominators cancel
+_FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), _FRACTIONS,
+                         max_size=6)
+
+
+def both(terms):
+    """The polynomial with these terms as (XYZPoly, RING element)."""
+    ours = sum((c * X ** a * Y ** b * Z ** e
+                for (a, b, e), c in terms.items()), XYZPoly())
+    return ours, RING.from_dict({m: QQ(c.numerator, c.denominator)
+                                 for m, c in terms.items()})
+
+
+def assert_same(p, ref):
+    # the same terms in the same order: sympy's lex order with x > y > z
+    assert p.terms() == [(m, Fraction(int(c.numerator), int(c.denominator)))
+                         for m, c in ref.terms()]
+
+
+def mean_reference(ref):
+    """Sphere mean from the surface integral of each monomial,
+    2 G((a+1)/2) G((b+1)/2) G((c+1)/2) / G((a+b+c+3)/2) over 4 pi when
+    a, b and c are even (G the Gamma function), and 0 otherwise."""
+    total = sp.Integer(0)
+    for m, c in ref.terms():
+        if all(e % 2 == 0 for e in m):
+            g = [sp.gamma(sp.Rational(e + 1, 2)) for e in m]
+            total += (sp.Rational(int(c.numerator), int(c.denominator))
+                      * 2 * g[0] * g[1] * g[2]
+                      / sp.gamma(sp.Rational(sum(m) + 3, 2)) / (4 * sp.pi))
+    return total
+
+
+class TestXYZPoly:
+    @settings(max_examples=150, deadline=None)
+    @given(_POLYS, _POLYS, _FRACTIONS, st.integers(1, 3))
+    def test_matches_sympy_ring(self, f, g, c, k):
+        (p, P), (q, Q) = both(f), both(g)
+        assert_same(p, P)
+        for ours, ref in ((p + q, P + Q), (p - q, P - Q), (-p, -P),
+                          (p * q, P * Q), (p ** k, P ** k),
+                          (c * p, QQ(c.numerator, c.denominator) * P),
+                          (p + c, P + QQ(c.numerator, c.denominator)),
+                          (3 - p, 3 - P), (p * 0, P * 0)):
+            assert_same(ours, ref)
+        x, y, z = RING.gens
+        for axis, v in enumerate((x, y, z)):
+            assert_same(p.diff(axis), P.diff(v))
+        assert_same(p.on_meridian(), P.subs(y, 0).rem(x ** 2 + z ** 2 - 1))
+        # sympy's ring refuses 0 ** 0; here it is 1, as for Python numbers
+        assert p ** 0 == 1
+        assert (p == q) == (P == Q)
+        assert (p + q) - q == p
+        assert (p * q == q * p) and (p * 2 == p + p)
+        assert (p == c) == (P == QQ(c.numerator, c.denominator))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_POLYS)
+    def test_sphere_mean_matches_surface_integrals(self, f):
+        p, P = both(f)
+        mean = sphere_mean(p)
+        assert isinstance(mean, Fraction)
+        assert sp.Rational(mean.numerator, mean.denominator) == \
+            mean_reference(P)
+
+    def test_degree_overflow_fails_closed(self):
+        # 16 bits of exponent per variable: the largest degree is 65535,
+        # and a product beyond it raises instead of carrying into y
+        p = X ** 256
+        top = p ** 255 * X ** 255
+        assert top.terms() == [((65535, 0, 0), 1)]
+        with pytest.raises(OverflowError):
+            top * Z
+        with pytest.raises(OverflowError):
+            p ** 256
+        with pytest.raises(ValueError):
+            X ** -1
 
 
 class TestGridAndHarmonics:
     def test_total_measure(self):
-        assert sphere_mean(RING.one) == 1
+        assert sphere_mean(XYZPoly(1)) == 1
         assert sphere_mean(X ** 2 + Y ** 2 + Z ** 2) == 1
         assert sphere_mean(Z ** 2) == Fraction(1, 3)
         assert sphere_mean(X ** 4) == Fraction(1, 5)
@@ -98,8 +193,8 @@ class TestGridAndHarmonics:
         for l in range(7):
             for m in range(-l, l + 1):
                 F = real_harmonic(l, m)
-                assert sum(F.diff(v).diff(v) for v in (X, Y, Z)) == 0
-                assert {sum(e) for e in F.monoms()} == {l}
+                assert sum(F.diff(v).diff(v) for v in range(3)) == 0
+                assert {sum(e) for e in as_sympy(F).monoms()} == {l}
 
     @staticmethod
     def ynm_reference(l, m, theta, phi):
@@ -191,7 +286,7 @@ class TestBTensor:
         for l in range(2, 7):
             beta, gamma = zonal_b(l)
             assert gamma == -beta != 0, l
-            assert {m[:2] for m in beta.monoms()} == {(0, 0)}, l
+            assert {m[:2] for m in as_sympy(beta).monoms()} == {(0, 0)}, l
 
     def test_zonal_pullback_matches_polar_calculus(self):
         # for f(theta) = sqrt(2l+1) P_l(cos theta), the polar Hessian is
@@ -274,7 +369,7 @@ class TestISFunctional:
     def test_additive_over_orthogonal_components(self):
         n, omega = 3, 4
         parts = []
-        total_f = total_r = RING.zero
+        total_f = total_r = XYZPoly()
         for l in (2, 3):
             nu = l * (l + 1)
             c, _ = minimizer_weight(n, omega, nu)
