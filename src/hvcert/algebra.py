@@ -5,8 +5,9 @@ all-dimension positivity proofs) is built on the one polynomial type here:
 dense polynomials over ``fractions.Fraction``.  A rational function is a
 pair (num, den) of them.  Also here: partial-fraction decompositions of
 such a pair whose den has distinct rational roots, integer square-root
-enclosures, exact signs of sums of square roots, and a Sturm-based
-decision procedure for strict positivity on a ray ``[n0, +oo)``.
+enclosures, exact signs of sums of square roots, and root counts and
+strict positivity on a ray ``[n0, +oo)``, both read off the Taylor shift
+p(n0 + t) with at most one Sturm chain.
 
 No floating point is used anywhere in this module.
 """
@@ -87,9 +88,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -188,16 +186,16 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Horner evaluation of self at a polynomial argument."""
-        result = Polynomial()
-        for c in reversed(self.coeffs):
-            result = result * inner + Polynomial([c])
-        return result
-
     def shift(self, a: RationalLike) -> "Polynomial":
-        """Return p(x + a)."""
-        return self.compose(Polynomial([_as_fraction(a), 1]))
+        """Return p(x + a), by a Taylor shift: synthetic division by x - a,
+        repeated on each quotient, leaves the coefficients of p(x + a) in
+        place, lowest first."""
+        a = _as_fraction(a)
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return Polynomial(cs)
 
     def primitive(self) -> "Polynomial":
         """Divide out the rational content; sign of the leading coefficient
@@ -212,15 +210,6 @@ class Polynomial:
         factor = Fraction(den_lcm, num_gcd)
         return self.scale(factor)
 
-    def content_free_gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd via the Euclidean algorithm with primitive scaling."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, (a % b).primitive()
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.leading)
-
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x):
@@ -228,11 +217,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
-
-    def sign_at_plus_infinity(self) -> int:
-        if self.is_zero():
-            return 0
-        return 1 if self.leading > 0 else -1
 
     # -- formatting ----------------------------------------------------
 
@@ -311,8 +295,8 @@ class RayPositivityWitness:
     """Evidence backing a nonnegative_on_ray verdict.
 
     method is "shifted-coefficients" when the fast sufficient test fired
-    (all coefficients of p(n0 + m) nonnegative, constant term positive),
-    or "sturm" with the root count of p on [n0, oo) and a sample value.
+    (all coefficients of p(n0 + t) nonnegative, constant term positive),
+    or "sturm" with the root count of p on [n0, oo) and p(n0).
     """
 
     method: str
@@ -345,18 +329,28 @@ def _sign_variations(values: Iterable[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
+def _count_roots_from_zero(q: Polynomial) -> int:
+    """Number of distinct real roots of a nonzero q in [0, +oo).
+
+    A root at 0 is a run of zero low coefficients; once it is stripped,
+    every Sturm chain member is a multiple of gcd(q, q'), which is nonzero
+    at 0, so the chain counts the distinct roots in (0, +oo) of a q that
+    need not be square-free.  A member's value at 0 is its constant term.
+    """
+    low = next(i for i, c in enumerate(q.coeffs) if c)
+    chain = sturm_chain(Polynomial(q.coeffs[low:]))
+    at_zero = _sign_variations(_sign(r.coeffs[0]) for r in chain)
+    at_inf = _sign_variations(_sign(r.leading) for r in chain)
+    return at_zero - at_inf + (low > 0)
+
+
 def count_roots_on_ray(p: Polynomial, n0: RationalLike) -> int:
-    """Number of distinct real roots of p in [n0, +oo)."""
+    """Number of distinct real roots of p in [n0, +oo), counted as the
+    roots of p(n0 + t) in t >= 0 with one Sturm chain."""
     n0 = _as_fraction(n0)
     if p.is_zero():
         raise AlgebraError("root count of the zero polynomial")
-    square_free = p // p.content_free_gcd(p.derivative()) if p.degree > 0 else p
-    chain = sturm_chain(square_free)
-    at_n0 = [(1 if q(n0) > 0 else -1 if q(n0) < 0 else 0) for q in chain]
-    at_inf = [q.sign_at_plus_infinity() for q in chain]
-    interior = _sign_variations(at_n0) - _sign_variations(at_inf)
-    at_endpoint = 1 if (p(n0) == 0) else 0
-    return interior + at_endpoint
+    return _count_roots_from_zero(p.shift(n0))
 
 
 def nonnegative_on_ray(p: Polynomial,
@@ -364,18 +358,19 @@ def nonnegative_on_ray(p: Polynomial,
     """Decide whether p(n) > 0 for every real n >= n0 (strict positivity;
     the permissive name matches the negated-inequality call sites).
 
-    The shifted-coefficient test is a fast sufficient certificate; Sturm
-    root counting is the complete fallback.
+    Both tests read q(t) = p(n0 + t), shifted once.  q(0) > 0 with no
+    negative coefficient is a fast sufficient certificate; the complete
+    fallback counts the roots of q in t >= 0 with one Sturm chain.
     """
     n0 = _as_fraction(n0)
     if p.is_zero():
         raise AlgebraError("positivity query on the zero polynomial")
     shifted = p.shift(n0)
-    if all(c >= 0 for c in shifted.coeffs) and shifted.coeffs[0] > 0:
+    value_at_n0 = shifted.coeffs[0]
+    if value_at_n0 > 0 and all(c >= 0 for c in shifted.coeffs):
         return True, RayPositivityWitness(method="shifted-coefficients",
                                           positive=True)
-    value_at_n0 = p(n0)
-    roots = count_roots_on_ray(p, n0)
+    roots = _count_roots_from_zero(shifted)
     ok = roots == 0 and value_at_n0 > 0
     return ok, RayPositivityWitness(method="sturm", positive=ok,
                                     root_count=roots,

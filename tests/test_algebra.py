@@ -60,6 +60,21 @@ class TestPolynomial:
         shifted = p.shift(3)  # (n+3)^2
         assert shifted == poly(9, 6, 1)
 
+    @given(st.lists(rationals, max_size=9), rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_shift_matches_sympy(self, cs, a):
+        # degree <= 8 and a Fraction shift
+        p = Polynomial(cs)
+        a_sym = sp.Rational(a.numerator, a.denominator)
+        expected = sp.expand(to_sympy(p).subs(N, N + a_sym))
+        assert sp.expand(to_sympy(p.shift(a)) - expected) == 0
+
+    def test_unhashable(self):
+        # Polynomial([3]) == 3, so a hash unequal to hash(3) would break
+        # set and dict lookups; like XYZPoly, the class has no hash
+        with pytest.raises(TypeError):
+            hash(Polynomial([3]))
+
     @given(st.lists(rationals, max_size=6), st.lists(rationals, max_size=6),
            rationals)
     @settings(max_examples=200, deadline=None)
@@ -173,6 +188,26 @@ class TestRayPositivity:
         assert count_roots_on_ray(p, Fraction(1, 2)) == 1
         assert count_roots_on_ray(p, Fraction(2)) == 0
 
+    def test_root_count_not_square_free(self):
+        # (n-1)^3 (n-3)^2 (n^2+1): repeated roots and a complex pair; the
+        # count is of distinct roots, an endpoint root included
+        n = Polynomial.x()
+        p = (n - 1) ** 3 * (n - 3) ** 2 * (n * n + 1)
+        for n0, expected in [(0, 2), (1, 2), (2, 1), (Fraction(5, 2), 1),
+                             (3, 1), (4, 0)]:
+            assert count_roots_on_ray(p, n0) == expected, n0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n0", [0, 7, Fraction(-5, 3)])
+    def test_root_count_of_a_power(self, k, n0):
+        # (n - n0)^k: its only root is the endpoint, however repeated
+        p = linear(n0) ** k
+        assert count_roots_on_ray(p, n0) == 1
+        assert count_roots_on_ray(p, n0 - 1) == 1
+        assert count_roots_on_ray(p, n0 + Fraction(1, 2)) == 0
+        ok, wit = nonnegative_on_ray(p, n0)
+        assert not ok and wit.sample_value == 0
+
     def test_sturm_chain_ends_with_constant(self):
         chain = sturm_chain(poly(-2, 0, 1))
         assert chain[-1].degree <= 0
@@ -197,6 +232,14 @@ class TestRayPositivity:
         expected = sp.Poly(to_sympy(p), N).count_roots(
             sp.Rational(n0.numerator, n0.denominator), None)
         assert count_roots_on_ray(p, n0) == expected
+        # p(n0 + t) with a negative coefficient or a zero constant term
+        # falls to Sturm; the witness holds this root count, n0 and p(n0),
+        # and the verdict follows from them
+        ok, wit = nonnegative_on_ray(p, n0)
+        if wit.method == "sturm":
+            assert (wit.root_count, wit.sample_point) == (expected, n0)
+            assert wit.sample_value == p(n0)
+            assert ok == wit.positive == (expected == 0 and p(n0) > 0)
 
     def test_positive_polynomial(self):
         ok, wit = nonnegative_on_ray(poly(1, 0, 1), 0)

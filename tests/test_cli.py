@@ -238,6 +238,17 @@ class TestDeterminism:
         assert main(args + ["--jobs", "1"]) == 0
         assert capsys.readouterr().out == pooled
 
+    def test_jobs_default_to_serial(self, monkeypatch, capsys):
+        # without --jobs no pool starts, although five cells would use one
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        assert main(["scan", "--omega", "5", "--n", "16..20"]) == 0
+
     @pytest.mark.parametrize("args,digest", [
         ("scan --omega 16 --n 1853..1864",
          "f960b546873a73b2f3726d6ce238275071f8cb64d6a88b99ebbfcb78660b0124"),
