@@ -245,7 +245,8 @@ def _evaluate_cells(cells: list[tuple[int, int]],
     # imported here so that serial commands do not pay for the import
     from concurrent.futures import ProcessPoolExecutor
     # a fork pool starts every worker at once: start no more than cells
-    workers = min(jobs, len(cells))
+    # or CPUs
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
     omegas, ns = zip(*cells)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(cells) // (4 * workers))

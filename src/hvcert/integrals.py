@@ -7,13 +7,13 @@ The one-dimensional integrals
 carry every coefficient of the eps-expansion of the Yamabe functional at a
 concentrated Aubin bubble.  When 2a - b > 1 the limit has the Beta closed
 form I_a^b = Beta((b+1)/2, a - (b+1)/2) / 2.  The float identity checks
-here pit that closed form against tanh-sinh quadrature (mpmath) and
-against each other through the integration-by-parts recurrences, each at
-a fixed relative tolerance.  Gamma values come from `math`, in log space
-where they would overflow a float.  The f^2 coefficient identity is
-decided exactly instead: the ratio of two integrals whose parameters
-differ by integer steps is rational (beta_ratio), and P_2 is read from
-spectral.closed_forms.
+here pit that closed form against quadrature (_quad, on the Gauss-Legendre
+rule that hvcert.sphere shares) and against each other through the
+integration-by-parts recurrences, each at a fixed relative tolerance.
+Gamma values come from `math`, in log space where they would overflow a
+float.  The f^2 coefficient identity is decided exactly instead: the ratio
+of two integrals whose parameters differ by integer steps is rational
+(beta_ratio), and P_2 is read from spectral.closed_forms.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import fp, mp
+from functools import lru_cache
 
 from .spectral import closed_forms
 
@@ -35,29 +34,59 @@ class DivergentIntegral(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature missed its tolerance; carries the achieved one."""
+    """Quadrature missed its tolerance; carries the achieved one."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
 
 
-def _quad(f, nodes: list, what: str, dps: int | None = None) -> float:
-    """Tanh-sinh quadrature of f over consecutive nodes, failing closed.
+# Gauss-Legendre nodes: on smooth integrands the error is below rounding
+_NODES = 26
 
-    With `dps` the rule runs in mpmath's multiprecision context at that many
-    digits, otherwise in its float context.  The error estimate must be at
-    most 1e-8 of the value.
-    """
-    if dps is None:
-        value, err = fp.quad(f, nodes, error=True)
-    else:
-        with mp.workdps(dps):
-            value, err = mp.quad(f, nodes, error=True)
-        value, err = float(value), float(err)
-    if value != 0 and err / abs(value) > 1e-8:
+
+def _legendre(u: float) -> tuple[float, float]:
+    """P_NODES(u) and its derivative, by the three-term recurrence."""
+    p0, p1 = 1.0, u
+    for k in range(2, _NODES + 1):
+        p0, p1 = p1, ((2 * k - 1) * u * p1 - (k - 1) * p0) / k
+    return p1, _NODES * (u * p1 - p0) / (u * u - 1)
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre() -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the Gauss-Legendre rule on [-1, 1]: Newton's
+    method on P_NODES from Tricomi's first guesses, which converges
+    quadratically and reaches rounding within six steps."""
+    rule = []
+    for i in range(_NODES):
+        u = math.cos(math.pi * (i + 0.75) / (_NODES + 0.5))
+        for _ in range(6):
+            p, dp = _legendre(u)
+            u -= p / dp
+        _, dp = _legendre(u)
+        rule.append((u, 2 / ((1 - u * u) * dp * dp)))
+    return tuple(rule)
+
+
+def _quad(f, nodes: list, what: str) -> float:
+    """Integral of f over consecutive nodes, failing closed: the rule on the
+    halves of each panel, which must differ from the rule on the whole
+    panels by at most 1e-8 of the value, or QuadratureFailure is raised.
+    With f analytic on every panel the value is exact to rounding."""
+    def rule_sum(rule):
+        terms = []
+        for lo, hi in zip(nodes, nodes[1:]):
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            terms += [half * w * f(mid + half * u) for u, w in rule]
+        return math.fsum(terms)
+
+    rule = gauss_legendre()
+    value = rule_sum([((u + s) / 2, w / 2) for s in (-1, 1) for u, w in rule])
+    achieved = abs(value - rule_sum(rule)) / abs(value) if value else 0.0
+    if achieved > 1e-8:
         raise QuadratureFailure(f"{what} quadrature did not converge",
-                                achieved=err / abs(value))
+                                achieved=achieved)
     return value
 
 
@@ -82,7 +111,7 @@ def i_closed(a: float, b: float) -> float:
     (5e-13 relative just past a = 170).  Beyond a = 170 the value is
     mpmath's Beta at int(log10 a) + 30 digits, enough that p + q does not
     round to q, rounded once to a float; below the smallest float it is
-    0.0.
+    0.0.  mpmath is imported there only, so no command loads it.
     """
     if b <= -1:
         raise DivergentIntegral(f"b={b} <= -1 diverges at 0")
@@ -91,33 +120,30 @@ def i_closed(a: float, b: float) -> float:
     p = (b + 1) / 2
     q = a - p
     if a > _GAMMA_MAX:
+        from mpmath import mp
         with mp.workdps(int(math.log10(a)) + 30):
             return float(mp.beta(p, q) / 2)
     return 0.5 * math.gamma(p) / math.gamma(a) * math.gamma(q)
 
 
 def i_quadrature(a: float, b: float) -> float:
-    """I_a^b by tanh-sinh quadrature on [0, 1] and [1, inf).
-
-    The rule runs at 20 digits, like i_truncated, so its float result and
-    error estimate are not limited by the rounding of the integrand.
-    """
+    """I_a^b = I_a^b(eps) + I_a^{2a-b-2}(eps) at delta = eps = 1, both by
+    i_truncated (t -> 1/t maps the part on [1, oo) to the second)."""
     if b <= -1 or 2 * a - b <= 1:
         raise DivergentIntegral(f"(a={a}, b={b}) not convergent")
-    return _quad(lambda t: t ** b / (1 + t * t) ** a, [0, 1, mp.inf],
-                 "I_a^b", 20)
+    return i_truncated(a, b, 1.0, 1.0) + i_truncated(a, 2 * a - b - 2, 1.0, 1.0)
 
 
 def i_truncated(a: float, b: float, delta: float, epsilon: float) -> float:
-    """I_a^b(eps): the defining integral truncated at t = delta/epsilon.
-
-    The interval is split at t = 1, 10, 100, ... so each piece holds a
-    decade of the algebraic tail.
-    """
+    """I_a^b(eps): the defining integral truncated at t = delta/epsilon, by
+    _quad on panels split at t = 1e-16, 1e-15, ..., 1, 10, 100, ...  For
+    -1 < b < 0 halving the panel at 0 gains only 2^-(b+1): below b = -0.62
+    or so this raises QuadratureFailure, and just above, the value can be
+    off by up to 3e-8 although the estimate passes.  No command has b < 0."""
     if epsilon <= 0 or delta <= 0:
         raise ValueError("delta and epsilon must be positive")
     return _quad(lambda t: t ** b / (1 + t * t) ** a,
-                 _decade_nodes(1.0, delta / epsilon), "I_a^b(eps)", 20)
+                 _decade_nodes(1e-16, delta / epsilon), "I_a^b(eps)")
 
 
 def truncation_bound(a: float, b: float, delta: float, epsilon: float) -> float:

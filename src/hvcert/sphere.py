@@ -55,6 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+from .integrals import gauss_legendre
 from .spectral import closed_forms
 
 # the monomial x^a y^b z^c is the key packing a + b + c, a, b and c in
@@ -486,35 +487,8 @@ def zonal_b(l: int) -> tuple:
     return tuple(p.on_meridian() for p in (tt, b[1, 1]))
 
 
-# Gauss-Legendre nodes in cos(theta); the slice integrands are smooth, and
-# at 26 nodes the rule's error is below the rounding of the mean
-_NODES = 26
 # the amplitudes t of annulus_curvature_check, each a decade below the last
 _T_VALUES = (1e-2, 1e-3, 1e-4)
-
-
-def _legendre(u: float) -> tuple[float, float]:
-    """P_NODES(u) and its derivative, by the three-term recurrence."""
-    p0, p1 = 1.0, u
-    for k in range(2, _NODES + 1):
-        p0, p1 = p1, ((2 * k - 1) * u * p1 - (k - 1) * p0) / k
-    return p1, _NODES * (u * p1 - p0) / (u * u - 1)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre() -> tuple[tuple[float, float], ...]:
-    """(node, weight) pairs of the Gauss-Legendre rule on [-1, 1]: Newton's
-    method on P_NODES from Tricomi's first guesses, which converges
-    quadratically and reaches rounding within six steps."""
-    rule = []
-    for i in range(_NODES):
-        u = math.cos(math.pi * (i + 0.75) / (_NODES + 0.5))
-        for _ in range(6):
-            p, dp = _legendre(u)
-            u -= p / dp
-        _, dp = _legendre(u)
-        rule.append((u, 2 / ((1 - u * u) * dp * dp)))
-    return tuple(rule)
 
 
 def _shape_terms(k: int, v: float) -> tuple[float, float]:
@@ -556,7 +530,7 @@ def annulus_mean_curvature(l: int, omega: int, t: float, r: float) -> float:
     beta, gamma = ([(m[2], float(a)) for m, a in p.terms()]
                    for p in zonal_b(l))
     num = den = 0.0
-    for c, weight in _gauss_legendre():
+    for c, weight in gauss_legendre():
         x, y = (scale * sum(a * c ** j for j, a in p) for p in (beta, gamma))
         (px, dpx), (py, dpy) = _shape_terms(k, x), _shape_terms(k, y)
         S = px + py

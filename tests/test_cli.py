@@ -179,6 +179,31 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool with a serial stand-in that starts no
+    process; the list it returns records max_workers of each pool."""
+    import concurrent.futures
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    return asked
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, tmp_path, monkeypatch):
         # identical config (same relative output path) twice, run from
@@ -210,33 +235,26 @@ class TestDeterminism:
         # neither the parallelism degree nor the output path is echoed
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_capped_at_cell_count(self, monkeypatch, capsys):
-        # a fork pool starts all of its workers at once; a serial stand-in
-        # records how many were asked for, and starts no process
-        import concurrent.futures
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SerialPool)
+    def test_jobs_capped_at_cell_count(self, serial_pool, monkeypatch,
+                                       capsys):
+        # a fork pool starts all of its workers at once
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         args = ["scan", "--omega", "5", "--n", "16..20"]
         assert main(args + ["--jobs", "64"]) == 0
-        assert asked == [5]
+        assert serial_pool == [5]
         pooled = capsys.readouterr().out
         assert main(args + ["--jobs", "1"]) == 0
         assert capsys.readouterr().out == pooled
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_jobs_capped_at_cpu_count(self, serial_pool, monkeypatch,
+                                      capsys, cpus, workers):
+        # ten cells and --jobs 64 start no more workers than CPUs (one
+        # when the count is unknown)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["scan", "--omega", "5", "--n", "16..25",
+                     "--jobs", "64"]) == 0
+        assert serial_pool == [workers]
 
     def test_jobs_default_to_serial(self, monkeypatch, capsys):
         # without --jobs no pool starts, although five cells would use one
@@ -470,8 +488,9 @@ class TestOracleCommands:
         assert a.read_bytes() == b.read_bytes()
 
     def test_runs_without_sympy(self, tmp_path):
-        # sympy is a test-only reference: every hvcert module imports, and
-        # sphere-check runs, without loading it
+        # sympy is a test-only reference and mpmath serves only i_closed
+        # past a = 170: every hvcert module imports, and integrals and
+        # sphere-check run, without loading either
         src = str(Path(hvcert.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -482,9 +501,11 @@ class TestOracleCommands:
             "for m in pkgutil.iter_modules(hvcert.__path__):\n"
             "    importlib.import_module('hvcert.' + m.name)\n"
             "from hvcert.cli import main\n"
+            "assert main(['integrals', '--seed', '1',\n"
+            "             '--output', sys.argv[1]]) == 0\n"
             "assert main(['sphere-check', '--output', sys.argv[1]]) == 0\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'sympy'))\n")
+            "             if m.split('.')[0] in ('sympy', 'mpmath')))\n")
         done = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "sphere.json")],
             env=env, capture_output=True, text=True, timeout=120)

@@ -41,11 +41,23 @@ from hvcert.cli import main
 
 class TestBubbleIntegrals:
     def test_closed_form_against_quadrature(self):
-        for a in range(2, 13):
-            for b in range(0, 2 * a - 2, 2):
-                closed = i_closed(a, b)
-                quad = i_quadrature(a, b)
-                assert abs(closed - quad) <= 1e-10 * abs(closed), (a, b)
+        # even b, then non-integer exponents of t at 0 (b) or at infinity
+        # (2a - b - 2 after t -> 1/t)
+        pairs = [(a, b) for a in range(2, 13) for b in range(0, 2 * a - 2, 2)]
+        for a, b in pairs + [(2.75, 2), (3, 0.5), (3, 2.5)]:
+            closed = i_closed(a, b)
+            quad = i_quadrature(a, b)
+            assert abs(closed - quad) <= 1e-10 * abs(closed), (a, b)
+
+    @pytest.mark.parametrize("b", [-0.9, -0.99])
+    def test_strong_endpoint_singularity_fails_closed(self, b):
+        # t^b this close to b = -1 is beyond the graded panels: the value
+        # must be right to 1e-8, or the quadrature must raise
+        try:
+            quad = i_quadrature(3, b)
+        except QuadratureFailure:
+            return
+        assert abs(quad - i_closed(3, b)) <= 1e-8 * i_closed(3, b)
 
     def test_known_value(self):
         # I_1^0 = int dt/(1+t^2) = pi/2, but a=1, b=0 needs 2a-b>1: ok
@@ -70,7 +82,7 @@ class TestBubbleIntegrals:
 
     def test_truncation_bound(self):
         # |I_a^b - I_a^b(eps)| <= eps^{2a-b-1} / ((2a-b-1) delta^{2a-b-1})
-        for a, b in ((4, 2), (6, 5), (8, 3)):
+        for a, b in ((4, 2), (6, 5), (8, 3), (4, 2.5)):
             for eps in (1e-1, 1e-2, 1e-3):
                 tail = i_closed(a, b) - i_truncated(a, b, 1.0, eps)
                 bound = truncation_bound(a, b, 1.0, eps)
@@ -87,12 +99,12 @@ class TestBubbleIntegrals:
     @pytest.mark.parametrize("case", ["i_quadrature", "i_truncated",
                                       "radial_yamabe"])
     def test_large_error_estimate_fails_closed(self, monkeypatch, case):
-        # each quadrature reports (value, error estimate); an estimate of
-        # the size of the value must raise, never return the value
-        monkeypatch.setattr(integrals.mp, "quad",
-                            lambda f, nodes, error: (mpmath.mpf(1), mpmath.mpf(1)))
-        monkeypatch.setattr(integrals.fp, "quad",
-                            lambda f, nodes, error: (1.0, 1.0))
+        # a rule with weights 1 and -1 at the ends of [-1, 1] telescopes:
+        # on the halves of every panel it gives exactly half of what it
+        # gives on the whole panel, so the estimate |halves - whole| /
+        # |halves| is exactly 1 and must raise, never return the value
+        monkeypatch.setattr(integrals, "gauss_legendre",
+                            lambda: ((-1.0, 1.0), (1.0, -1.0)))
         run = {"i_quadrature": lambda: i_quadrature(4, 2),
                "i_truncated": lambda: i_truncated(4, 2, 1.0, 1e-2),
                "radial_yamabe": lambda: radial_yamabe(RadialProfile(5, 1e-3, 1.0))}
@@ -313,8 +325,8 @@ class TestBetaRatio:
 
 
 class TestImports:
-    """The oracles run without numpy or scipy: the integral oracle on math
-    and mpmath, the sphere oracle on sympy and math."""
+    """The oracles run without numpy or scipy, on math and the standard
+    library alone."""
 
     @pytest.mark.parametrize("code", [
         "import hvcert.integrals",
