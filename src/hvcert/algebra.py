@@ -287,6 +287,46 @@ def sqrt_enclosure(p: int, q: int, grid: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Best rational approximation
+# ---------------------------------------------------------------------------
+
+def best_rational(num: int, den: int, bound: int) -> tuple[int, int]:
+    """The coprime (p, q) of Fraction(num, den).limit_denominator(bound),
+    for den >= 1 and bound >= 1, in integers.
+
+    limit_denominator walks the convergents of num/den up from 0; this
+    walks them down from num/den, which is short when bound is a few
+    digits below den.  The convergent before num/den has denominator
+    min(v, den - v), v = num^-1 mod den, since the expansion ends in a
+    partial quotient >= 2; Euclid steps on the denominators then reach
+    the last convergent p1/q1 with q1 <= bound and the one before it,
+    p0/q0.  The answer is the closer of p1/q1 and the semiconvergent
+    (p0 + k p1)/(q0 + k q1), k = (bound - q0) // q1, ties going to p1/q1,
+    as in limit_denominator."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if den <= bound:
+        return num, den
+    v = pow(num, -1, den)
+    q1 = min(v, den - v)
+    p1, r = divmod(num * q1, den)
+    if r != 1:
+        p1 += 1  # num q1 = p1 den - 1; at den = 2 both hold, keep the floor
+    p_hi, q_hi = num, den
+    while True:
+        a = q_hi // q1
+        p0, q0 = p_hi - a * p1, q_hi - a * q1
+        if q1 <= bound:
+            break
+        p_hi, q_hi, p1, q1 = p1, q1, p0, q0
+    k = (bound - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    if abs(num * q1 - den * p1) * q <= abs(num * q - den * p) * q1:
+        return p1, q1
+    return p, q
+
+
+# ---------------------------------------------------------------------------
 # Positivity on a ray
 # ---------------------------------------------------------------------------
 

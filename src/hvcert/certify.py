@@ -17,10 +17,10 @@ exactly, in one pass, in plain integers: every root is m (m -/+
 sqrt(Delta_k)) / d_k with m = n - 2, sqrt(Delta_k) is enclosed on the
 grid of step 1/_GRID = 1e-30 by sqrt_enclosure, the bounds are compared by
 cross-multiplication, and a candidate c = p/q read off them is validated
-by the sign of each trinomial multiplied out to an integer; a Fraction is
-built only for a value a report shows.  When the enclosures do not
-separate, emptiness is proved through exact sign decisions on the
-pairwise quantities
+by the sign of each trinomial multiplied out to an integer; Fractions are
+built only for that candidate and for the exact emptiness step.  When the
+enclosures do not separate, emptiness is proved through exact sign
+decisions on the pairwise quantities
 (n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j), and a cell
 neither step proves is "undecided".  The symbolic
 certificate covers all n >= 2 omega + 6 at once via the lower bound
@@ -68,7 +68,9 @@ class RootPair:
     d_k, u_k/nu_k^2 = u2_num/u2_den and Delta_k = delta_num/delta_den in
     lowest terms with positive denominators, and the enclosure
     sqrt_lo/sqrt_den <= sqrt(Delta_k) <= sqrt_hi/sqrt_den of sqrt_enclosure
-    on the grid _GRID.  Only the midpoints a report shows are Fractions.
+    on the grid _GRID.  It has no Fraction view: midpoints() gives the
+    enclosure midpoints as integer pairs too, which the report rounds
+    with algebra.best_rational.
     """
 
     k: int
@@ -82,13 +84,13 @@ class RootPair:
     sqrt_hi: int
     sqrt_den: int
 
-    def midpoints(self) -> tuple[Fraction, Fraction]:
-        """The midpoints of the enclosures of x_k and of y_k,
-        m (2 den m -/+ (lo + hi)) / (2 den d_k)."""
+    def midpoints(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The midpoints of the enclosures of x_k and of y_k as unreduced
+        (numerator, denominator) pairs, m (2 den m -/+ (lo + hi)) and
+        2 den d_k."""
         m, den = self.n - 2, self.sqrt_den
         s, scale = self.sqrt_lo + self.sqrt_hi, 2 * den * self.d
-        return (Fraction(m * (2 * den * m - s), scale),
-                Fraction(m * (2 * den * m + s), scale))
+        return (m * (2 * den * m - s), scale), (m * (2 * den * m + s), scale)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ lose exactness, and decimal is its quotient to 30 significant digits.
 The x and y lists approximate the trinomial roots (quadratic
 irrationals) by the midpoints of their rational enclosures, each within
 (n-2)/(2 d_k) * 1e-30 of its root, so the last digits of a decimal need
-not be the root's.  CSV, which only certify and scan reports can be
-written as, has the JSON entry fields as columns in the same order, with
-the exact strings of x and y joined by ';'; it is an output format only,
-and nothing reads it back.
+not be the root's.  Each midpoint is written as its best approximation
+with denominator <= 10^40, exactly Fraction.limit_denominator(10**40),
+computed in integers by algebra.best_rational.  CSV, which only certify
+and scan reports can be written as, has the JSON entry fields as columns
+in the same order, with the exact strings of x and y joined by ';'; it
+is an output format only, and nothing reads it back.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed while the
 command demanded success, 2 usage or I/O error.
@@ -34,6 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
+from .algebra import best_rational
 from .certify import (
     HypothesisViolated,
     IntervalCertificate,
@@ -102,12 +105,11 @@ def parse_range(text: str) -> tuple[int, int]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def rational_payload(value: Fraction) -> dict:
-    num = decimal.Decimal(value.numerator)
-    den = decimal.Decimal(value.denominator)
-    preview = _DECIMAL_CONTEXT.divide(num, den)
-    return {"decimal": str(preview),
-            "exact": f"{value.numerator}/{value.denominator}"}
+def rational_payload(num: int, den: int) -> dict:
+    """The payload of num/den, given in lowest terms with den > 0."""
+    preview = _DECIMAL_CONTEXT.divide(decimal.Decimal(num),
+                                      decimal.Decimal(den))
+    return {"decimal": str(preview), "exact": f"{num}/{den}"}
 
 
 def entry_from_certificate(cert: IntervalCertificate) -> dict:
@@ -120,9 +122,11 @@ def entry_from_certificate(cert: IntervalCertificate) -> dict:
     ys = []
     for pair in cert.pairs:
         mid_x, mid_y = pair.midpoints()
-        xs.append(rational_payload(mid_x.limit_denominator(10 ** 40)))
-        ys.append(rational_payload(mid_y.limit_denominator(10 ** 40)))
-    chosen = rational_payload(cert.chosen_c) if cert.chosen_c is not None else None
+        xs.append(rational_payload(*best_rational(*mid_x, 10 ** 40)))
+        ys.append(rational_payload(*best_rational(*mid_y, 10 ** 40)))
+    c = cert.chosen_c
+    chosen = None if c is None else rational_payload(c.numerator,
+                                                     c.denominator)
     return {"omega": cert.omega, "n": cert.n, "nonempty": cert.nonempty,
             "x": xs, "y": ys, "chosen_c": chosen, "status": cert.status}
 
@@ -324,8 +328,8 @@ def cmd_coeffs(config: RunConfig) -> tuple[dict, int]:
                          f"({row.u_den.scale(scale)})",
             "delta_polynomial_part": str(poly_part),
             "delta_simple_poles": [
-                {"root": rational_payload(root),
-                 "residue": rational_payload(res)}
+                {"root": rational_payload(root.numerator, root.denominator),
+                 "residue": rational_payload(res.numerator, res.denominator)}
                 for root, res in poles],
         })
     summary = {"omega": omega, "coefficients": rows}

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hvcert.algebra import (
@@ -15,6 +15,7 @@ from hvcert.algebra import (
     InvalidFactorization,
     NegativeRadicand,
     Polynomial,
+    best_rational,
     count_roots_on_ray,
     nonnegative_on_ray,
     partial_fractions,
@@ -330,6 +331,40 @@ class TestSqrtEnclosure:
                                    decimal.Decimal(x.denominator)))
         floor = int(ctx.scaleb(root, k).to_integral_value(decimal.ROUND_FLOOR))
         assert lo == floor
+
+
+def limited(num, den, bound):
+    f = Fraction(num, den).limit_denominator(bound)
+    return f.numerator, f.denominator
+
+
+sizes = st.one_of(st.integers(1, 40), st.integers(1, 2 ** 64),
+                  st.integers(1, 2 ** 140))
+
+
+class TestBestRational:
+    def test_small_grid(self):
+        # every num, den and bound of a small box: zero and negative
+        # numerators, unreduced input, den <= bound, and bound 1
+        for num in range(-40, 41):
+            for den in range(1, 17):
+                for bound in range(1, 19):
+                    assert best_rational(num, den, bound) == limited(
+                        num, den, bound), (num, den, bound)
+
+    @given(st.integers(-2 ** 140, 2 ** 140), sizes, sizes,
+           st.sampled_from([1, 1, 2, 6, 2 ** 40 + 1]))
+    @example(3, 2, 1, 1)        # 3/2 ties between 1 and 2: the floor
+    @example(-3, 2, 1, 3)       # -9/6 ties between -2 and -1
+    @example(0, 7, 1, 5)
+    @example(-2, 3, 3, 6)       # den <= bound once reduced
+    @example(2 ** 140 - 1, 2 ** 139 + 1, 10 ** 40, 1)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_limit_denominator(self, num, den, bound, common):
+        # ~140-bit numerators and denominators, as the report midpoints
+        # are, with a common factor or without
+        assert best_rational(num * common, den * common, bound) == limited(
+            num, den, bound)
 
 
 small_rationals = st.fractions(min_value=-100, max_value=100,

@@ -93,7 +93,10 @@ class TestRootPairs:
         x_lower, x_upper, y_lower, y_upper = bounds(pair)
         assert x_lower == x_upper == base - rc * F(3, 2)
         assert y_lower == y_upper == base + rc * F(3, 2)
-        assert pair.midpoints() == (base - rc * F(3, 2), base + rc * F(3, 2))
+        scale = 2 * pair.sqrt_den * pair.d
+        assert [den for _, den in pair.midpoints()] == [scale, scale]
+        assert [F(*mid) for mid in pair.midpoints()] == [
+            base - rc * F(3, 2), base + rc * F(3, 2)]
 
 
 class TestIntegerKernel:
@@ -119,8 +122,8 @@ class TestIntegerKernel:
             x_lower, x_upper = base - rc * upper, base - rc * lower
             y_lower, y_upper = base + rc * lower, base + rc * upper
             assert bounds(pair) == (x_lower, x_upper, y_lower, y_upper)
-            assert pair.midpoints() == ((x_lower + x_upper) / 2,
-                                        (y_lower + y_upper) / 2)
+            assert [F(*mid) for mid in pair.midpoints()] == [
+                (x_lower + x_upper) / 2, (y_lower + y_upper) / 2]
             # rationals inside ]x_upper, y_lower[, outside it on both
             # sides, and anywhere in a window around the roots
             t = data.draw(st.fractions(min_value=0, max_value=1,

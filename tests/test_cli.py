@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import hvcert
+from hvcert.certify import certify_at
 from hvcert.cli import (
+    entry_from_certificate,
     main,
     parse_range,
     rational_payload,
@@ -38,7 +40,7 @@ class TestConfig:
             parse_range("7..3")
 
     def test_rational_payload(self):
-        p = rational_payload(Fraction(1, 3))
+        p = rational_payload(1, 3)
         assert p["exact"] == "1/3"
         assert p["decimal"].startswith("0.3333333333")
 
@@ -294,10 +296,12 @@ class TestDeterminism:
          "b4e58715d7362ddb8306e939b42c6a9e3c4e5c6d35f482cbc699ce28400fbea1"),
         ("sphere-check",
          "2e09b60cfebb1ea2896ba478933214b1d92de263f1ec4c039684676de162c692"),
+        ("scan --omega 3..15 --n 1000..1001",
+         "08cecb195f702f31ea11962f753561b67139a83b44f3916261147fe01554d055"),
     ], ids=["scan-16-threshold", "certify-16-threshold", "certify-3",
             "certify-7", "certify-11", "certify-15", "coeffs-5", "coeffs-7",
             "coeffs-16", "symbolic-3-16", "coeffs-7-markdown",
-            "coeffs-16-markdown", "sphere-check"])
+            "coeffs-16-markdown", "sphere-check", "scan-3-15-n1000"])
     def test_report_digest_is_fixed(self, tmp_path, args, digest):
         # sha256 of the whole JSON report: every cell's enclosure
         # midpoints, chosen c and verdict, byte for byte, on both sides of
@@ -307,10 +311,28 @@ class TestDeterminism:
         # fractions) and the all-n certificates, whose omega = 16 failure
         # exits 1 after writing its report; the markdown tables pin the
         # monic u_k/nu_k string and the residues as printed fractions; the
-        # sphere-check report pins the annulus deviations to the last digit
+        # sphere-check report pins the annulus deviations to the last
+        # digit; at n = 1000..1001 for omega 3..15 about half the x and y
+        # midpoints have a denominator above 10^40 and are rounded, the
+        # others are only reduced
         out = tmp_path / "r.json"
         main(args.split() + ["--jobs", "1", "--output", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_entries_round_midpoints_in_integers(self, monkeypatch):
+        # the 12 threshold cells, decided before the patch, give the same
+        # entries (sha256 of their JSON) with Fraction.limit_denominator
+        # unavailable: the midpoints are rounded without it
+        certs = [certify_at(16, n) for n in range(1853, 1865)]
+
+        def refuse(self, max_denominator=1000000):
+            raise AssertionError("limit_denominator called")
+
+        monkeypatch.setattr(Fraction, "limit_denominator", refuse)
+        entries = [entry_from_certificate(cert) for cert in certs]
+        text = json.dumps(entries, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e701ac3dce545e108efcf34b7833f39c4741f72ccacee023ae8bf74357c4373d")
 
     def test_newline_terminated(self, tmp_path):
         out = tmp_path / "r.json"

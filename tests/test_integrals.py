@@ -42,22 +42,27 @@ from hvcert.cli import main
 class TestBubbleIntegrals:
     def test_closed_form_against_quadrature(self):
         # even b, then non-integer exponents of t at 0 (b) or at infinity
-        # (2a - b - 2 after t -> 1/t)
+        # (2a - b - 2 after t -> 1/t), then a coarse grid of -1 < b < 0,
+        # whose first panel [0, 1e-16] is integrated in closed form
         pairs = [(a, b) for a in range(2, 13) for b in range(0, 2 * a - 2, 2)]
-        for a, b in pairs + [(2.75, 2), (3, 0.5), (3, 2.5)]:
+        negative = [(a, -k / 1000) for a in (1, 3, 20)
+                    for k in range(5, 1000, 45)]
+        for a, b in pairs + [(2.75, 2), (3, 0.5), (3, 2.5)] + negative:
             closed = i_closed(a, b)
             quad = i_quadrature(a, b)
             assert abs(closed - quad) <= 1e-10 * abs(closed), (a, b)
 
-    @pytest.mark.parametrize("b", [-0.9, -0.99])
+    @pytest.mark.parametrize("b", [-0.6, -0.9, -0.99])
     def test_strong_endpoint_singularity_fails_closed(self, b):
-        # t^b this close to b = -1 is beyond the graded panels: the value
-        # must be right to 1e-8, or the quadrature must raise
+        # t^b near b = -1: the value must be right to 1e-8, or the
+        # quadrature must raise; at b = -0.6 halving the panel at 0 alone
+        # gave an estimate that passed with the value off by 1.55e-8
         try:
             quad = i_quadrature(3, b)
         except QuadratureFailure:
             return
         assert abs(quad - i_closed(3, b)) <= 1e-8 * i_closed(3, b)
+
 
     def test_known_value(self):
         # I_1^0 = int dt/(1+t^2) = pi/2, but a=1, b=0 needs 2a-b>1: ok
@@ -68,6 +73,8 @@ class TestBubbleIntegrals:
             i_closed(2, -1)
         with pytest.raises(DivergentIntegral):
             i_closed(2, 3)    # 2a-b = 1 diverges at infinity
+        with pytest.raises(DivergentIntegral):
+            i_truncated(2, -1, 1.0, 1.0)
 
     def test_recurrences(self):
         for a in range(4, 13):
