@@ -1,9 +1,11 @@
-"""Exact rational algebra in one indeterminate.
+"""Exact rational algebra.
 
 Everything downstream (coefficient families, interval certificates, the
-all-dimension positivity proofs) is built on the one polynomial type here:
-dense polynomials over ``fractions.Fraction``.  A rational function is a
-pair (num, den) of them.  Also here: partial-fraction decompositions of
+all-dimension positivity proofs, the S^2 oracle) is built on the one
+polynomial type here: polynomials in x, y and z with rational
+coefficients, held as integer numerators over one denominator.  Outside
+the sphere oracle they are polynomials in x alone, which is n.  A
+rational function is a pair (num, den) of them.  Also here: partial-fraction decompositions of
 such a pair whose den has distinct rational roots, integer square-root
 enclosures, exact signs of sums of square roots, and root counts and
 strict positivity on a ray ``[n0, +oo)``, both read off the Taylor shift
@@ -42,193 +44,311 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+# the monomial x^a y^b z^c is the key packing a + b + c, a, b and c in
+# _BITS bits each, degree highest: adding keys multiplies monomials while
+# no degree exceeds _MASK, and the largest key has the largest degree
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_DEGREE = 3 * _BITS
+# the bits of a key that hold the exponents of y and z
+_YZ = (1 << 2 * _BITS) - 1
 
-    Coefficients are stored in ascending order (index = degree).  The zero
-    polynomial is represented by an empty coefficient tuple and reports
-    degree -1.
+
+def _key(a: int, b: int, c: int) -> int:
+    return ((a + b + c) << _DEGREE) | (a << 2 * _BITS) | (b << _BITS) | c
+
+
+# the keys of x, y and z
+_UNITS = (_key(1, 0, 0), _key(0, 1, 0), _key(0, 0, 1))
+
+
+def _exponents(key: int) -> tuple[int, int, int]:
+    return (key >> 2 * _BITS) & _MASK, (key >> _BITS) & _MASK, key & _MASK
+
+
+def _degree(num: dict) -> int:
+    return max(num, default=0) >> _DEGREE
+
+
+def _reduced(num: dict, den: int) -> Polynomial:
+    """The sum of num[k] times the monomial of key k, over den, with zero
+    terms dropped and the common factor of the numerators and den divided
+    out."""
+    num = {k: c for k, c in num.items() if c}
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
+    p = object.__new__(Polynomial)
+    p._num, p._den = num, den
+    return p
+
+
+class Polynomial:
+    """Polynomial in x, y, z with rational coefficients: integer
+    numerators keyed by packed exponents over one positive denominator,
+    with no factor common to it and every numerator, so == is
+    structural.  Values are immutable.  int and Fraction operands are
+    constants; a float is refused.
+
+    Polynomial(coeffs) is sum(coeffs[i] x^i).  The one-variable
+    operations (coeffs, degree, leading, divmod, shift, derivative,
+    evaluation and str) read a polynomial in x alone, which is n
+    downstream, and raise AlgebraError on a y or z term.  The zero
+    polynomial has degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        if len(cs) > _MASK + 1:
+            raise OverflowError(f"degree above {_MASK}")
+        den = math.lcm(*(c.denominator for c in cs))
+        p = _reduced({_key(i, 0, 0): c.numerator * (den // c.denominator)
+                      for i, c in enumerate(cs)}, den)
+        self._num, self._den = p._num, p._den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial([0, 1])
+    def x() -> Polynomial:
+        return _reduced({_UNITS[0]: 1}, 1)
+
+    @staticmethod
+    def y() -> Polynomial:
+        return _reduced({_UNITS[1]: 1}, 1)
+
+    @staticmethod
+    def z() -> Polynomial:
+        return _reduced({_UNITS[2]: 1}, 1)
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def denominator(self) -> int:
+        """The positive common denominator of the coefficients."""
+        return self._den
+
+    def numerators(self) -> list[tuple[tuple[int, int, int], int]]:
+        """(exponents of x, y and z, integer numerator over denominator)
+        pairs, one per nonzero term, in no particular order."""
+        return [(_exponents(k), c) for k, c in self._num.items()]
+
+    def terms(self) -> list[tuple[tuple[int, int, int], Fraction]]:
+        """(exponents of x, y and z, coefficient) pairs in descending lex
+        order."""
+        return sorted(((e, Fraction(c, self._den))
+                       for e, c in self.numerators()), reverse=True)
+
+    def _dense(self) -> list[int]:
+        """The numerators of 1, x, x^2, ... up to the degree in x, over
+        the denominator; AlgebraError on a y or z term."""
+        if any(k & _YZ for k in self._num):
+            raise AlgebraError(f"{self!r} is not a polynomial in x alone")
+        out = [0] * (_degree(self._num) + 1 if self._num else 0)
+        for k, c in self._num.items():
+            out[k >> _DEGREE] = c
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, x, x^2, ..., ascending; () for zero."""
+        return tuple(Fraction(c, self._den) for c in self._dense())
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._dense()) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        cs = self._dense()
+        if not cs:
             raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(cs[-1], self._den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return -(self - other)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise AlgebraError("negative polynomial power")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     @staticmethod
-    def _coerce(other):
+    def _coerce(other) -> Polynomial | None:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial([other])
-        return NotImplemented
+            return _reduced({0: other.numerator}, other.denominator)
+        return None
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
+    def __add__(self, other) -> Polynomial:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        num = {k: c * sa for k, c in self._num.items()}
+        for k, c in other._num.items():
+            num[k] = num.get(k, 0) + c * sb
+        return _reduced(num, den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Polynomial:
+        return _reduced({k: -c for k, c in self._num.items()}, self._den)
+
+    def __sub__(self, other) -> Polynomial:
+        return self + -other
+
+    def __rsub__(self, other) -> Polynomial:
+        return -self + other
+
+    def __mul__(self, other) -> Polynomial:
+        if isinstance(other, (int, Fraction)):
+            a, b = other.numerator, other.denominator
+            return _reduced({k: c * a for k, c in self._num.items()},
+                            self._den * b)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if _degree(self._num) + _degree(other._num) > _MASK:
+            raise OverflowError(f"degree above {_MASK}")
+        num: dict = {}
+        get = num.get
+        for ka, ca in self._num.items():
+            for kb, cb in other._num.items():
+                k = ka + kb
+                num[k] = get(k, 0) + ca * cb
+        return _reduced(num, self._den * other._den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> Polynomial:
+        """By squaring from the bit below the top one down, so that no
+        power on the way has a degree above the result's."""
+        if e < 0:
+            raise AlgebraError(f"negative polynomial power {e}")
+        if e == 0:
+            return Polynomial([1])
+        out = self
+        for bit in bin(e)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
+
+    def divmod(self, other) -> tuple[Polynomial, Polynomial]:
+        other = self._coerce(other)
+        if other is None:
+            raise TypeError("polynomial division by a non-polynomial")
+        if not other:
             raise AlgebraError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading
+        rem, b = list(self.coeffs), other.coeffs
+        d = len(b) - 1
+        q = [Fraction(0)] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i] == 0:
                 continue
-            f = rem[i] / lead
+            f = rem[i] / b[-1]
             q[i - d] = f
-            for j, c in enumerate(other.coeffs):
+            for j, c in enumerate(b):
                 rem[i - d + j] -= f * c
         return Polynomial(q), Polynomial(rem)
 
-    def __divmod__(self, other):
-        return self.divmod(self._coerce(other))
+    __divmod__ = divmod
 
-    def __floordiv__(self, other):
-        return self.divmod(self._coerce(other))[0]
+    def __floordiv__(self, other) -> Polynomial:
+        return self.divmod(other)[0]
 
-    def __mod__(self, other):
-        return self.divmod(self._coerce(other))[1]
+    def __mod__(self, other) -> Polynomial:
+        return self.divmod(other)[1]
 
-    def scale(self, c: RationalLike) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial([a * c for a in self.coeffs])
+    def diff(self, axis: int) -> Polynomial:
+        """The partial derivative along x, y or z (axis 0, 1 or 2)."""
+        shift = (2 - axis) * _BITS
+        num = {}
+        for k, c in self._num.items():
+            e = (k >> shift) & _MASK
+            if e:
+                num[k - _UNITS[axis]] = c * e
+        return _reduced(num, self._den)
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+    def derivative(self) -> Polynomial:
+        return self.diff(0)
 
-    def shift(self, a: RationalLike) -> "Polynomial":
-        """Return p(x + a), by a Taylor shift: synthetic division by x - a,
-        repeated on each quotient, leaves the coefficients of p(x + a) in
-        place, lowest first."""
+    def shift(self, a: RationalLike) -> Polynomial:
+        """Return p(x + a) in integers.  With a = r/s and p of degree d,
+        g(y) = s^d p(y/s) has integer coefficients, and synthetic division
+        by y - r, repeated on each quotient, leaves those of
+        h(y) = g(y + r) in place, lowest first; p(x + a) = h(s x) / s^d."""
         a = _as_fraction(a)
-        cs = list(self.coeffs)
-        for i in range(len(cs) - 1):
-            for j in range(len(cs) - 2, i - 1, -1):
-                cs[j] += a * cs[j + 1]
-        return Polynomial(cs)
-
-    def primitive(self) -> "Polynomial":
-        """Divide out the rational content; sign of the leading coefficient
-        is preserved.  Used to tame coefficient growth in Sturm chains."""
-        if self.is_zero():
+        r, s = a.numerator, a.denominator
+        cs = self._dense()
+        d = len(cs) - 1
+        if d < 0:
             return self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        factor = Fraction(den_lcm, num_gcd)
-        return self.scale(factor)
+        cs = [c * s ** (d - i) for i, c in enumerate(cs)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                cs[j] += r * cs[j + 1]
+        return _reduced({_key(i, 0, 0): c * s ** i for i, c in enumerate(cs)},
+                        self._den * s ** d)
+
+    def primitive(self) -> Polynomial:
+        """The numerators over their gcd: the positive multiple with
+        coprime integer coefficients.  Used to tame coefficient growth in
+        Sturm chains."""
+        if not self._num:
+            return self
+        g = math.gcd(*self._num.values())
+        return _reduced({k: c // g for k, c in self._num.items()}, 1)
+
+    def on_meridian(self) -> Polynomial:
+        """The normal form on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
+        x^2 -> 1 - z^2, leaving at most the first power of x.  In lex order
+        this is sympy's p.subs(y, 0).rem(x^2 + z^2 - 1)."""
+        num: dict = {}
+        for k, c in self._num.items():
+            a, b, e = _exponents(k)
+            if b:
+                continue
+            # x^a z^e = x^(a mod 2) (1 - z^2)^(a // 2) z^e
+            j = a // 2
+            for i in range(j + 1):
+                key = _key(a % 2, 0, e + 2 * i)
+                num[key] = num.get(key, 0) + (-1) ** i * math.comb(j, i) * c
+        return _reduced(num, self._den)
 
     # -- evaluation ----------------------------------------------------
 
-    def __call__(self, x):
-        result = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+    def __call__(self, x: RationalLike) -> Fraction:
+        """p(x) = t / (den s^d) at x = r/s, with t = sum c_i r^i s^(d-i)
+        by Horner in integers."""
+        x = _as_fraction(x)
+        r, s = x.numerator, x.denominator
+        t, scale = 0, 1
+        for c in reversed(self._dense()):
+            t = t * r + c * scale
+            scale *= s
+        return Fraction(t * s, self._den * scale)
 
     # -- formatting ----------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"Polynomial({dict(self.terms())!r})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
+        cs = self.coeffs
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c == 0:
                 continue
             mag = abs(c)
@@ -241,7 +361,7 @@ class Polynomial:
                 parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
 
 SimplePoles = tuple[tuple[Fraction, Fraction], ...]

@@ -41,6 +41,7 @@ from .algebra import (
     Polynomial,
     RayPositivityWitness,
     SimplePoles,
+    best_rational,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -238,15 +239,18 @@ def certify_at(omega: int, n: int) -> IntervalCertificate:
         if upper_num is None or y * upper_den < upper_num * den:
             upper_num, upper_den, i = y, den, index
     if lower_num * upper_den < upper_num * lower_den:
-        lower = Fraction(m * lower_num, lower_den)
-        upper = Fraction(m * upper_num, upper_den)
-        candidate = (lower + upper) / 2
-        simple = candidate.limit_denominator(10 ** 12)
-        if lower < simple < upper:
-            candidate = simple
-        p, q = candidate.numerator, candidate.denominator
+        # the midpoint of m lower_num/lower_den and m upper_num/upper_den,
+        # rounded to a denominator <= 10^12 when that stays strictly
+        # between them, and reduced otherwise
+        num = m * (lower_num * upper_den + upper_num * lower_den)
+        den = 2 * lower_den * upper_den
+        p, q = best_rational(num, den, 10 ** 12)
+        if not (m * lower_num * q < p * lower_den
+                and p * upper_den < m * upper_num * q):
+            g = math.gcd(num, den)
+            p, q = num // g, den // g
         if all(scaled_trinomial(pair, p, q) < 0 for pair in pairs):
-            chosen_c, status = candidate, "certified"
+            chosen_c, status = Fraction(p, q), "certified"
     elif not _exact_nonempty(pairs, n, (i, j)):
         status = "empty"
     return IntervalCertificate(omega=omega, n=n, pairs=pairs,
@@ -317,7 +321,7 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
         # coefficient, so it cannot be negative on the whole ray; an
         # unproved denominator sign fails the bound.
         den_ok, _ = nonnegative_on_ray(den, n0)
-        ok, wit = nonnegative_on_ray(r + den.scale(c - b * b / (4 * a)), n0)
+        ok, wit = nonnegative_on_ray(r + den * (c - b * b / (4 * a)), n0)
         check = LowerBoundCheck(k=row.k, a=a, b=b, witness=wit)
         lower_bounds.append(check)
         # the linear bound must itself be positive on the ray for the
@@ -341,8 +345,8 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
             a_i, b_i, sa_i = lb_data[i]
             a_j, b_j, sa_j = lb_data[j]
             expr = ((_N - 2) * (d_polys[j] - d_polys[i])
-                    + d_polys[i] * (_N + b_j / (2 * a_j)).scale(sa_j)
-                    + d_polys[j] * (_N + b_i / (2 * a_i)).scale(sa_i))
+                    + d_polys[i] * (_N + b_j / (2 * a_j)) * sa_j
+                    + d_polys[j] * (_N + b_i / (2 * a_i)) * sa_i)
             ok, wit = nonnegative_on_ray(expr, n0)
             pair_checks.append(PairCheck(i=i, j=j, lb_i_sqrt_a=sa_i,
                                          lb_j_sqrt_a=sa_j, witness=wit))

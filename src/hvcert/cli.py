@@ -324,8 +324,7 @@ def cmd_coeffs(config: RunConfig) -> tuple[dict, int]:
             "k": row.k,
             "nu": str(row.nu),
             "d": str(row.d),
-            "u_over_nu": f"({row.u_num.scale(scale)}) / "
-                         f"({row.u_den.scale(scale)})",
+            "u_over_nu": f"({row.u_num * scale}) / ({row.u_den * scale})",
             "delta_polynomial_part": str(poly_part),
             "delta_simple_poles": [
                 {"root": rational_payload(root.numerator, root.denominator),

@@ -11,9 +11,9 @@ i_s_minimizer_reference) take n, because they are the dimension-generic
 formulas the sphere means are compared with.
 
 Every function on S^2 is the restriction of a polynomial in x, y, z
-(XYZPoly: sparse, integer numerators over one denominator), and a
-tangential tensor is a mapping from ambient index tuples over range(3) to
-such polynomials.  With the tangential projector P = |x|^2 I - x x^T,
+(hvcert.algebra.Polynomial, integer numerators over one denominator), and
+a tangential tensor is a mapping from ambient index tuples over range(3)
+to such polynomials.  With the tangential projector P = |x|^2 I - x x^T,
 which is I - x x^T on S^2 and kills x identically:
 
 * the harmonic of degree l is a homogeneous harmonic polynomial F
@@ -55,160 +55,12 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+from .algebra import Polynomial
 from .integrals import gauss_legendre
 from .spectral import closed_forms
 
-# the monomial x^a y^b z^c is the key packing a + b + c, a, b and c in
-# _BITS bits each, degree highest: adding keys multiplies monomials while
-# no degree exceeds _MASK, and the largest key has the largest degree
-_BITS = 16
-_MASK = (1 << _BITS) - 1
-_DEGREE = 3 * _BITS
-
-
-def _key(a: int, b: int, c: int) -> int:
-    return ((a + b + c) << _DEGREE) | (a << 2 * _BITS) | (b << _BITS) | c
-
-
-# the keys of x, y and z
-_UNITS = (_key(1, 0, 0), _key(0, 1, 0), _key(0, 0, 1))
-
-
-def _exponents(key: int) -> tuple[int, int, int]:
-    return (key >> 2 * _BITS) & _MASK, (key >> _BITS) & _MASK, key & _MASK
-
-
-def _degree(num: dict) -> int:
-    return max(num, default=0) >> _DEGREE
-
-
-def _reduced(num: dict, den: int) -> XYZPoly:
-    """The polynomial sum(num[k] x^k) / den, zero terms dropped and the
-    common factor of the numerators and den divided out."""
-    num = {k: c for k, c in num.items() if c}
-    g = math.gcd(den, *num.values())
-    if g != 1:
-        num = {k: c // g for k, c in num.items()}
-        den //= g
-    p = object.__new__(XYZPoly)
-    p._num, p._den = num, den
-    return p
-
-
-class XYZPoly:
-    """Polynomial in x, y, z with rational coefficients: integer
-    numerators keyed by packed exponents over one positive denominator,
-    with no factor common to it and every numerator, so == is
-    structural.
-
-    Values are immutable.  int and Fraction operands are constants."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, c: int | Fraction = 0):
-        c = Fraction(c)
-        self._num = {0: c.numerator} if c else {}
-        self._den = c.denominator
-
-    def _coerce(self, other) -> XYZPoly | None:
-        if isinstance(other, XYZPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return XYZPoly(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        num = {k: c * sa for k, c in self._num.items()}
-        for k, c in other._num.items():
-            num[k] = num.get(k, 0) + c * sb
-        return _reduced(num, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _reduced({k: -c for k, c in self._num.items()}, self._den)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            a, b = other.numerator, other.denominator
-            return _reduced({k: c * a for k, c in self._num.items()},
-                            self._den * b)
-        if not isinstance(other, XYZPoly):
-            return NotImplemented
-        if _degree(self._num) + _degree(other._num) > _MASK:
-            raise OverflowError(f"degree above {_MASK}")
-        num: dict = {}
-        get = num.get
-        for ka, ca in self._num.items():
-            for kb, cb in other._num.items():
-                k = ka + kb
-                num[k] = get(k, 0) + ca * cb
-        return _reduced(num, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        out = XYZPoly(1)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def diff(self, axis: int) -> XYZPoly:
-        """The partial derivative along x, y or z (axis 0, 1 or 2)."""
-        shift = (2 - axis) * _BITS
-        num = {}
-        for k, c in self._num.items():
-            e = (k >> shift) & _MASK
-            if e:
-                num[k - _UNITS[axis]] = c * e
-        return _reduced(num, self._den)
-
-    def terms(self) -> list[tuple[tuple[int, int, int], Fraction]]:
-        """(exponents of x, y and z, coefficient) pairs in descending lex
-        order."""
-        return sorted(((_exponents(k), Fraction(c, self._den))
-                       for k, c in self._num.items()), reverse=True)
-
-    def on_meridian(self) -> XYZPoly:
-        """The normal form on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
-        x^2 -> 1 - z^2, leaving at most the first power of x.  In lex order
-        this is sympy's p.subs(y, 0).rem(x^2 + z^2 - 1)."""
-        num: dict = {}
-        for k, c in self._num.items():
-            a, b, e = _exponents(k)
-            if b:
-                continue
-            # x^a z^e = x^(a mod 2) (1 - z^2)^(a // 2) z^e
-            j = a // 2
-            for i in range(j + 1):
-                key = _key(a % 2, 0, e + 2 * i)
-                num[key] = num.get(key, 0) + (-1) ** i * math.comb(j, i) * c
-        return _reduced(num, self._den)
-
-
-X, Y, Z = (_reduced({unit: 1}, 1) for unit in _UNITS)
-_ZERO = XYZPoly()
+X, Y, Z = Polynomial.x(), Polynomial.y(), Polynomial.z()
+_ZERO = Polynomial()
 _R2 = X ** 2 + Y ** 2 + Z ** 2
 # P_ij = |x|^2 delta_ij - x_i x_j
 _P = {(i, j): (_R2 if i == j else _ZERO) - a * b
@@ -228,18 +80,17 @@ class NonzeroMean(ValueError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _monomial_mean(key: int) -> Fraction:
-    exponents = _exponents(key)
+def _monomial_mean(exponents: tuple[int, int, int]) -> Fraction:
     if any(e % 2 for e in exponents):
         return Fraction(0)
     odd = math.prod(math.prod(range(e - 1, 0, -2)) for e in exponents)
     return Fraction(odd, math.prod(range(3, sum(exponents) + 2, 2)))
 
 
-def sphere_mean(p: XYZPoly) -> Fraction:
+def sphere_mean(p: Polynomial) -> Fraction:
     """Mean of the polynomial p over the unit sphere S^2."""
-    return sum((c * _monomial_mean(k) for k, c in p._num.items()),
-               Fraction(0)) / p._den
+    return sum((c * _monomial_mean(e) for e, c in p.numerators()),
+               Fraction(0)) / p.denominator
 
 
 @lru_cache(maxsize=None)

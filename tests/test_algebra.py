@@ -72,7 +72,7 @@ class TestPolynomial:
 
     def test_unhashable(self):
         # Polynomial([3]) == 3, so a hash unequal to hash(3) would break
-        # set and dict lookups; like XYZPoly, the class has no hash
+        # set and dict lookups, so the class has no hash
         with pytest.raises(TypeError):
             hash(Polynomial([3]))
 
@@ -82,6 +82,23 @@ class TestPolynomial:
     def test_product_evaluation_homomorphism(self, a, b, x):
         p, q = Polynomial(a), Polynomial(b)
         assert (p * q)(x) == p(x) * q(x)
+
+    def test_floats_refused(self):
+        # no float reaches the exact type, as a coefficient or an operand
+        x = Polynomial.x()
+        for make in (lambda: Polynomial([0.5]), lambda: x * 0.5,
+                     lambda: 0.5 * x, lambda: x + 0.5, lambda: 0.5 - x,
+                     lambda: x.shift(0.5), lambda: x(0.5)):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_degree_guard_covers_the_constructor(self):
+        # x^65535 is the largest power a key holds; a longer coefficient
+        # list raises instead of carrying into the exponent of y
+        top = Polynomial([0] * 65535 + [1])
+        assert top == Polynomial.x() ** 65535 and top.degree == 65535
+        with pytest.raises(OverflowError):
+            Polynomial([0] * 65536 + [1])
 
     def test_str_matches_table_style(self):
         p = Polynomial([Fraction(1076, 3), Fraction(29, 6), Fraction(2, 3)])
@@ -157,7 +174,7 @@ class TestPartialFractions:
         assert partial_fractions(poly(1), poly(0, 2), [0]) == (
             poly(), ((0, Fraction(1, 2)),))
         num, den = poly(2, 0, 0, 1), linear(2) * linear(-1)
-        assert (partial_fractions(num.scale(-3), den.scale(-3), [2, -1])
+        assert (partial_fractions(num * -3, den * -3, [2, -1])
                 == partial_fractions(num, den, [2, -1]))
 
     def test_residue_lookup(self):

@@ -165,6 +165,20 @@ class TestCertifyAt:
             _, x_upper, y_lower, _ = bounds(pair)
             assert x_upper < cert.chosen_c < y_lower
 
+    def test_midpoint_rounded_in_integers(self, monkeypatch):
+        # the 12 threshold cells keep their verdicts and chosen c (sha256
+        # of "n status c" lines) with Fraction.limit_denominator
+        # unavailable: the candidate midpoint is rounded without it
+        def refuse(self, max_denominator=1000000):
+            raise AssertionError("limit_denominator called")
+
+        monkeypatch.setattr(F, "limit_denominator", refuse)
+        lines = [f"{c.n} {c.status} {c.chosen_c}"
+                 for c in (certify_at(16, n) for n in range(1853, 1865))]
+        assert lines[0] == "1853 certified 11343015/950866692521"
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "ee52afcb8d7ecfbd8c5795eea7d9021f2c5e812aeb3bb179ad2f829af44964ab")
+
     def test_cells_never_build_the_family(self, monkeypatch):
         # a cell evaluates the closed forms at its integer n; the
         # polynomial family serves only the all-n certificate and coeffs
@@ -295,9 +309,9 @@ class TestSymbolicCertificate:
                 poly, _ = delta_partial_fraction(omega, row)
                 assert (lb.a, lb.b) == (poly.coeffs[2], poly.coeffs[1])
                 square = (n + lb.b / (2 * lb.a)) ** 2
-                ref = row.delta_num - square.scale(lb.a) * row.delta_den
+                ref = row.delta_num - square * lb.a * row.delta_den
                 assert any(p.degree == ref.degree
-                           and p.scale(ref.leading / p.leading) == ref
+                           and p * (ref.leading / p.leading) == ref
                            and ref.leading / p.leading > 0
                            for p in proved), (omega, lb.k)
 

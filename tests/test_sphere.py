@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
+from hvcert.algebra import AlgebraError, Polynomial
 from hvcert.cli import main
 from hvcert.spectral import p2_value, spectral_family
 from hvcert.sphere import (
@@ -23,7 +24,6 @@ from hvcert.sphere import (
     ExcludedEigenvalue,
     HarmonicSpec,
     NonzeroMean,
-    XYZPoly,
     annulus_curvature_check,
     annulus_mean_curvature,
     b_derivative,
@@ -48,12 +48,12 @@ from hvcert.sphere import (
 # exp(i phi) simplify
 POLAR = sp.symbols("theta phi", real=True)
 THETA = sp.Symbol("theta")
-# the sympy reference for XYZPoly
+# the sympy reference for Polynomial
 RING = ring("x,y,z", QQ)[0]
 
 
 def as_sympy(p):
-    """The XYZPoly p as an element of RING, built from its terms."""
+    """The Polynomial p as an element of RING, built from its terms."""
     return RING.from_dict({m: QQ(c.numerator, c.denominator)
                            for m, c in p.terms()})
 
@@ -93,9 +93,9 @@ _POLYS = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), _FRACTIONS,
 
 
 def both(terms):
-    """The polynomial with these terms as (XYZPoly, RING element)."""
+    """The polynomial with these terms as (Polynomial, RING element)."""
     ours = sum((c * X ** a * Y ** b * Z ** e
-                for (a, b, e), c in terms.items()), XYZPoly())
+                for (a, b, e), c in terms.items()), Polynomial())
     return ours, RING.from_dict({m: QQ(c.numerator, c.denominator)
                                  for m, c in terms.items()})
 
@@ -143,6 +143,35 @@ class TestXYZPoly:
         assert (p * q == q * p) and (p * 2 == p + p)
         assert (p == c) == (P == QQ(c.numerator, c.denominator))
 
+    @settings(max_examples=100, deadline=None)
+    @given(_POLYS)
+    @example({(2, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(3)})
+    @example({(2, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(3)})
+    @example({(0, 1, 0): Fraction(-1)})
+    def test_one_variable_views_fail_closed(self, f):
+        # the views that read a polynomial in x alone refuse a y or z
+        # term instead of dropping it; repr reads every polynomial
+        p, P = both(f)
+        assert repr(p).startswith("Polynomial(")
+        views = (lambda: p.coeffs, lambda: p.degree, lambda: p.leading,
+                 lambda: divmod(p, X + 1), lambda: divmod(X, p),
+                 lambda: p // 2, lambda: p % (X - 3), lambda: p.shift(2),
+                 lambda: p(Fraction(1, 3)), lambda: str(p))
+        if any(m[1] or m[2] for m in P.monoms()):
+            for view in views:
+                with pytest.raises(AlgebraError):
+                    view()
+        else:
+            coeffs = {m[0]: Fraction(int(c.numerator), int(c.denominator))
+                      for m, c in P.terms()}
+            degree = max(coeffs, default=-1)
+            assert p.degree == degree
+            assert p.coeffs == tuple(coeffs.get(i, 0)
+                                     for i in range(degree + 1))
+            value = P(QQ(1, 3), 0, 0)
+            assert p(Fraction(1, 3)) == Fraction(int(value.numerator),
+                                                 int(value.denominator))
+
     @settings(max_examples=60, deadline=None)
     @given(_POLYS)
     def test_sphere_mean_matches_surface_integrals(self, f):
@@ -168,7 +197,7 @@ class TestXYZPoly:
 
 class TestGridAndHarmonics:
     def test_total_measure(self):
-        assert sphere_mean(XYZPoly(1)) == 1
+        assert sphere_mean(Polynomial([1])) == 1
         assert sphere_mean(X ** 2 + Y ** 2 + Z ** 2) == 1
         assert sphere_mean(Z ** 2) == Fraction(1, 3)
         assert sphere_mean(X ** 4) == Fraction(1, 5)
@@ -369,7 +398,7 @@ class TestISFunctional:
     def test_additive_over_orthogonal_components(self):
         n, omega = 3, 4
         parts = []
-        total_f = total_r = XYZPoly()
+        total_f = total_r = Polynomial()
         for l in (2, 3):
             nu = l * (l + 1)
             c, _ = minimizer_weight(n, omega, nu)
