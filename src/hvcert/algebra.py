@@ -17,9 +17,8 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -450,8 +449,7 @@ def best_rational(num: int, den: int, bound: int) -> tuple[int, int]:
 # Positivity on a ray
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RayPositivityWitness:
+class RayPositivityWitness(NamedTuple):
     """Evidence backing a nonnegative_on_ray verdict.
 
     method is "shifted-coefficients" when the fast sufficient test fired

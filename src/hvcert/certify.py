@@ -32,9 +32,8 @@ positivity on the ray.  Scans over many cells run through hvcert.cli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -60,8 +59,7 @@ class InternalConsistencyError(AlgebraError):
     """A quantity the lemmas guarantee to be positive failed its check."""
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     """The two trinomial roots for one eigencomponent at integer n.
 
     With m = n - 2 the roots are the quadratic irrationals
@@ -94,8 +92,7 @@ class RootPair:
         return (m * (2 * den * m - s), scale), (m * (2 * den * m + s), scale)
 
 
-@dataclass(frozen=True)
-class IntervalCertificate:
+class IntervalCertificate(NamedTuple):
     """The verdict on one (omega, n) cell of the deg R-bar = omega case:
     status "certified", "empty" or "undecided" (see certify_at)."""
 
@@ -110,8 +107,7 @@ class IntervalCertificate:
         return self.chosen_c is not None
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     """One (i, j) inequality of the all-n certificate."""
 
     i: int
@@ -121,8 +117,7 @@ class PairCheck:
     witness: RayPositivityWitness
 
 
-@dataclass(frozen=True)
-class LowerBoundCheck:
+class LowerBoundCheck(NamedTuple):
     """Validity of sqrt(Delta_k) > sqrt(a_k)(n + b_k/(2 a_k)) on the ray."""
 
     k: int
@@ -131,8 +126,7 @@ class LowerBoundCheck:
     witness: RayPositivityWitness
 
 
-@dataclass(frozen=True)
-class SymbolicCertificate:
+class SymbolicCertificate(NamedTuple):
     omega: int
     valid_from: int
     lower_bounds: tuple[LowerBoundCheck, ...]

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import decimal
 import io
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .algebra import best_rational
@@ -66,8 +64,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     omega: Optional[tuple[int, int]] = None
     n: Optional[tuple[int, int]] = None
@@ -78,10 +75,10 @@ class RunConfig:
     seed: int = 0
 
     def echo(self) -> dict:
-        """The fields without those that cannot change a verdict (the
-        parallelism degree and the output path), so that a report is
-        byte-identical whatever their values."""
-        d = dataclasses.asdict(self)
+        """The fields in order (_asdict()) without those that cannot
+        change a verdict (the parallelism degree and the output path), so
+        that a report is byte-identical whatever their values."""
+        d = self._asdict()
         del d["jobs"], d["output"]
         return d
 
@@ -567,6 +564,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     symbolic = getattr(args, "symbolic", False)
     if symbolic and n:
         raise UsageError("--symbolic covers every n and reads no --n")
+    if args.jobs > 1 and not (args.command == "scan" or
+                              (args.command == "certify" and not symbolic)):
+        name = "certify --symbolic" if symbolic else args.command
+        raise UsageError(f"{name} evaluates no cells and reads no --jobs "
+                         f"above 1, got {args.jobs}")
     return RunConfig(
         command=args.command,
         omega=omega,

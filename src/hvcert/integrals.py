@@ -19,9 +19,9 @@ of two integrals whose parameters differ by integer steps is rational
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .spectral import closed_forms
 
@@ -262,22 +262,25 @@ def inte_identity_check(n: int) -> bool:
 # Radial concentration profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple("RadialProfile", [("n", int),
+                                                  ("epsilon", float),
+                                                  ("delta", float)])):
     """The cut-off Aubin bubble u_eps on the flat ball of radius delta:
 
         u_eps(r) = (eps/(r^2+eps^2))^((n-2)/2) - (eps/(delta^2+eps^2))^((n-2)/2)
+
+    The constructor refuses n < 3 and any epsilon outside (0, delta)
+    (ValueError).
     """
 
-    n: int
-    epsilon: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __new__(cls, n: int, epsilon: float, delta: float):
+        if n < 3:
             raise ValueError("n must be >= 3")
-        if not 0 < self.epsilon < self.delta:
+        if not 0 < epsilon < delta:
             raise ValueError("need 0 < epsilon < delta")
+        return super().__new__(cls, n, epsilon, delta)
 
     def value(self, r):
         e, n = self.epsilon, self.n

@@ -31,7 +31,6 @@ P_2(omega+2) = 4 a0, the f^2 coefficient of the test-function expansion
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, NamedTuple
 
@@ -141,8 +140,7 @@ def spectral_family(omega: int) -> tuple[RowForms, ...]:
 # The decreasing auxiliary polynomial P
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaPolyWitness:
+class LemmaPolyWitness(NamedTuple):
     omega: int
     ray_start: int
     d_positive: tuple[RayPositivityWitness, ...]

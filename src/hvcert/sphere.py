@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .algebra import Polynomial
 from .integrals import gauss_legendre
@@ -120,18 +120,21 @@ def real_harmonic(l: int, m: int):
     return (-1) ** a * zonal * angular
 
 
-@dataclass(frozen=True)
-class HarmonicSpec:
-    l: int
-    m: int
+class HarmonicSpec(NamedTuple("HarmonicSpec", [("l", int), ("m", int)])):
+    """The real spherical harmonic of degree l and order m.  The
+    constructor refuses l < 2 (ExcludedEigenvalue) and |m| > l
+    (ValueError)."""
 
-    def __post_init__(self):
-        if self.l < 2:
+    __slots__ = ()
+
+    def __new__(cls, l: int, m: int):
+        if l < 2:
             raise ExcludedEigenvalue(
                 "degrees l < 2 are excluded (l = 1 hits nu = n - 1; l = 0 "
                 "is constant)")
-        if abs(self.m) > self.l:
-            raise ValueError(f"|m| > l for (l={self.l}, m={self.m})")
+        if abs(m) > l:
+            raise ValueError(f"|m| > l for (l={l}, m={m})")
+        return super().__new__(cls, l, m)
 
     @property
     def nu(self) -> int:
@@ -308,8 +311,7 @@ def i_s_minimizer_reference(nu, n, d_value):
 # Annulus scalar-curvature check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnulusReport:
+class AnnulusReport(NamedTuple):
     bracket: Fraction                 # B/2 - C/4 - (1 + omega/2)^2 Q
     q_part: Fraction                  # -(1 + omega/2)^2 Q, the radial-term coefficient
     # the exact t^2 coefficient of the mean; None unless gamma == -beta

@@ -137,11 +137,16 @@ class TestExitCodes:
          "--mu-branch", "deg_Rbar_at_least_omega_plus_one"],
         ["certify", "--omega", "16", "--n", "10..20"],
         ["scan", "--omega", "5..6", "--n", "10..15"],
+        ["coeffs", "--omega", "3", "--jobs", "7"],
+        ["certify", "--omega", "3", "--symbolic", "--jobs", "5"],
+        ["sphere-check", "--jobs", "3"],
+        ["integrals", "--jobs", "2"],
     ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1",
             "unknown-option", "missing-required-option", "coeffs-csv",
             "symbolic-with-n", "symbolic-with-mu-branch", "empty-omega",
             "scan-with-mu-branch", "certify-with-mu-branch",
-            "certify-below-ray", "scan-below-ray"])
+            "certify-below-ray", "scan-below-ray", "coeffs-jobs-7",
+            "symbolic-jobs-5", "sphere-check-jobs-3", "integrals-jobs-2"])
     def test_out_of_range_input_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -512,13 +517,15 @@ class TestOracleCommands:
     def test_runs_without_sympy(self, tmp_path):
         # sympy is a test-only reference and mpmath serves only i_closed
         # past a = 170: every hvcert module imports, and integrals and
-        # sphere-check run, without loading either
+        # sphere-check run, without loading either, and with dataclasses
+        # blocked (a None entry in sys.modules fails every import of it)
         src = str(Path(hvcert.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = (
             "import importlib, pkgutil, sys\n"
+            "sys.modules['dataclasses'] = None\n"
             "import hvcert\n"
             "for m in pkgutil.iter_modules(hvcert.__path__):\n"
             "    importlib.import_module('hvcert.' + m.name)\n"

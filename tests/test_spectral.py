@@ -8,7 +8,6 @@ of Delta_1 under the label Delta_3; the pole locations n = -6, -5 identify
 it unambiguously, so the frozen data keys it by pole structure.)
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -257,8 +256,8 @@ class TestIntegerClosedForms:
         assert len(forms.rows) == len(family)
         for row, fam, pair in zip(forms.rows, family, roots_at(omega, n)):
             assert all(type(v) is int for v in row)
-            assert all(type(getattr(pair, field.name)) is int
-                       for field in dataclasses.fields(pair))
+            assert all(type(getattr(pair, field)) is int
+                       for field in pair._fields)
             u_over_nu2 = fam.u_num(nf) / (fam.u_den(nf) * fam.nu(nf))
             delta = fam.delta_num(nf) / fam.delta_den(nf)
             assert row.d == fam.d(nf) == pair.d
