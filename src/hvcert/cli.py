@@ -16,19 +16,23 @@ and scan reports can be written as, has the JSON entry fields as columns
 in the same order, with the exact strings of x and y joined by ';'; it
 is an output format only, and nothing reads it back.
 
+The command line is read from one option table, _COMMAND_TABLE, which
+also writes --help.  parse_args accepts what the argparse parser it
+replaced accepted: --opt value and --opt=value, a long option shortened
+to a unique prefix, the last of a repeated option; everything else is a
+UsageError.  No argparse is imported, as building its parser took more
+of a short command's time than the command's own work.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed while the
 command demanded success, 2 usage or I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import decimal
-import io
 import json
 import os
-import random
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -49,15 +53,6 @@ _DECIMAL_CONTEXT = decimal.Context(prec=30)
 
 class UsageError(ValueError):
     """Malformed ranges or options; maps to exit code 2."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises UsageError for an unknown or missing option instead of
-    exiting, so main reports it like every other usage error.  Subparsers
-    inherit the class; --help and --version still exit 0."""
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +143,10 @@ _CSV_COLUMNS = ("omega", "n", "nonempty", "x", "y", "chosen_c", "status")
 
 
 def emit_csv(payload: dict) -> str:
+    # imported here, as only csv reports need them
+    import csv
+    import io
+
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
@@ -355,6 +354,8 @@ def _coeffs_markdown(payload: dict) -> str:
 
 
 def cmd_integrals(config: RunConfig) -> tuple[dict, int]:
+    import random
+
     from . import integrals as igr
 
     rng = random.Random(config.seed)
@@ -508,77 +509,223 @@ def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="hvcert",
-        description="certification toolkit for the interval-intersection "
-                    "criterion of the Hebey-Vaugon conjecture")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = ("certification toolkit for the interval-intersection "
+                "criterion of the Hebey-Vaugon conjecture")
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "markdown"),
-                       default="json")
-        p.add_argument("--output", default=None,
-                       help="output path; default stdout")
-        p.add_argument("--jobs", type=int, default=1)
+_COMMON = {"--format": ("json", "csv", "markdown"), "--output": str,
+           "--jobs": int}
 
-    p = sub.add_parser("certify", help="certify cells or whole rays")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--n", default=None)
-    p.add_argument("--symbolic", action="store_true",
-                   help="all-n certificate per omega instead of cells")
-    common(p)
+# command -> (help, required options, options); an option's kind is str,
+# int, a tuple of its choices, or bool for a flag.  An option --x is read
+# into the RunConfig field x (--input into cmd_report's path)
+_COMMAND_TABLE = {
+    "certify": ("certify cells or whole rays", ("--omega",),
+                {"--omega": str, "--n": str, "--symbolic": bool, **_COMMON}),
+    "scan": ("sweep a (omega, n) rectangle", ("--omega", "--n"),
+             {"--omega": str, "--n": str, **_COMMON}),
+    "coeffs": ("spectral coefficient table", ("--omega",),
+               {"--omega": str, **_COMMON}),
+    "integrals": ("run the integral identity suite", (),
+                  {"--seed": int, **_COMMON}),
+    "sphere-check": ("run the sphere oracle suite", (), _COMMON),
+    "report": ("re-emit a saved JSON report", ("--input",),
+               {"--input": str, **_COMMON}),
+}
 
-    p = sub.add_parser("scan", help="sweep a (omega, n) rectangle")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--n", required=True)
-    common(p)
-
-    p = sub.add_parser("coeffs", help="spectral coefficient table")
-    p.add_argument("--omega", required=True)
-    common(p)
-
-    p = sub.add_parser("integrals", help="run the integral identity suite")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the randomly drawn recurrence checks")
-    common(p)
-
-    p = sub.add_parser("sphere-check", help="run the sphere oracle suite")
-    common(p)
-
-    p = sub.add_parser("report", help="re-emit a saved JSON report")
-    p.add_argument("--input", required=True)
-    common(p)
-
-    return parser
+_OPTION_HELP = {
+    "-h": "show this help message and exit",
+    "--version": "show program's version number and exit",
+    "--symbolic": "all-n certificate per omega instead of cells",
+    "--output": "output path; default stdout",
+    "--seed": "seed of the randomly drawn recurrence checks",
+}
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    omega = getattr(args, "omega", None)
-    n = getattr(args, "n", None)
-    omega = None if omega is None else parse_range(omega)
-    n = None if n is None else parse_range(n)
-    symbolic = getattr(args, "symbolic", False)
-    if symbolic and n:
+def _classify(token: str, names: Sequence[str]):
+    """How argparse reads token against the option strings names: None
+    for a value, else (option, explicit value or None), with option None
+    for an option-like token that names none of them.  A long option may
+    be abbreviated to a unique prefix; a prefix of two is refused."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        explicit = tail if eq else None
+    else:
+        # a short option glued to its value: -hx is -h with value x
+        found = [name for name in names if name == token[:2]]
+        explicit = token[2:]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         f"{', '.join(found)}")
+    if found:
+        return found[0], explicit
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        # a negative number, or text with a space, is a value
+        return None
+    return None, None
+
+
+def _check_flag(name: str, explicit: Optional[str]) -> None:
+    # -hh is -h twice; a flag takes no =value
+    if explicit is not None and not (name == "-h" and explicit
+                                     and not explicit.strip("h")):
+        raise UsageError(f"argument {name}: ignored explicit argument "
+                         f"{explicit!r}")
+
+
+def _help_rows(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left:{width}}  {text}".rstrip() for left, text in rows]
+
+
+def _help_text(command: Optional[str]) -> str:
+    """The usage, description and options of hvcert or of one command."""
+    if command is None:
+        usage = (f"hvcert [-h] [--version] {{{','.join(_COMMAND_TABLE)}}} "
+                 f"...")
+        lines = [_DESCRIPTION, "", "commands:"]
+        lines += _help_rows([(name, entry[0])
+                             for name, entry in _COMMAND_TABLE.items()])
+        options = [("-h, --help", _OPTION_HELP["-h"]),
+                   ("--version", _OPTION_HELP["--version"])]
+    else:
+        about, required, kinds = _COMMAND_TABLE[command]
+        options = [("-h, --help", _OPTION_HELP["-h"])]
+        usage = f"hvcert {command} [-h]"
+        for name, kind in kinds.items():
+            if kind is bool:
+                text = name
+            elif isinstance(kind, tuple):
+                text = f"{name} {{{','.join(kind)}}}"
+            else:
+                text = f"{name} {name[2:].upper()}"
+            usage += f" {text}" if name in required else f" [{text}]"
+            options.append((text, _OPTION_HELP.get(name, "")))
+        lines = [about]
+    lines += ["", "options:", *_help_rows(options)]
+    return "\n".join([f"usage: {usage}", "", *lines, ""])
+
+
+def _exit_printing(text: str) -> None:
+    sys.stdout.write(text)
+    raise SystemExit(0)
+
+
+def _read_command(command: str, tokens: Sequence[str]) -> tuple[dict, list]:
+    """The options of one command read from tokens, left to right, and
+    the tokens that are none of them."""
+    _, required, kinds = _COMMAND_TABLE[command]
+    names = ("-h", "--help", *kinds)
+    # argparse reads every token after the first '--' as a value, and
+    # '--' itself as neither an option nor a value
+    marks = []
+    for token in tokens:
+        if token == "--":
+            break
+        marks.append(_classify(token, names))
+    args = {"command": command}
+    strays = []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        mark = marks[i] if i < len(marks) else None
+        i += 1
+        if mark is None or mark[0] is None:
+            strays.append(token)
+            continue
+        name, value = mark
+        kind = kinds.get(name)
+        if kind is None or kind is bool:
+            _check_flag(name, value)
+            if kind is None:
+                _exit_printing(_help_text(command))
+            args[name[2:]] = True
+            continue
+        if value is None:
+            if i >= len(marks) or marks[i] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            value = tokens[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {name}: invalid int value: "
+                                 f"{value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kind)})")
+        args[name[2:]] = value
+    missing = [name for name in required if name[2:] not in args]
+    if missing:
+        raise UsageError(f"the following arguments are required: "
+                         f"{', '.join(missing)}")
+    return args, strays
+
+
+def parse_args(argv: Sequence[str]) -> dict:
+    """Read argv from the option table as argparse would: --opt value or
+    --opt=value, an option abbreviated to a unique prefix, the last of a
+    repeated option winning.  Returns {"command": name, field: value} with
+    a field for each option given; -h/--help and --version print to
+    stdout and raise SystemExit(0); anything else not in the table is a
+    UsageError."""
+    # the options before the command, all read before any is acted on;
+    # argparse also reads the later tokens against them, but only a '--='
+    # token could fail there, and _read_command refuses it too
+    marks = []
+    for token in argv:
+        mark = None if token == "--" else _classify(
+            token, ("-h", "--help", "--version"))
+        if mark is None:
+            break
+        marks.append(mark)
+    strays = []
+    for token, (name, explicit) in zip(argv, marks):
+        if name is None:
+            strays.append(token)
+        else:
+            _check_flag(name, explicit)
+            _exit_printing(f"{__version__}\n" if name == "--version"
+                           else _help_text(None))
+    i = len(marks)
+    if i == len(argv):
+        raise UsageError("the following arguments are required: command")
+    if argv[i] not in _COMMAND_TABLE:
+        raise UsageError(f"argument command: invalid choice: {argv[i]!r} "
+                         f"(choose from {', '.join(_COMMAND_TABLE)})")
+    args, command_strays = _read_command(argv[i], argv[i + 1:])
+    strays += command_strays
+    if strays:
+        raise UsageError(f"unrecognized arguments: {' '.join(strays)}")
+    return args
+
+
+def config_from_args(args: dict) -> RunConfig:
+    """The RunConfig of what parse_args read, each option not given at
+    its RunConfig default; omega and n arrive as text and are parsed
+    here."""
+    config = RunConfig(**{key: value for key, value in args.items()
+                          if key != "input"})
+    if config.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {config.jobs}")
+    omega = None if config.omega is None else parse_range(config.omega)
+    n = None if config.n is None else parse_range(config.n)
+    if config.symbolic and n:
         raise UsageError("--symbolic covers every n and reads no --n")
-    if args.jobs > 1 and not (args.command == "scan" or
-                              (args.command == "certify" and not symbolic)):
-        name = "certify --symbolic" if symbolic else args.command
+    if config.jobs > 1 and not (config.command == "scan" or
+                                (config.command == "certify"
+                                 and not config.symbolic)):
+        name = "certify --symbolic" if config.symbolic else config.command
         raise UsageError(f"{name} evaluates no cells and reads no --jobs "
-                         f"above 1, got {args.jobs}")
-    return RunConfig(
-        command=args.command,
-        omega=omega,
-        n=n,
-        symbolic=symbolic,
-        format=args.format,
-        output=args.output,
-        jobs=args.jobs,
-        seed=getattr(args, "seed", 0),
-    )
+                         f"above 1, got {config.jobs}")
+    return config._replace(omega=omega, n=n)
 
 
 _COMMANDS = {"certify": cmd_certify, "scan": cmd_scan, "coeffs": cmd_coeffs,
@@ -586,12 +733,11 @@ _COMMANDS = {"certify": cmd_certify, "scan": cmd_scan, "coeffs": cmd_coeffs,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         config = config_from_args(args)
         if config.command == "report":
-            payload, status = cmd_report(config, args.input)
+            payload, status = cmd_report(config, args["input"])
         else:
             payload, status = _COMMANDS[config.command](config)
         emit_status = emit_report(payload, config.format, config.output)

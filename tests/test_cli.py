@@ -1,10 +1,14 @@
 """Driver integration: exit codes, deterministic artifacts, and CSV rows
 that match the JSON entries."""
 
+import argparse
+import contextlib
 import csv
 import errno
+import functools
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -14,12 +18,18 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hvcert
 from hvcert.certify import certify_at
 from hvcert.cli import (
+    _COMMAND_TABLE,
+    UsageError,
+    config_from_args,
     entry_from_certificate,
     main,
+    parse_args,
     parse_range,
     rational_payload,
 )
@@ -161,13 +171,23 @@ class TestExitCodes:
         assert err.startswith("hvcert: ") and err.count("\n") == 1
         assert "--seed" in err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"],
-                                      ["--version"]])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["scan", "--help"], ["--version"], ["-h"],
+        *([command, "--help"] for command in _COMMAND_TABLE
+          if command != "scan")])
     def test_help_and_version_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
-        assert capsys.readouterr().out
+        out = capsys.readouterr().out
+        if argv == ["--version"]:
+            assert out == hvcert.__version__ + "\n"
+        elif len(argv) == 1:
+            assert all(command in out for command in _COMMAND_TABLE)
+        else:
+            # the help names every option the table gives the command
+            _, _, options = _COMMAND_TABLE[argv[0]]
+            assert options and all(option in out for option in options)
 
     def test_report_missing_input(self, capsys):
         assert main(["report", "--input", "/nonexistent.json"]) == 2
@@ -184,6 +204,197 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("hvcert: ")
         assert captured.err.count("\n") == 1
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that hvcert.cli.parse_args replaced, kept as
+    the reference of TestOptionTable; it refuses with UsageError."""
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = _ArgumentParser(
+        prog="hvcert",
+        description="certification toolkit for the interval-intersection "
+                    "criterion of the Hebey-Vaugon conjecture")
+    parser.add_argument("--version", action="version",
+                        version=hvcert.__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--format", choices=("json", "csv", "markdown"),
+                       default="json")
+        p.add_argument("--output", default=None,
+                       help="output path; default stdout")
+        p.add_argument("--jobs", type=int, default=1)
+
+    p = sub.add_parser("certify", help="certify cells or whole rays")
+    p.add_argument("--omega", required=True)
+    p.add_argument("--n", default=None)
+    p.add_argument("--symbolic", action="store_true",
+                   help="all-n certificate per omega instead of cells")
+    common(p)
+
+    p = sub.add_parser("scan", help="sweep a (omega, n) rectangle")
+    p.add_argument("--omega", required=True)
+    p.add_argument("--n", required=True)
+    common(p)
+
+    p = sub.add_parser("coeffs", help="spectral coefficient table")
+    p.add_argument("--omega", required=True)
+    common(p)
+
+    p = sub.add_parser("integrals", help="run the integral identity suite")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomly drawn recurrence checks")
+    common(p)
+
+    p = sub.add_parser("sphere-check", help="run the sphere oracle suite")
+    common(p)
+
+    p = sub.add_parser("report", help="re-emit a saved JSON report")
+    p.add_argument("--input", required=True)
+    common(p)
+
+    return parser
+
+
+def read_reference(argv):
+    return vars(reference_parser().parse_args(argv))
+
+
+def read_with(read, argv):
+    """What main makes of argv before running a command: ("config",
+    RunConfig, --input), ("exit", code, stdout) or "refused"."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = read(argv)
+        config = config_from_args(args)
+    except UsageError:
+        return "refused"
+    except SystemExit as exc:
+        return "exit", exc.code, bool(out.getvalue())
+    return "config", config, args.get("input")
+
+
+_OPTION_NAMES = ["--omega", "--n", "--symbolic", "--format", "--output",
+                 "--jobs", "--seed", "--input", "--help", "--version", "-h"]
+_VALUES = ["3", "3..5", "-5", "-.5", "-x", "-", "", "csv", "x"]
+# the values each option reads, drawn three times in four
+_GOOD_VALUES = {"--format": ["csv"], "--jobs": ["3"], "--seed": ["3", "-5"]}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of options, their prefixes (with a letter after the dashes
+    at least), values and =value forms around a command.  Options are
+    mostly the command's own, with at most one stray token or foreign
+    option among them, so that many argvs are accepted; each draw's
+    simplest value (0) is the likeliest to be accepted."""
+    def piece(names, with_value=True):
+        name = draw(st.sampled_from(names))
+        shortest = 2 if name == "-h" else 3
+        option = name[:len(name) - draw(st.integers(0, len(name) - shortest))]
+        good = draw(st.integers(0, 3)) < 3
+        value = draw(st.sampled_from(
+            _GOOD_VALUES.get(name, ["3", "3..5"]) if good else _VALUES))
+        if not with_value:
+            return [[option], [f"{option}={value}"]][draw(st.integers(0, 1))]
+        return [[option, value], [option, value], [f"{option}={value}"],
+                [option]][draw(st.integers(0, 3))]
+
+    argv = []
+    # before the command, usually nothing (a value there is the command,
+    # as "x" is)
+    if draw(st.integers(0, 3)) == 3:
+        for _ in range(draw(st.integers(1, 2))):
+            argv += piece(_OPTION_NAMES, with_value=False)
+    command = draw(st.sampled_from([*_COMMAND_TABLE, "x", None]))
+    if command is None:
+        return argv
+    argv.append(command)
+    _, required, own = _COMMAND_TABLE.get(command, (None, (), _OPTION_NAMES))
+    pieces = [piece(list(own)) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 3)) < 3:
+        pieces[:0] = [[name, "3"] for name in required]
+    if draw(st.integers(0, 2)) == 2:
+        stray = ([draw(st.sampled_from(_VALUES))] if draw(st.booleans())
+                 else piece(_OPTION_NAMES))
+        pieces.insert(draw(st.integers(0, len(pieces))), stray)
+    return argv + [token for piece in pieces for token in piece]
+
+
+class TestOptionTable:
+    @given(_argvs())
+    @settings(max_examples=1000, deadline=None)
+    def test_parsers_agree(self, argv):
+        # the option table accepts what the argparse parser accepted, with
+        # the same RunConfig and --input, and refuses what it refused
+        expected = read_with(read_reference, argv)
+        assert read_with(parse_args, argv) == expected, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--om", "3..5", "--sym"],
+        ["certify", "--omega=3..5", "--symbolic", "--format=markdown"],
+        ["certify", "--omega", "3", "--omega", "4", "--n", "-5"],
+        ["scan", "--omega", "5", "--n", "16..20", "--jobs", "1",
+         "--output", "-"],
+        ["integrals", "--see=-5", "--f", "csv"],
+        ["report", "--in", "r.json", "--input=s.json"],
+        ["-h", "certify"], ["--vers", "certify"], ["certify", "-hh"],
+        ["certify", "--omega", "3", "--he"],
+        ["--bogus", "scan", "--help"],
+        ["certify", "--omega", "x", "--help"],
+    ])
+    def test_accepted_as_before(self, argv):
+        result = read_with(parse_args, argv)
+        assert result[0] in ("config", "exit")
+        assert result == read_with(read_reference, argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["x"], ["--omega", "3"], ["certify"],
+        ["certify", "--o", "3", "--symbolic"],
+        ["scan", "--omega", "16", "--n", "1853..1864", "--output",
+         "--jobs", "1"],
+        ["certify", "--omega", "-x"],
+        ["certify", "--omega", "3", "--symbolic=x"],
+        ["certify", "--omega", "3", "--symbolic="],
+        ["certify", "--omega", "3", "extra"],
+        ["certify", "--omega", "3", "--jobs", "x"],
+        ["certify", "--omega", "3", "--format", "cs"],
+        ["certify", "--omega", "3", "--help=x"],
+        ["certify", "--omega", "3", "-hx"],
+        ["--version=1"], ["--help", "--=x"], ["certify", "--help", "--=x"],
+        ["certify", "--help", "--o"],
+        ["-5"], ["--", "certify", "--omega", "3"],
+        ["certify", "--omega", "3", "--"],
+        ["certify", "--omega", "--", "3"],
+        ["certify", "--omega", "3", "--", "--help"],
+    ])
+    def test_refused_as_before(self, argv):
+        # '--' (argparse's end of options) is refused wherever it stands,
+        # as the argparse parser refused it on Python 3.11
+        assert read_with(parse_args, argv) == "refused"
+        if "--" not in argv:
+            assert read_with(read_reference, argv) == "refused"
+
+    def test_import_loads_no_unneeded_module(self):
+        # a fresh interpreter without site (whose .pth files may import
+        # anything) imports hvcert.cli without argparse, random or csv
+        src = str(Path(hvcert.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, hvcert.cli\n"
+             "print(sorted({'argparse', 'random', 'csv'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 @pytest.fixture
