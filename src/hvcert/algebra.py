@@ -8,8 +8,9 @@ the sphere oracle they are polynomials in x alone, which is n.  A
 rational function is a pair (num, den) of them.  Also here: partial-fraction decompositions of
 such a pair whose den has distinct rational roots, integer square-root
 enclosures, exact signs of sums of square roots, and root counts and
-strict positivity on a ray ``[n0, +oo)``, both read off the Taylor shift
-p(n0 + t) with at most one Sturm chain.
+strict positivity on a ray ``[n0, +oo)``, both read off the integer
+numerators of the Taylor shift p(n0 + t) with at most one Sturm chain of
+primitive pseudo-remainders.
 
 No floating point is used anywhere in this module.
 """
@@ -35,12 +36,16 @@ class NegativeRadicand(AlgebraError):
     """sqrt_enclosure or sign_with_sqrts given a negative radicand."""
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """The numerator and positive denominator of an int or a Fraction,
+    without building a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _as_fraction(x: RationalLike) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 # the monomial x^a y^b z^c is the key packing a + b + c, a, b and c in
@@ -83,6 +88,34 @@ def _reduced(num: dict, den: int) -> Polynomial:
     return p
 
 
+def _pseudo_divmod(a: list[int], b: list[int]
+                   ) -> tuple[int, list[int], list[int]]:
+    """(s, q, r) with s a = q b + r in integers, s > 0 and r of lower
+    degree than b, for coefficient lists lowest first and b ending in a
+    nonzero lc.  Each top coefficient t of the running remainder is
+    divided by lc exactly when lc divides it; otherwise the remainder and
+    the quotient so far are first multiplied by |lc|, which makes the
+    next quotient coefficient +-t, so s is a product of |lc|'s and every
+    sign is kept.  r has deg b entries, trailing zeros included."""
+    lc, d = b[-1], len(b) - 1
+    r, q, s = list(a), [0] * max(0, len(a) - d), 1
+    for i in range(len(a) - 1, d - 1, -1):
+        t = r[i]
+        if not t:
+            continue
+        f, m = divmod(t, lc)
+        if m:
+            g = abs(lc)
+            s *= g
+            r[:i] = [c * g for c in r[:i]]
+            q = [c * g for c in q]
+            f = t if lc > 0 else -t
+        q[i - d] = f
+        for j in range(d):
+            r[i - d + j] -= f * b[j]
+    return s, q, r[:d]
+
+
 class Polynomial:
     """Polynomial in x, y, z with rational coefficients: integer
     numerators keyed by packed exponents over one positive denominator,
@@ -94,7 +127,9 @@ class Polynomial:
     operations (coeffs, degree, leading, divmod, shift, derivative,
     evaluation and str) read a polynomial in x alone, which is n
     downstream, and raise AlgebraError on a y or z term.  The zero
-    polynomial has degree -1.
+    polynomial has degree -1.  Arithmetic, division, the Taylor shift,
+    evaluation and the Sturm chains below run on the integer numerators;
+    only the coeffs, leading and terms views, and a value, are Fractions.
     """
 
     __slots__ = ("_num", "_den")
@@ -244,22 +279,20 @@ class Polynomial:
         return out
 
     def divmod(self, other) -> tuple[Polynomial, Polynomial]:
+        """(q, r) with self = q other + r and deg r < deg other, by
+        pseudo-division of the integer numerators: s A = Q B + R with
+        s > 0, so q = Q b / (s a) and r = R / (s a) over the
+        denominators a of self and b of other."""
         other = self._coerce(other)
         if other is None:
             raise TypeError("polynomial division by a non-polynomial")
         if not other:
             raise AlgebraError("polynomial division by zero")
-        rem, b = list(self.coeffs), other.coeffs
-        d = len(b) - 1
-        q = [Fraction(0)] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] / b[-1]
-            q[i - d] = f
-            for j, c in enumerate(b):
-                rem[i - d + j] -= f * c
-        return Polynomial(q), Polynomial(rem)
+        s, q, r = _pseudo_divmod(self._dense(), other._dense())
+        den = self._den * s
+        return (_reduced({_key(i, 0, 0): c * other._den
+                          for i, c in enumerate(q)}, den),
+                _reduced({_key(i, 0, 0): c for i, c in enumerate(r)}, den))
 
     __divmod__ = divmod
 
@@ -287,8 +320,7 @@ class Polynomial:
         g(y) = s^d p(y/s) has integer coefficients, and synthetic division
         by y - r, repeated on each quotient, leaves those of
         h(y) = g(y + r) in place, lowest first; p(x + a) = h(s x) / s^d."""
-        a = _as_fraction(a)
-        r, s = a.numerator, a.denominator
+        r, s = _ratio(a)
         cs = self._dense()
         d = len(cs) - 1
         if d < 0:
@@ -299,15 +331,6 @@ class Polynomial:
                 cs[j] += r * cs[j + 1]
         return _reduced({_key(i, 0, 0): c * s ** i for i, c in enumerate(cs)},
                         self._den * s ** d)
-
-    def primitive(self) -> Polynomial:
-        """The numerators over their gcd: the positive multiple with
-        coprime integer coefficients.  Used to tame coefficient growth in
-        Sturm chains."""
-        if not self._num:
-            return self
-        g = math.gcd(*self._num.values())
-        return _reduced({k: c // g for k, c in self._num.items()}, 1)
 
     def on_meridian(self) -> Polynomial:
         """The normal form on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
@@ -330,8 +353,7 @@ class Polynomial:
     def __call__(self, x: RationalLike) -> Fraction:
         """p(x) = t / (den s^d) at x = r/s, with t = sum c_i r^i s^(d-i)
         by Horner in integers."""
-        x = _as_fraction(x)
-        r, s = x.numerator, x.denominator
+        r, s = _ratio(x)
         t, scale = 0, 1
         for c in reversed(self._dense()):
             t = t * r + c * scale
@@ -464,51 +486,73 @@ class RayPositivityWitness(NamedTuple):
     sample_value: Fraction | None = None
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """Sturm sequence of p, with primitive scaling of every remainder.
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
-    Scaling each remainder by a positive rational preserves the sign
-    pattern, so root counts are unaffected while coefficients stay small.
+
+def _sturm_numerators(cs: list[int]) -> list[list[int]]:
+    """The Sturm chain of the polynomial with integer coefficients cs,
+    lowest first and the last nonzero, as primitive coefficient lists.
+
+    After cs and its derivative, each member is the negated
+    pseudo-remainder of the two before it over its content.  The
+    pseudo-division multiplier is positive and so is the content, so each
+    member is a positive multiple of the Sturm remainder over Q and has
+    its signs everywhere.
     """
-    chain = [p.primitive()]
-    d = p.derivative()
-    if not d.is_zero():
-        chain.append(d.primitive())
-        while True:
-            r = -(chain[-2] % chain[-1])
-            if r.is_zero():
-                break
-            chain.append(r.primitive())
+    chain = [_primitive(cs)]
+    b = [i * c for i, c in enumerate(cs)][1:]
+    while b:
+        chain.append(_primitive(b))
+        b = [-c for c in _pseudo_divmod(chain[-2], chain[-1])[2]]
+        while b and not b[-1]:
+            b.pop()
     return chain
 
 
+def sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """Sturm sequence of p, every member primitive: integer coefficients
+    with no common factor, a positive multiple of the remainder over Q.
+
+    The chain is built in integers with pseudo-remainders, and a positive
+    scale keeps the sign pattern, so root counts are unaffected while
+    coefficients stay small.
+    """
+    return [_reduced({_key(i, 0, 0): c for i, c in enumerate(m)}, 1)
+            for m in _sturm_numerators(p._dense())]
+
+
 def _sign_variations(values: Iterable[int]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_roots_from_zero(q: Polynomial) -> int:
-    """Number of distinct real roots of a nonzero q in [0, +oo).
+def _count_roots_from_zero(cs: list[int]) -> int:
+    """Number of distinct real roots in [0, +oo) of a nonzero polynomial
+    given by its integer numerators cs, lowest first, over any positive
+    denominator, which changes no sign.
 
     A root at 0 is a run of zero low coefficients; once it is stripped,
     every Sturm chain member is a multiple of gcd(q, q'), which is nonzero
     at 0, so the chain counts the distinct roots in (0, +oo) of a q that
-    need not be square-free.  A member's value at 0 is its constant term.
+    need not be square-free.  A member's sign at 0 is that of its constant
+    term, and at +oo that of its last.
     """
-    low = next(i for i, c in enumerate(q.coeffs) if c)
-    chain = sturm_chain(Polynomial(q.coeffs[low:]))
-    at_zero = _sign_variations(_sign(r.coeffs[0]) for r in chain)
-    at_inf = _sign_variations(_sign(r.leading) for r in chain)
+    low = next(i for i, c in enumerate(cs) if c)
+    chain = _sturm_numerators(cs[low:])
+    at_zero = _sign_variations(m[0] for m in chain)
+    at_inf = _sign_variations(m[-1] for m in chain)
     return at_zero - at_inf + (low > 0)
 
 
 def count_roots_on_ray(p: Polynomial, n0: RationalLike) -> int:
     """Number of distinct real roots of p in [n0, +oo), counted as the
     roots of p(n0 + t) in t >= 0 with one Sturm chain."""
-    n0 = _as_fraction(n0)
-    if p.is_zero():
+    shifted = p.shift(n0)
+    if shifted.is_zero():
         raise AlgebraError("root count of the zero polynomial")
-    return _count_roots_from_zero(p.shift(n0))
+    return _count_roots_from_zero(shifted._dense())
 
 
 def nonnegative_on_ray(p: Polynomial,
@@ -516,24 +560,26 @@ def nonnegative_on_ray(p: Polynomial,
     """Decide whether p(n) > 0 for every real n >= n0 (strict positivity;
     the permissive name matches the negated-inequality call sites).
 
-    Both tests read q(t) = p(n0 + t), shifted once.  q(0) > 0 with no
+    Both tests read the integer numerators of q(t) = p(n0 + t), shifted
+    once, whose signs are those of its coefficients.  q(0) > 0 with no
     negative coefficient is a fast sufficient certificate; the complete
-    fallback counts the roots of q in t >= 0 with one Sturm chain.
+    fallback counts the roots of q in t >= 0 with one Sturm chain, and only
+    its witness holds Fractions: n0 and p(n0).
     """
-    n0 = _as_fraction(n0)
-    if p.is_zero():
-        raise AlgebraError("positivity query on the zero polynomial")
     shifted = p.shift(n0)
-    value_at_n0 = shifted.coeffs[0]
-    if value_at_n0 > 0 and all(c >= 0 for c in shifted.coeffs):
+    if shifted.is_zero():
+        raise AlgebraError("positivity query on the zero polynomial")
+    cs = shifted._dense()
+    if cs[0] > 0 and all(c >= 0 for c in cs):
         return True, RayPositivityWitness(method="shifted-coefficients",
                                           positive=True)
-    roots = _count_roots_from_zero(shifted)
-    ok = roots == 0 and value_at_n0 > 0
+    roots = _count_roots_from_zero(cs)
+    ok = roots == 0 and cs[0] > 0
     return ok, RayPositivityWitness(method="sturm", positive=ok,
                                     root_count=roots,
-                                    sample_point=n0,
-                                    sample_value=value_at_n0)
+                                    sample_point=_as_fraction(n0),
+                                    sample_value=Fraction(cs[0],
+                                                          shifted.denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ from hvcert.algebra import (
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
+# small integers too, so that a divisor's leading coefficient often
+# divides the dividend's
+coefficients = st.one_of(st.integers(min_value=-6, max_value=6), rationals)
 
 
 def poly(*cs):
@@ -50,6 +53,61 @@ class TestPolynomial:
         q, r = p.divmod(d)
         assert q * d + r == p
         assert r.degree < d.degree
+
+    @given(st.lists(coefficients, max_size=9),
+           st.lists(coefficients, max_size=5),
+           coefficients.filter(bool))
+    @example([], [3], 7)                       # zero dividend
+    @example([1, 2, 3], [], Fraction(-2, 3))   # constant divisor
+    @example([5, Fraction(1, 2)], [1, 0, 4], -3)   # divisor of higher degree
+    @example([7, 0, -4, 9, 2], [Fraction(3, 5), 1], Fraction(-6, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_divmod_matches_references(self, dividend, divisor, lead):
+        # divisor ends in a nonzero leading coefficient of either sign,
+        # monic or not; quotient and remainder are structurally equal to
+        # Fraction long division and to sympy's division over QQ
+        p, d = Polynomial(dividend), Polynomial(divisor + [lead])
+        q, r = p.divmod(d)
+        assert (q, r) == reference_divmod(p, d)
+        sp_q, sp_r = (sp.Poly(to_sympy(p), N, domain=sp.QQ)
+                      .div(sp.Poly(to_sympy(d), N, domain=sp.QQ)))
+        assert (q, r) == (from_sympy(sp_q), from_sympy(sp_r))
+        assert r.degree < d.degree
+
+    def test_kernel_builds_no_fraction(self, monkeypatch):
+        # division, the Sturm chain and the shifted-coefficient ray test
+        # run on integer numerators: on polynomials built beforehand, and
+        # an int or a Fraction n0, none of them constructs a Fraction
+        n = Polynomial.x()
+        p = (Fraction(3, 7) * n ** 2 - 5) * (n - Fraction(9, 2)) * (n + 11)
+        d = Fraction(-4, 3) * n ** 2 + n - Fraction(1, 5)
+        positive = Fraction(2, 9) * n ** 3 - 7 * n + Fraction(1, 3)
+        half = Fraction(77, 2)
+        calls = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        built = {}
+        for name, call in [
+                ("divmod", lambda: p.divmod(d)),
+                ("sturm_chain", lambda: sturm_chain(p)),
+                ("nonnegative_on_ray int", lambda: nonnegative_on_ray(
+                    positive, 38)),
+                ("nonnegative_on_ray Fraction", lambda: nonnegative_on_ray(
+                    positive, half))]:
+            calls.clear()
+            result = call()
+            built[name] = len(calls)
+            if name.startswith("nonnegative_on_ray"):
+                assert result[1].method == "shifted-coefficients"
+        monkeypatch.undo()
+        assert built == dict.fromkeys(built, 0)
+        # p has four distinct real roots, so every remainder step ran
+        assert len(sturm_chain(p)) == 5
 
     def test_evaluation_and_derivative(self):
         p = poly(1, -3, 2)   # 2n^2 - 3n + 1
@@ -116,6 +174,29 @@ def linear(root):
 def to_sympy(p):
     return sum((sp.Rational(c.numerator, c.denominator) * N ** i
                 for i, c in enumerate(p.coeffs)), sp.Integer(0))
+
+
+def from_sympy(poly):
+    """The Polynomial of a sympy Poly in N over QQ."""
+    return Polynomial([Fraction(int(c.p), int(c.q))
+                       for c in reversed(poly.all_coeffs())])
+
+
+def reference_divmod(p, d):
+    """Long division on the Fraction coefficients, the way
+    Polynomial.divmod divided before it moved to integer
+    pseudo-division."""
+    rem, b = list(p.coeffs), d.coeffs
+    deg = len(b) - 1
+    q = [Fraction(0)] * max(0, len(rem) - deg)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        if rem[i] == 0:
+            continue
+        f = rem[i] / b[-1]
+        q[i - deg] = f
+        for j, c in enumerate(b):
+            rem[i - deg + j] -= f * c
+    return Polynomial(q), Polynomial(rem)
 
 
 def assert_matches_sympy(num, den, expansion):
@@ -234,18 +315,25 @@ class TestRayPositivity:
            st.lists(st.integers(min_value=-6, max_value=6), max_size=8),
            st.one_of(st.fractions(min_value=-10, max_value=10,
                                   max_denominator=20),
-                     st.integers(min_value=-6, max_value=6)))
+                     st.integers(min_value=-6, max_value=6)),
+           st.fractions(min_value=-10, max_value=10,
+                        max_denominator=12).filter(bool))
     @settings(max_examples=200, deadline=None)
-    def test_root_count_matches_sympy(self, cs, roots, n0):
-        # degree <= 8, integer coefficients; the integer roots, some of
-        # them repeated, put roots at and near an integer n0.  Both sides
-        # count distinct roots on [n0, oo).
+    def test_root_count_matches_sympy(self, cs, roots, n0, scale):
+        # degree <= 8, integer coefficients times a rational scale; the
+        # integer roots, some of them repeated, put roots at and near an
+        # integer n0.  Both sides count distinct roots on [n0, oo).
         p = Polynomial(cs)
         for r in roots:
             if p.degree >= 8:
                 break
             p = p * linear(r)
+        p = p * scale
         assume(not p.is_zero())
+        # every chain member is primitive: integer, coprime coefficients
+        for member in sturm_chain(p):
+            assert member.denominator == 1
+            assert math.gcd(*(c for _, c in member.numerators())) == 1
         n0 = Fraction(n0)
         expected = sp.Poly(to_sympy(p), N).count_roots(
             sp.Rational(n0.numerator, n0.denominator), None)
