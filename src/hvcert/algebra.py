@@ -5,12 +5,13 @@ all-dimension positivity proofs, the S^2 oracle) is built on the one
 polynomial type here: polynomials in x, y and z with rational
 coefficients, held as integer numerators over one denominator.  Outside
 the sphere oracle they are polynomials in x alone, which is n.  A
-rational function is a pair (num, den) of them.  Also here: partial-fraction decompositions of
-such a pair whose den has distinct rational roots, integer square-root
-enclosures, exact signs of sums of square roots, and root counts and
-strict positivity on a ray ``[n0, +oo)``, both read off the integer
-numerators of the Taylor shift p(n0 + t) with at most one Sturm chain of
-primitive pseudo-remainders.
+rational function is a pair (num, den) of them.  Also here:
+partial-fraction decompositions of such a pair whose den has distinct
+rational roots, integer square-root enclosures, exact signs of sums of
+square roots decided in integers, and root counts and strict positivity
+on a ray ``[n0, +oo)``, both read off the integer numerators of the
+Taylor shift p(n0 + t) with at most one Sturm chain of primitive
+pseudo-remainders.
 
 No floating point is used anywhere in this module.
 """
@@ -116,6 +117,24 @@ def _pseudo_divmod(a: list[int], b: list[int]
     return s, q, r[:d]
 
 
+def _shifted_numerators(cs: list[int], a: RationalLike
+                        ) -> tuple[list[int], int]:
+    """(integer numerators, positive scale) of p(x + a) for the
+    polynomial p with integer numerators cs, lowest first: p(x + a) is
+    the returned numerators over scale times the denominator of p.
+    With a = r/s and p of degree d, g(y) = s^d p(y/s) has integer
+    coefficients, and synthetic division by y - r, repeated on each
+    quotient, leaves those of h(y) = g(y + r) in place, lowest first;
+    p(x + a) = h(s x) / s^d, so scale is s^d."""
+    r, s = _ratio(a)
+    d = len(cs) - 1
+    cs = [c * s ** (d - i) for i, c in enumerate(cs)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            cs[j] += r * cs[j + 1]
+    return [c * s ** i for i, c in enumerate(cs)], s ** max(d, 0)
+
+
 class Polynomial:
     """Polynomial in x, y, z with rational coefficients: integer
     numerators keyed by packed exponents over one positive denominator,
@@ -157,6 +176,13 @@ class Polynomial:
     def z() -> Polynomial:
         return _reduced({_UNITS[2]: 1}, 1)
 
+    @staticmethod
+    def from_int_coeffs(cs: Sequence[int], den: int = 1) -> Polynomial:
+        """sum(cs[i] x^i) / den for integers cs and den > 0, reduced,
+        without building a Fraction: the inverse of int_coeffs and
+        denominator."""
+        return _reduced({_key(i, 0, 0): c for i, c in enumerate(cs)}, den)
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -175,9 +201,9 @@ class Polynomial:
         return sorted(((e, Fraction(c, self._den))
                        for e, c in self.numerators()), reverse=True)
 
-    def _dense(self) -> list[int]:
-        """The numerators of 1, x, x^2, ... up to the degree in x, over
-        the denominator; AlgebraError on a y or z term."""
+    def int_coeffs(self) -> list[int]:
+        """The integer numerators of 1, x, x^2, ... up to the degree in x,
+        over the denominator; AlgebraError on a y or z term."""
         if any(k & _YZ for k in self._num):
             raise AlgebraError(f"{self!r} is not a polynomial in x alone")
         out = [0] * (_degree(self._num) + 1 if self._num else 0)
@@ -188,18 +214,18 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients of 1, x, x^2, ..., ascending; () for zero."""
-        return tuple(Fraction(c, self._den) for c in self._dense())
+        return tuple(Fraction(c, self._den) for c in self.int_coeffs())
 
     @property
     def degree(self) -> int:
-        return len(self._dense()) - 1
+        return len(self.int_coeffs()) - 1
 
     def is_zero(self) -> bool:
         return not self._num
 
     @property
     def leading(self) -> Fraction:
-        cs = self._dense()
+        cs = self.int_coeffs()
         if not cs:
             raise AlgebraError("zero polynomial has no leading coefficient")
         return Fraction(cs[-1], self._den)
@@ -288,11 +314,10 @@ class Polynomial:
             raise TypeError("polynomial division by a non-polynomial")
         if not other:
             raise AlgebraError("polynomial division by zero")
-        s, q, r = _pseudo_divmod(self._dense(), other._dense())
+        s, q, r = _pseudo_divmod(self.int_coeffs(), other.int_coeffs())
         den = self._den * s
-        return (_reduced({_key(i, 0, 0): c * other._den
-                          for i, c in enumerate(q)}, den),
-                _reduced({_key(i, 0, 0): c for i, c in enumerate(r)}, den))
+        return (Polynomial.from_int_coeffs([c * other._den for c in q], den),
+                Polynomial.from_int_coeffs(r, den))
 
     __divmod__ = divmod
 
@@ -316,21 +341,9 @@ class Polynomial:
         return self.diff(0)
 
     def shift(self, a: RationalLike) -> Polynomial:
-        """Return p(x + a) in integers.  With a = r/s and p of degree d,
-        g(y) = s^d p(y/s) has integer coefficients, and synthetic division
-        by y - r, repeated on each quotient, leaves those of
-        h(y) = g(y + r) in place, lowest first; p(x + a) = h(s x) / s^d."""
-        r, s = _ratio(a)
-        cs = self._dense()
-        d = len(cs) - 1
-        if d < 0:
-            return self
-        cs = [c * s ** (d - i) for i, c in enumerate(cs)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                cs[j] += r * cs[j + 1]
-        return _reduced({_key(i, 0, 0): c * s ** i for i, c in enumerate(cs)},
-                        self._den * s ** d)
+        """Return p(x + a), shifted in integers by _shifted_numerators."""
+        cs, scale = _shifted_numerators(self.int_coeffs(), a)
+        return Polynomial.from_int_coeffs(cs, self._den * scale)
 
     def on_meridian(self) -> Polynomial:
         """The normal form on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
@@ -355,7 +368,7 @@ class Polynomial:
         by Horner in integers."""
         r, s = _ratio(x)
         t, scale = 0, 1
-        for c in reversed(self._dense()):
+        for c in reversed(self.int_coeffs()):
             t = t * r + c * scale
             scale *= s
         return Fraction(t * s, self._den * scale)
@@ -519,8 +532,8 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     scale keeps the sign pattern, so root counts are unaffected while
     coefficients stay small.
     """
-    return [_reduced({_key(i, 0, 0): c for i, c in enumerate(m)}, 1)
-            for m in _sturm_numerators(p._dense())]
+    return [Polynomial.from_int_coeffs(m)
+            for m in _sturm_numerators(p.int_coeffs())]
 
 
 def _sign_variations(values: Iterable[int]) -> int:
@@ -549,10 +562,9 @@ def _count_roots_from_zero(cs: list[int]) -> int:
 def count_roots_on_ray(p: Polynomial, n0: RationalLike) -> int:
     """Number of distinct real roots of p in [n0, +oo), counted as the
     roots of p(n0 + t) in t >= 0 with one Sturm chain."""
-    shifted = p.shift(n0)
-    if shifted.is_zero():
+    if p.is_zero():
         raise AlgebraError("root count of the zero polynomial")
-    return _count_roots_from_zero(shifted._dense())
+    return _count_roots_from_zero(_shifted_numerators(p.int_coeffs(), n0)[0])
 
 
 def nonnegative_on_ray(p: Polynomial,
@@ -561,70 +573,71 @@ def nonnegative_on_ray(p: Polynomial,
     the permissive name matches the negated-inequality call sites).
 
     Both tests read the integer numerators of q(t) = p(n0 + t), shifted
-    once, whose signs are those of its coefficients.  q(0) > 0 with no
-    negative coefficient is a fast sufficient certificate; the complete
-    fallback counts the roots of q in t >= 0 with one Sturm chain, and only
-    its witness holds Fractions: n0 and p(n0).
+    once from those of p with no Polynomial in between, whose signs are
+    those of its coefficients.  q(0) > 0 with no negative coefficient is a
+    fast sufficient certificate; the complete fallback counts the roots of
+    q in t >= 0 with one Sturm chain, and only its witness holds
+    Fractions: n0 and p(n0).
     """
-    shifted = p.shift(n0)
-    if shifted.is_zero():
+    if p.is_zero():
         raise AlgebraError("positivity query on the zero polynomial")
-    cs = shifted._dense()
+    cs, scale = _shifted_numerators(p.int_coeffs(), n0)
     if cs[0] > 0 and all(c >= 0 for c in cs):
         return True, RayPositivityWitness(method="shifted-coefficients",
                                           positive=True)
     roots = _count_roots_from_zero(cs)
     ok = roots == 0 and cs[0] > 0
-    return ok, RayPositivityWitness(method="sturm", positive=ok,
-                                    root_count=roots,
-                                    sample_point=_as_fraction(n0),
-                                    sample_value=Fraction(cs[0],
-                                                          shifted.denominator))
+    return ok, RayPositivityWitness(
+        method="sturm", positive=ok, root_count=roots,
+        sample_point=_as_fraction(n0),
+        sample_value=Fraction(cs[0], p.denominator * scale))
 
 
 # ---------------------------------------------------------------------------
 # Sign decision for A + c_1 sqrt(x_1) + c_2 sqrt(x_2)
 # ---------------------------------------------------------------------------
 
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
+def _sqrt_sum_sign(a: int, terms: list[tuple[int, int]]) -> int:
+    """Exact sign of a + c_1 sqrt(x_1) + c_2 sqrt(x_2) in integers, for at
+    most two terms (c, x), each with c != 0 and x > 0.
 
-
-def _sign_with_sqrt(b: Fraction, c: Fraction, x: Fraction) -> int:
-    """Exact sign of b + c*sqrt(x) for x > 0: when b and c*sqrt(x) have
-    opposite signs, the larger of b^2 and c^2 x wins."""
-    sb, sc = _sign(b), _sign(c)
-    if sb == 0 or sb == sc:
-        return sc
-    if sc == 0:
-        return sb
-    return sb * _sign(b * b - c * c * x)
+    The last term t = c sqrt(x) is weighed against the rest, r: where r
+    and t have opposite signs, r + t has the sign of r times that of
+    r^2 - c^2 x, which has one radical fewer: a^2 - c^2 x for r = a, and
+    (a^2 + c_1^2 x_1 - c^2 x) + 2 a c_1 sqrt(x_1) for
+    r = a + c_1 sqrt(x_1).  So at most two squarings decide the sign, and
+    a genuine tie gives 0.
+    """
+    if not terms:
+        return (a > 0) - (a < 0)
+    *rest, (c, x) = terms
+    first = _sqrt_sum_sign(a, rest)
+    last = 1 if c > 0 else -1
+    if first == 0 or first == last:
+        return last
+    square = a * a - c * c * x + sum(c1 * c1 * x1 for c1, x1 in rest)
+    return first * _sqrt_sum_sign(
+        square, [(2 * a * c1, x1) for c1, x1 in rest if a])
 
 
 def sign_with_sqrts(constant: RationalLike,
                     sqrt_terms: Sequence[tuple[RationalLike, RationalLike]]) -> int:
     """Exact sign of A + c_1*sqrt(x_1) + c_2*sqrt(x_2), A, c_i, x_i rational.
 
-    At most two radicals, of any sign.  The sign is decided by squaring (at
-    most twice), with no enclosure, so a genuine tie returns 0.
+    At most two radicals, of any sign.  Denominators are cleared first:
+    with c = p/q and x = u/v, c sqrt(x) = p sqrt(u v) / (q v), and the sum
+    times the positive lcm of A's denominator and every q v has an
+    integer constant, integer coefficients and integer radicands u v.
+    _sqrt_sum_sign decides its sign by squaring (at most twice), with no
+    enclosure, so a genuine tie returns 0.
     """
     if len(sqrt_terms) > 2:
         raise AlgebraError("at most two radicals are supported")
-    constant = _as_fraction(constant)
-    terms = [(_as_fraction(c), _as_fraction(x)) for c, x in sqrt_terms]
-    if any(x < 0 for _, x in terms):
+    a, a_den = _ratio(constant)
+    terms = [(_ratio(c), _ratio(x)) for c, x in sqrt_terms]
+    if any(u < 0 for _, (u, _) in terms):
         raise NegativeRadicand("negative radicand")
-    terms = [(c, x) for c, x in terms if c != 0 and x != 0]
-    if not terms:
-        return _sign(constant)
-    (c1, x1), *rest = terms
-    first = _sign_with_sqrt(constant, c1, x1)
-    if not rest:
-        return first
-    c2, x2 = rest[0]
-    second = _sign(c2)
-    if first == 0 or first == second:
-        return second
-    # opposite signs: compare (A + c_1 sqrt(x_1))^2 with c_2^2 x_2
-    return first * _sign_with_sqrt(constant * constant + c1 * c1 * x1
-                                   - c2 * c2 * x2, 2 * constant * c1, x1)
+    scale = math.lcm(a_den, *(q * v for (_, q), (_, v) in terms))
+    return _sqrt_sum_sign(a * (scale // a_den), [
+        (p * (scale // (q * v)), u * v)
+        for (p, q), (u, v) in terms if p and u])

@@ -12,21 +12,27 @@ intersection of the root intervals ]x_k, y_k[ of these trinomials, where
 
 That is the only case modelled here; prior work settles deg R-bar > omega.
 
-Two layers are provided.  certify_at decides a single (omega, n) cell
-exactly, in one pass, in plain integers: every root is m (m -/+
-sqrt(Delta_k)) / d_k with m = n - 2, sqrt(Delta_k) is enclosed on the
-grid of step 1/_GRID = 1e-30 by sqrt_enclosure, the bounds are compared by
-cross-multiplication, and a candidate c = p/q read off them is validated
-by the sign of each trinomial multiplied out to an integer; Fractions are
-built only for that candidate and for the exact emptiness step.  When the
-enclosures do not separate, emptiness is proved through exact sign
-decisions on the pairwise quantities
-(n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j), and a cell
-neither step proves is "undecided".  The symbolic
-certificate covers all n >= 2 omega + 6 at once via the lower bound
+Two layers are provided, and both decide in integers.  certify_at
+decides a single (omega, n) cell exactly, in one pass: every root is
+m (m -/+ sqrt(Delta_k)) / d_k with m = n - 2, sqrt(Delta_k) is enclosed
+on the grid of step 1/_GRID = 1e-30 by sqrt_enclosure, the bounds are
+compared by cross-multiplication, and a candidate c = p/q read off them
+is validated by the sign of each trinomial multiplied out to an integer;
+a Fraction is built only for that candidate.  When the enclosures do not
+separate, emptiness is proved through exact signs of the pair quantities
+
+    E_ij = (n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j),
+
+each cleared to the integer form E_ij q_i q_j (Delta = p/q), and a cell
+neither step proves is "undecided".  The symbolic certificate covers all
+n >= 2 omega + 6 at once via the lower bound
 sqrt(Delta_k) > sqrt(a_k) (n + b_k/(2 a_k)), where a_k n^2 + b_k n + c_k
-is the polynomial part of Delta_k (one polynomial division), and Sturm
-positivity on the ray.  Scans over many cells run through hvcert.cli.
+is the polynomial part of Delta_k (one pseudo-division of its integer
+numerators), and positivity on the ray.  Each of its inequalities is
+proved as one polynomial with integer coefficients, a stated positive
+multiple of it, built from the integer numerators of the family rows.
+Both read the terms of E_ij from one helper, _pair_terms.  Scans over
+many cells run through hvcert.cli.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .algebra import (
     Polynomial,
     RayPositivityWitness,
     SimplePoles,
+    _pseudo_divmod,
     best_rational,
     nonnegative_on_ray,
     partial_fractions,
@@ -47,8 +54,6 @@ from .algebra import (
     sqrt_enclosure,
 )
 from .spectral import RowForms, closed_forms, spectral_family
-
-_N = Polynomial.x()
 
 
 class HypothesisViolated(AlgebraError):
@@ -108,7 +113,11 @@ class IntervalCertificate(NamedTuple):
 
 
 class PairCheck(NamedTuple):
-    """One (i, j) inequality of the all-n certificate."""
+    """One (i, j) inequality of the all-n certificate: the lower bound of
+    E_ij (see _pair_terms) that the lower bounds of sqrt(Delta_i) and
+    sqrt(Delta_j) give is positive on the ray.  The witness is for the
+    polynomial actually proved, that bound times a positive integer (D L
+    in symbolic_certificate)."""
 
     i: int
     j: int
@@ -118,7 +127,11 @@ class PairCheck(NamedTuple):
 
 
 class LowerBoundCheck(NamedTuple):
-    """Validity of sqrt(Delta_k) > sqrt(a_k)(n + b_k/(2 a_k)) on the ray."""
+    """Validity of sqrt(Delta_k) > sqrt(a_k)(n + b_k/(2 a_k)) on the ray,
+    a_k n^2 + b_k n + c_k the polynomial part of Delta_k.  The witness is
+    for the polynomial actually proved, 4A rem + (4AC - B^2) den in
+    symbolic_certificate, a positive multiple of the numerator of
+    Delta_k - a_k (n + b_k/(2 a_k))^2 over Delta_k's denominator."""
 
     k: int
     a: Fraction
@@ -191,15 +204,51 @@ def scaled_trinomial(pair: RootPair, p: int, q: int) -> int:
             + m2 * pair.u2_num * q * q)
 
 
-def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
-    """Exact sign of y_i - x_j, scaled by d_i d_j / (n-2) > 0:
+def _add(*lists: list[int]) -> list[int]:
+    """The sum of integer coefficient lists, lowest first."""
+    out = [0] * max(map(len, lists))
+    for cs in lists:
+        for i, c in enumerate(cs):
+            out[i] += c
+    return out
 
-        (n-2)(d_j - d_i) + d_j sqrt(Delta_i) + d_i sqrt(Delta_j).
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two nonempty integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _pair_terms(m: list[int], d_i: list[int], d_j: list[int]
+                ) -> tuple[list[int], list[int], list[int]]:
+    """(A, c_i, c_j) of the pair quantity
+
+        E_ij = A + c_i sqrt(Delta_i) + c_j sqrt(Delta_j),
+        A = (n-2)(d_j - d_i),  c_i = d_j,  c_j = d_i,
+
+    as integer coefficient lists in n, lowest first, with m = n - 2
+    (times a positive scale, which A then carries too).  A cell's terms
+    are constants: one-entry lists at its integer n."""
+    return _mul(m, _add(d_j, [-c for c in d_i])), d_j, d_i
+
+
+def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
+    """Exact sign of y_i - x_j, scaled by d_i d_j / (n-2) > 0: that of
+    E_ij (see _pair_terms).  With Delta = p/q in lowest terms,
+    sqrt(Delta) = sqrt(p q) / q, so E_ij q_i q_j is the integer form
+
+        A q_i q_j + c_i q_j sqrt(p_i q_i) + c_j q_i sqrt(p_j q_j),
+
+    whose sign sign_with_sqrts decides in integers.
     """
     pi, pj = pairs[i], pairs[j]
-    return sign_with_sqrts((n - 2) * (pj.d - pi.d), [
-        (pj.d, Fraction(pi.delta_num, pi.delta_den)),
-        (pi.d, Fraction(pj.delta_num, pj.delta_den))])
+    (a,), (c_i,), (c_j,) = _pair_terms([n - 2], [pi.d], [pj.d])
+    q_i, q_j = pi.delta_den, pj.delta_den
+    return sign_with_sqrts(a * q_i * q_j, [
+        (c_i * q_j, pi.delta_num * q_i), (c_j * q_i, pj.delta_num * q_j)])
 
 
 def certify_at(omega: int, n: int) -> IntervalCertificate:
@@ -285,7 +334,14 @@ def delta_partial_fraction(omega: int,
 
 def symbolic_certificate(omega: int) -> SymbolicCertificate:
     """Assemble the all-n certificate for one omega, or report the first
-    failing ingredient as a value (omega = 16 is expected to fail)."""
+    failing ingredient as a value (omega = 16 is expected to fail).
+
+    Every stage runs on the integer numerators of the family rows (their
+    positive denominators are only scales), and each inequality goes to
+    nonnegative_on_ray as one Polynomial with integer coefficients, a
+    stated positive multiple of it.  No Fraction is computed with; the
+    records' Fractions are only constructed.
+    """
     if omega < 3:
         raise HypothesisViolated(
             f"symbolic certificates start at omega=3, got {omega}")
@@ -298,50 +354,75 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
             pair_checks=tuple(pair_checks), failure=failure)
 
     rows = spectral_family(omega)
-    lb_data = {}
+    # k -> (g, lin, sqrt(a_k) bound) with sqrt(Delta_k) > lin(n) / g on the
+    # ray once row k's checks hold: lin = lo (h_den n + h_num) and
+    # g = lo_den h_den, for lo/lo_den the sqrt_enclosure lower bound of
+    # sqrt(a_k) and h_num/h_den = b_k/(2 a_k) in lowest terms
+    sqrt_bounds = {}
     for row in rows:
-        den = row.delta_den
-        q, r = row.delta_num.divmod(den)
-        if q.degree != 2:
+        den = row.delta_den.int_coeffs()
+        s, quotient, rem = _pseudo_divmod(row.delta_num.int_coeffs(), den)
+        if len(quotient) != 3:
             raise InternalConsistencyError(
                 f"polynomial part of Delta is not quadratic for "
                 f"omega={omega}, k={row.k}")
-        c, b, a = q.coeffs
-        if a <= 0:
+        C, B, A = quotient
+        if A <= 0:
             return verdict(("lower_bound", omega, row.k))
-        # Delta_k - a (n + b/(2a))^2 = (r + den (c - b^2/(4a))) / den > 0 on
-        # the ray: its numerator and its denominator must both be proved
-        # positive there.  The denominator has a positive leading
-        # coefficient, so it cannot be negative on the whole ray; an
-        # unproved denominator sign fails the bound.
-        den_ok, _ = nonnegative_on_ray(den, n0)
-        ok, wit = nonnegative_on_ray(r + den * (c - b * b / (4 * a)), n0)
-        check = LowerBoundCheck(k=row.k, a=a, b=b, witness=wit)
-        lower_bounds.append(check)
-        # the linear bound must itself be positive on the ray for the
-        # sqrt(a) under-approximation below to stay a lower bound
-        if not (den_ok and ok) or n0 + b / (2 * a) <= 0:
+        # s num = Q den + rem with Q = A n^2 + B n + C, so
+        # Delta = kappa (Q + rem/den) for the positive scale kappa
+        # = (delta_den's denominator) / (s delta_num's), a_k = kappa A,
+        # b_k = kappa B, b_k/(2 a_k) = B/(2A), and Delta - a_k (n + B/(2A))^2
+        # is kappa (4A rem + (4AC - B^2) den) / (4A den): that numerator
+        # and den must both be proved positive on the ray.  den has a
+        # positive leading coefficient, so it cannot be negative on the
+        # whole ray; an unproved sign of den fails the bound.
+        den_ok, _ = nonnegative_on_ray(row.delta_den, n0)
+        ok, wit = nonnegative_on_ray(Polynomial.from_int_coeffs(
+            [4 * A * r + (4 * A * C - B * B) * q
+             for r, q in zip(rem + [0], den)]), n0)
+        kappa_num = row.delta_den.denominator
+        kappa_den = s * row.delta_num.denominator
+        a_k = Fraction(A * kappa_num, kappa_den)
+        lower_bounds.append(LowerBoundCheck(
+            k=row.k, a=a_k, b=Fraction(B * kappa_num, kappa_den),
+            witness=wit))
+        # the linear bound must itself be positive on the ray,
+        # n0 + B/(2A) > 0, for the sqrt(a) under-approximation below to
+        # stay a lower bound
+        if not (den_ok and ok) or 2 * A * n0 + B <= 0:
             return verdict(("lower_bound", omega, row.k))
-        lo, _, lo_den = sqrt_enclosure(a.numerator, a.denominator, _GRID)
-        lb_data[row.k] = (a, b, Fraction(lo, lo_den))
+        lo, _, lo_den = sqrt_enclosure(a_k.numerator, a_k.denominator,
+                                       _GRID)
+        h_num, h_den = _lowest(B, 2 * A)
+        sqrt_bounds[row.k] = (lo_den * h_den, [lo * h_num, lo * h_den],
+                              Fraction(lo, lo_den))
 
     # the pair checks scale the sqrt(Delta) lower bounds by d_i and d_j and
-    # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray
-    d_polys = {row.k: row.d for row in rows}
-    ks = sorted(d_polys)
-    gaps = [d_polys[k] - d_polys[nxt] for k, nxt in zip(ks, ks[1:])]
-    for k, gap in zip(ks, gaps + [d_polys[ks[-1]]]):
-        if not nonnegative_on_ray(gap, n0)[0]:
+    # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray.
+    # Over the common denominator L of the rows' d_k, each d_k is an
+    # integer list d[k] = L d_k, and the gaps are their differences
+    common = math.lcm(*(row.d.denominator for row in rows))
+    d = {row.k: [c * (common // row.d.denominator)
+                 for c in row.d.int_coeffs()] for row in rows}
+    ks = sorted(d)
+    gaps = [_add(d[k], [-c for c in d[nxt]]) for k, nxt in zip(ks, ks[1:])]
+    for k, gap in zip(ks, gaps + [d[ks[-1]]]):
+        if not nonnegative_on_ray(Polynomial.from_int_coeffs(gap), n0)[0]:
             return verdict(("d_order", omega, k))
 
+    # on the ray E_ij > A + c_i lin_i/g_i + c_j lin_j/g_j (see _pair_terms),
+    # and that bound times D L, D = lcm(g_i, g_j), is the integer list
+    # proved: the terms of D (n - 2) and the d[k], and each lin times D/g
     for i in range(1, omega // 2 + 1):
         for j in range(i + 1, omega // 2 + 1):
-            a_i, b_i, sa_i = lb_data[i]
-            a_j, b_j, sa_j = lb_data[j]
-            expr = ((_N - 2) * (d_polys[j] - d_polys[i])
-                    + d_polys[i] * (_N + b_j / (2 * a_j)) * sa_j
-                    + d_polys[j] * (_N + b_i / (2 * a_i)) * sa_i)
-            ok, wit = nonnegative_on_ray(expr, n0)
+            g_i, lin_i, sa_i = sqrt_bounds[i]
+            g_j, lin_j, sa_j = sqrt_bounds[j]
+            scale = math.lcm(g_i, g_j)
+            const, c_i, c_j = _pair_terms([-2 * scale, scale], d[i], d[j])
+            bound = _add(const, _mul(c_i, [scale // g_i * c for c in lin_i]),
+                         _mul(c_j, [scale // g_j * c for c in lin_j]))
+            ok, wit = nonnegative_on_ray(Polynomial.from_int_coeffs(bound), n0)
             pair_checks.append(PairCheck(i=i, j=j, lb_i_sqrt_a=sa_i,
                                          lb_j_sqrt_a=sa_j, witness=wit))
             if not ok:

@@ -1,5 +1,5 @@
 """Exact polynomial arithmetic, partial fractions, Sturm positivity,
-and square-root enclosures."""
+square-root enclosures and exact signs of sums of square roots."""
 
 import decimal
 import math
@@ -23,6 +23,7 @@ from hvcert.algebra import (
     sqrt_enclosure,
     sturm_chain,
 )
+from hvcert.certify import _pair_sign, roots_at
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
@@ -477,6 +478,93 @@ small_rationals = st.fractions(min_value=-100, max_value=100,
 radicands = st.fractions(min_value=0, max_value=100, max_denominator=100)
 
 
+def reference_sign(v):
+    return (v > 0) - (v < 0)
+
+
+def reference_sign_with_sqrt(b, c, x):
+    """Exact sign of b + c*sqrt(x) for x > 0: when b and c*sqrt(x) have
+    opposite signs, the larger of b^2 and c^2 x wins."""
+    sb, sc = reference_sign(b), reference_sign(c)
+    if sb == 0 or sb == sc:
+        return sc
+    if sc == 0:
+        return sb
+    return sb * reference_sign(b * b - c * c * x)
+
+
+def reference_sign_with_sqrts(constant, sqrt_terms):
+    """The Fraction sign_with_sqrts that hvcert.algebra had before its
+    integer kernel, kept as the reference: the same code, with the
+    module's _as_fraction spelled Fraction, _sign reference_sign and
+    _sign_with_sqrt reference_sign_with_sqrt."""
+    if len(sqrt_terms) > 2:
+        raise AlgebraError("at most two radicals are supported")
+    constant = Fraction(constant)
+    terms = [(Fraction(c), Fraction(x)) for c, x in sqrt_terms]
+    if any(x < 0 for _, x in terms):
+        raise NegativeRadicand("negative radicand")
+    terms = [(c, x) for c, x in terms if c != 0 and x != 0]
+    if not terms:
+        return reference_sign(constant)
+    (c1, x1), *rest = terms
+    first = reference_sign_with_sqrt(constant, c1, x1)
+    if not rest:
+        return first
+    c2, x2 = rest[0]
+    second = reference_sign(c2)
+    if first == 0 or first == second:
+        return second
+    # opposite signs: compare (A + c_1 sqrt(x_1))^2 with c_2^2 x_2
+    return first * reference_sign_with_sqrt(constant * constant + c1 * c1 * x1
+                                            - c2 * c2 * x2, 2 * constant * c1,
+                                            x1)
+
+
+def reference_pair_sign(pairs, i, j, n):
+    """certify._pair_sign as it was: Delta_i and Delta_j as Fractions."""
+    pi, pj = pairs[i], pairs[j]
+    return reference_sign_with_sqrts((n - 2) * (pj.d - pi.d), [
+        (pj.d, Fraction(pi.delta_num, pi.delta_den)),
+        (pi.d, Fraction(pj.delta_num, pj.delta_den))])
+
+
+# ints and Fractions, zero among them; radicands zero, integer, rational
+# and rational squares
+mixed = st.one_of(st.integers(-60, 60), small_rationals)
+mixed_radicands = st.one_of(st.integers(0, 60), radicands,
+                            small_rationals.map(lambda v: v * v))
+
+
+@st.composite
+def sqrt_sums(draw):
+    """(kind, constant, terms) with at most two radicals: a free constant,
+    a rational near -sum c sqrt(x), so that the squarings decide near
+    ties, or an exact tie, with radicals that cancel each other or square
+    radicands that cancel the constant."""
+    kind = draw(st.sampled_from(("free", "near", "tie")))
+    if kind != "tie":
+        terms = draw(st.lists(st.tuples(mixed, mixed_radicands), max_size=2))
+        if kind == "free":
+            return kind, draw(mixed), terms
+        near = sum(float(c) * math.sqrt(x) for c, x in terms)
+        digits = draw(st.integers(min_value=0, max_value=9))
+        return kind, -Fraction(near).limit_denominator(10 ** digits), terms
+    c, c2, x = draw(mixed), draw(mixed), draw(mixed_radicands)
+    positive = small_rationals.filter(lambda v: v > 0)
+    m, m2 = draw(positive), draw(positive)
+    shape = draw(st.sampled_from(("radicals", "square", "squares")))
+    if shape == "radicals":       # c sqrt(m^2 x) - c m sqrt(x)
+        constant, terms = 0, [(c, m * m * x), (-c * m, x)]
+    elif shape == "square":       # c m - c sqrt(m^2)
+        constant, terms = c * m, [(-c, m * m)]
+    else:     # -(c m + c2 m2) + c sqrt(m^2) + c2 sqrt(m2^2)
+        constant, terms = -(c * m + c2 * m2), [(c, m * m), (c2, m2 * m2)]
+    if draw(st.booleans()):
+        terms.reverse()
+    return kind, constant, terms
+
+
 def sympy_sign(constant, terms):
     """Sign of constant + sum c sqrt(x): sympy's equals(0) for ties, then
     a 60-digit evaluation."""
@@ -562,3 +650,53 @@ class TestSignWithSqrts:
         # the gap is ~1e-12 yet the sign is still resolved exactly
         assert sign_with_sqrts(Fraction(-665857, 470832),
                                [(Fraction(1), Fraction(2))]) == -1
+
+    def test_negative_radicand_rejected(self):
+        for terms in ([(1, -2)], [(0, Fraction(-1, 3))], [(1, 2), (1, -1)]):
+            with pytest.raises(NegativeRadicand):
+                sign_with_sqrts(1, terms)
+            with pytest.raises(NegativeRadicand):
+                reference_sign_with_sqrts(1, terms)
+
+    @given(sqrt_sums())
+    @example(("free", Fraction(-7, 3), []))
+    @example(("free", -4, [(0, 5), (3, 0)]))               # zero terms only
+    @example(("free", 2, [(Fraction(-1, 2), 16), (0, 3)]))  # 2 - sqrt(16)/2
+    @example(("tie", 0, [(1, 8), (-2, 2)]))
+    @example(("tie", Fraction(-5, 6),
+              [(1, Fraction(1, 4)), (1, Fraction(1, 9))]))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_kernel_matches_fraction_reference(self, case):
+        # the integer kernel and the Fraction code it replaced agree on
+        # ints and Fractions, zero coefficients and radicands, square
+        # radicands, negative constants, near ties and exact ties
+        kind, constant, terms = case
+        expected = reference_sign_with_sqrts(constant, terms)
+        assert sign_with_sqrts(constant, terms) == expected
+        if kind == "tie":
+            assert expected == 0
+
+    def test_pair_sign_matches_reference_at_threshold(self):
+        # every ordered pair of the omega = 16 cells around the threshold
+        # n = 1859, where one pair (y_1 against x_7) changes sign
+        signs = []
+        for n in range(1853, 1865):
+            pairs = roots_at(16, n)
+            for i in range(len(pairs)):
+                for j in range(len(pairs)):
+                    if i != j:
+                        sign = _pair_sign(pairs, i, j, n)
+                        assert sign == reference_pair_sign(pairs, i, j, n)
+                        signs.append(sign)
+        assert signs.count(-1) == 6 and signs.count(0) == 0
+
+    @given(st.integers(min_value=2, max_value=40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_sign_matches_reference(self, omega, data):
+        n = data.draw(st.integers(min_value=2 * omega + 6, max_value=5000))
+        pairs = roots_at(omega, n)
+        for i in range(len(pairs)):
+            for j in range(len(pairs)):
+                if i != j:
+                    assert _pair_sign(pairs, i, j, n) == reference_pair_sign(
+                        pairs, i, j, n), (omega, n, i, j)

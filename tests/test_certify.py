@@ -231,19 +231,24 @@ class TestSymbolicCertificate:
         # method and root count, byte for byte: the report pins only the
         # failure tuple.  All 180 proved inequalities fire the shifted-
         # coefficient test; the one Sturm witness is omega = 16's failing
-        # pair (1, 7), with one root on the ray
-        def proof_lines(omega):
-            cert = symbolic_certificate(omega)
+        # pair (1, 7), with one root on the ray.  A witness is for the
+        # polynomial actually proved, a positive multiple of the
+        # inequality, so of its value at n0 = 38 only the sign is pinned
+        certs = [symbolic_certificate(omega) for omega in range(3, 17)]
+        lines, witnesses = [], []
+        for cert in certs:
             for lb in cert.lower_bounds:
                 w = lb.witness
-                yield (f"{omega} lb {lb.k} {lb.a} {lb.b} {w.method}"
-                       f" {w.root_count}")
+                lines.append(f"{cert.omega} lb {lb.k} {lb.a} {lb.b}"
+                             f" {w.method} {w.root_count}")
+                witnesses.append(w)
             for pc in cert.pair_checks:
                 w = pc.witness
-                yield (f"{omega} pair {pc.i} {pc.j} {pc.lb_i_sqrt_a}"
-                       f" {pc.lb_j_sqrt_a} {w.method} {w.root_count}")
+                lines.append(f"{cert.omega} pair {pc.i} {pc.j}"
+                             f" {pc.lb_i_sqrt_a} {pc.lb_j_sqrt_a}"
+                             f" {w.method} {w.root_count}")
+                witnesses.append(w)
 
-        lines = [line for omega in range(3, 17) for line in proof_lines(omega)]
         assert len(lines) == 181
         assert [line for line in lines if "sturm" in line] == [
             "16 pair 1 7 88388347648318440550105545263/"
@@ -251,6 +256,34 @@ class TestSymbolicCertificate:
             "125000000000000000000000000000 sturm 1"]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "e835af9bdae53b7141f99412cb7420c12cb9b8ec0c7af70a06208d0c389b67a2")
+        assert [w.positive for w in witnesses] == [True] * 180 + [False]
+        sturm = witnesses[-1]
+        assert sturm.sample_point == 38 and sturm.sample_value > 0
+
+    def test_decided_without_fraction_arithmetic(self, monkeypatch):
+        # the all-n certificates and exact emptiness compute in integers:
+        # with every arithmetic and comparison operator of Fraction
+        # raising, omega = 3..16 and the cell (16, 1859) still reach their
+        # verdicts.  Constructing a Fraction (a record's a, b and sqrt(a)
+        # bound, a Sturm witness's n0 and value) stays allowed
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"Fraction.{name} called")
+            return refused
+
+        for op in ("add", "sub", "mul", "truediv", "floordiv", "mod",
+                   "divmod", "pow"):
+            for name in (f"__{op}__", f"__r{op}__"):
+                monkeypatch.setattr(F, name, refuse(name))
+        for name in ("__neg__", "__pos__", "__abs__", "__eq__", "__lt__",
+                     "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(F, name, refuse(name))
+        failures = [symbolic_certificate(omega).failure
+                    for omega in range(3, 17)]
+        status = certify_at(16, 1859).status
+        monkeypatch.undo()
+        assert failures == [None] * 13 + [("pair", 16, 1, 7)]
+        assert status == "empty"
 
     def test_unproved_denominator_sign_fails(self, monkeypatch):
         # Delta = n^2 - 1/(n-20) has the pole n = 20 on the ray n >= 12:
