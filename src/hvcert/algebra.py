@@ -143,12 +143,13 @@ class Polynomial:
     constants; a float is refused.
 
     Polynomial(coeffs) is sum(coeffs[i] x^i).  The one-variable
-    operations (coeffs, degree, leading, divmod, shift, derivative,
+    operations (coeffs, degree, leading, divmod, derivative,
     evaluation and str) read a polynomial in x alone, which is n
     downstream, and raise AlgebraError on a y or z term.  The zero
-    polynomial has degree -1.  Arithmetic, division, the Taylor shift,
-    evaluation and the Sturm chains below run on the integer numerators;
-    only the coeffs, leading and terms views, and a value, are Fractions.
+    polynomial has degree -1.  Arithmetic, division and evaluation run on
+    the integer numerators, as do the Taylor shift and Sturm chains
+    below; only the coeffs, leading and terms views, and a value, are
+    Fractions.
     """
 
     __slots__ = ("_num", "_den")
@@ -324,9 +325,6 @@ class Polynomial:
     def __floordiv__(self, other) -> Polynomial:
         return self.divmod(other)[0]
 
-    def __mod__(self, other) -> Polynomial:
-        return self.divmod(other)[1]
-
     def diff(self, axis: int) -> Polynomial:
         """The partial derivative along x, y or z (axis 0, 1 or 2)."""
         shift = (2 - axis) * _BITS
@@ -339,11 +337,6 @@ class Polynomial:
 
     def derivative(self) -> Polynomial:
         return self.diff(0)
-
-    def shift(self, a: RationalLike) -> Polynomial:
-        """Return p(x + a), shifted in integers by _shifted_numerators."""
-        cs, scale = _shifted_numerators(self.int_coeffs(), a)
-        return Polynomial.from_int_coeffs(cs, self._den * scale)
 
     def on_meridian(self) -> Polynomial:
         """The normal form on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
@@ -522,18 +515,6 @@ def _sturm_numerators(cs: list[int]) -> list[list[int]]:
         while b and not b[-1]:
             b.pop()
     return chain
-
-
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """Sturm sequence of p, every member primitive: integer coefficients
-    with no common factor, a positive multiple of the remainder over Q.
-
-    The chain is built in integers with pseudo-remainders, and a positive
-    scale keeps the sign pattern, so root counts are unaffected while
-    coefficients stay small.
-    """
-    return [Polynomial.from_int_coeffs(m)
-            for m in _sturm_numerators(p.int_coeffs())]
 
 
 def _sign_variations(values: Iterable[int]) -> int:

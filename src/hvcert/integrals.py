@@ -108,21 +108,17 @@ def i_closed(a: float, b: float) -> float:
     a = 170 every Gamma argument is below 170, where math.gamma is finite
     and accurate to about 1 ulp.  The lgamma form
     exp(lgamma(p) + lgamma(q) - lgamma(a)) would lose about |lgamma(a)| ulp
-    (5e-13 relative just past a = 170).  Beyond a = 170 the value is
-    mpmath's Beta at int(log10 a) + 30 digits, enough that p + q does not
-    round to q, rounded once to a float; below the smallest float it is
-    0.0.  mpmath is imported there only, so no command loads it.
+    (5e-13 relative just past a = 170), so a > 170 is refused
+    (ValueError); no command passes an a above 12.
     """
     if b <= -1:
         raise DivergentIntegral(f"b={b} <= -1 diverges at 0")
     if 2 * a - b <= 1:
         raise DivergentIntegral(f"2a-b={2 * a - b} <= 1 diverges at infinity")
+    if a > _GAMMA_MAX:
+        raise ValueError(f"a={a} > {_GAMMA_MAX}, past math.gamma's exact range")
     p = (b + 1) / 2
     q = a - p
-    if a > _GAMMA_MAX:
-        from mpmath import mp
-        with mp.workdps(int(math.log10(a)) + 30):
-            return float(mp.beta(p, q) / 2)
     return 0.5 * math.gamma(p) / math.gamma(a) * math.gamma(q)
 
 
@@ -148,14 +144,6 @@ def i_truncated(a: float, b: float, delta: float, epsilon: float) -> float:
     head = nodes[1] ** (b + 1) / (b + 1)
     return head + _quad(lambda t: t ** b / (1 + t * t) ** a, nodes[1:],
                         "I_a^b(eps)")
-
-
-def truncation_bound(a: float, b: float, delta: float, epsilon: float) -> float:
-    """Upper bound eps^(2a-b-1) / ((2a-b-1) delta^(2a-b-1)) on I_a^b - I_a^b(eps)."""
-    e = 2 * a - b - 1
-    if e <= 0:
-        raise DivergentIntegral("bound requires 2a - b > 1")
-    return epsilon ** e / (e * delta ** e)
 
 
 def recurrence_check(a: float, b: float) -> bool:
@@ -226,18 +214,6 @@ def best_constant(n: int, p: float) -> float:
     log_second = (math.lgamma(n + 1) - math.lgamma(n / p)
                   - math.lgamma(n + 1 - n / p) - _log_sphere_volume(n - 1))
     return first * math.exp(log_second / n)
-
-
-def best_constant_l1(n: int) -> float:
-    """K(n, 1) = (1/n) (n / omega_{n-1})^{1/n} (the p -> 1 limit case)."""
-    return math.exp((math.log(n) - _log_sphere_volume(n - 1)) / n) / n
-
-
-def hardy_constant(n: int, q: float) -> float:
-    """K(n, q, -q) = q/(n - q), the sharp constant of the Hardy inequality."""
-    if not 0 < q < n:
-        raise ValueError(f"need 0 < q < n, got q={q}")
-    return q / (n - q)
 
 
 def k2_inverse_square(n: int) -> float:

@@ -726,8 +726,8 @@ class TestOracleCommands:
         assert a.read_bytes() == b.read_bytes()
 
     def test_runs_without_sympy(self, tmp_path):
-        # sympy is a test-only reference and mpmath serves only i_closed
-        # past a = 170: every hvcert module imports, and integrals and
+        # sympy and mpmath are test-only references that no hvcert module
+        # imports: every hvcert module imports, and integrals and
         # sphere-check run, without loading either, and with dataclasses
         # blocked (a None entry in sys.modules fails every import of it)
         src = str(Path(hvcert.__file__).resolve().parents[1])

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy as sp
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hvcert import integrals
@@ -21,9 +21,7 @@ from hvcert.integrals import (
     QuadratureFailure,
     RadialProfile,
     best_constant,
-    best_constant_l1,
     beta_ratio,
-    hardy_constant,
     i_closed,
     i_quadrature,
     i_truncated,
@@ -34,7 +32,6 @@ from hvcert.integrals import (
     recurrence_check,
     rela_shorthand_report,
     sphere_volume,
-    truncation_bound,
 )
 from hvcert.cli import main
 
@@ -87,16 +84,6 @@ class TestBubbleIntegrals:
         with pytest.raises(DivergentIntegral):
             recurrence_check(3, 3)
 
-    def test_truncation_bound(self):
-        # |I_a^b - I_a^b(eps)| <= eps^{2a-b-1} / ((2a-b-1) delta^{2a-b-1})
-        for a, b in ((4, 2), (6, 5), (8, 3), (4, 2.5)):
-            for eps in (1e-1, 1e-2, 1e-3):
-                tail = i_closed(a, b) - i_truncated(a, b, 1.0, eps)
-                bound = truncation_bound(a, b, 1.0, eps)
-                # the subtraction floor is ~1e-16 of the full integral
-                floor = 1e-15 * i_closed(a, b)
-                assert -floor <= tail <= bound * (1 + 1e-9) + floor
-
     def test_truncated_approaches_full(self):
         full = i_closed(5, 4)
         gaps = [full - i_truncated(5, 4, 1.0, eps)
@@ -123,11 +110,11 @@ class TestBubbleIntegrals:
 # Multiples of 1/64: p = (b+1)/2 and q = a - p are then exact floats, so
 # the comparison measures the Gamma evaluation rather than the rounding of
 # a - (b+1)/2, which alone costs about q psi(q) ulp (1e-13 near q = 170).
-# a <= 170 takes math.gamma directly, 170 < a <= 2700 mpmath's Beta.
+# a <= 170, where i_closed takes math.gamma directly; past it i_closed
+# refuses (test_mpmath_beta_past_multiplication).
 @st.composite
 def convergent_pair(draw):
-    num_a = draw(st.one_of(st.integers(33, 170 * 64),
-                           st.integers(170 * 64 + 1, 2700 * 64)))
+    num_a = draw(st.integers(33, 170 * 64))
     num_b = draw(st.integers(-63, 2 * num_a - 65))   # b > -1, 2a - b > 1
     return num_a / 64, num_b / 64
 
@@ -135,35 +122,29 @@ def convergent_pair(draw):
 class TestClosedFormAccuracy:
     @given(convergent_pair())
     @example((170.0, 0.0))
-    @example((170.015625, 3.0))
-    @example((171.0, 1.0))
-    @example((341.5, 0.5))
-    @example((1859.0, 3.0))
-    @example((1000.0, 1000.0))
     def test_matches_mpmath_beta(self, pair):
         a, b = pair
         with mpmath.workdps(40):
             p = (mpmath.mpf(b) + 1) / 2
             reference = mpmath.beta(p, a - p) / 2
-        assume(reference >= sys.float_info.min)   # a normal float
         got = i_closed(a, b)
         assert abs(got - reference) <= 1e-13 * reference, (a, b)
 
     @pytest.mark.parametrize("a, b", [(2706.0, 3.0), (5000.0, 9998.5),
                                       (20000.0, 21.0), (1e5, 7.0),
-                                      (1e300, 3.0)])
-    def test_mpmath_beta_past_multiplication(self, a, b):
-        # past a = 170 the value is mpmath's Beta; at a = 1e300 it is about
-        # 5e-601 and underflows to 0.0.  The reference needs more than
-        # log10(a) digits, or p + q rounds to q and Beta(p, q) to Gamma(p).
-        with mpmath.workdps(340):
-            p = (mpmath.mpf(b) + 1) / 2
-            reference = mpmath.beta(p, a - p) / 2
-        got = i_closed(a, b)
-        if reference < sys.float_info.min:
-            assert got == float(reference) == 0.0
-        else:
-            assert abs(got - reference) <= 1e-13 * reference
+                                      (1e300, 3.0), (170.015625, 3.0),
+                                      (171.0, 1.0), (341.5, 0.5),
+                                      (1859.0, 3.0), (1000.0, 1000.0)])
+    def test_mpmath_beta_past_multiplication(self, monkeypatch, a, b):
+        # past a = 170 a Gamma argument can leave the range where
+        # math.gamma is finite and exact, so i_closed refuses with a
+        # ValueError that names the bound rather than compute a value;
+        # the refusal needs no mpmath (a None entry in sys.modules fails
+        # every import of it)
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        with pytest.raises(ValueError, match="170") as refusal:
+            i_closed(a, b)
+        assert not isinstance(refusal.value, DivergentIntegral)
 
 
 class TestConstants:
@@ -171,16 +152,6 @@ class TestConstants:
         assert abs(sphere_volume(1) - 2 * math.pi) < 1e-14
         assert abs(sphere_volume(2) - 4 * math.pi) < 1e-13
         assert abs(sphere_volume(3) - 2 * math.pi ** 2) < 1e-13
-
-    def test_best_constant_l1_limit(self):
-        # K(n, p) -> K(n, 1) as p -> 1
-        for n in (3, 5, 8):
-            assert abs(best_constant(n, 1.0001) - best_constant_l1(n)) < 1e-3
-
-    def test_hardy(self):
-        assert hardy_constant(5, 2) == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            hardy_constant(3, 3)
 
     def test_k2_inverse_square_matches_best_constant(self):
         # K(n,2)^{-2} from the closed form equals 1/K(n,2)^2
@@ -207,10 +178,8 @@ class TestLargeDimension:
                          / (mpmath.gamma(mpmath.mpf(n) / 2)
                             * mpmath.gamma(mpmath.mpf(n) / 2 + 1)
                             * omega(n - 1))) ** (mpmath.mpf(1) / n))
-            want_l1 = (n / omega(n - 1)) ** (mpmath.mpf(1) / n) / n
         for got, want in ((k2_inverse_square(n), want_k2),
-                          (best_constant(n, 2), want_k),
-                          (best_constant_l1(n), want_l1)):
+                          (best_constant(n, 2), want_k)):
             assert math.isfinite(got)
             assert abs(got - want) <= 1e-12 * want, n
         if want_volume >= sys.float_info.min:

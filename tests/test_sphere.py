@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from hvcert.algebra import AlgebraError, Polynomial
+from hvcert.algebra import AlgebraError, Polynomial, nonnegative_on_ray
 from hvcert.cli import main
 from hvcert.spectral import p2_value, spectral_family
 from hvcert.sphere import (
@@ -155,7 +155,7 @@ class TestXYZPoly:
         assert repr(p).startswith("Polynomial(")
         views = (lambda: p.coeffs, lambda: p.degree, lambda: p.leading,
                  lambda: divmod(p, X + 1), lambda: divmod(X, p),
-                 lambda: p // 2, lambda: p % (X - 3), lambda: p.shift(2),
+                 lambda: p // 2, lambda: nonnegative_on_ray(p, 2),
                  lambda: p(Fraction(1, 3)), lambda: str(p))
         if any(m[1] or m[2] for m in P.monoms()):
             for view in views:
