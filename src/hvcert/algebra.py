@@ -135,6 +135,17 @@ def _shifted_numerators(cs: list[int], a: RationalLike
     return [c * s ** i for i, c in enumerate(cs)], s ** max(d, 0)
 
 
+def _multiply_into(num: dict, a: dict, b: dict, s: int) -> None:
+    """Add s times the product of the numerator dicts a and b into num,
+    the one multiply-accumulate loop of * and dot."""
+    get = num.get
+    for ka, ca in a.items():
+        ca *= s
+        for kb, cb in b.items():
+            k = ka + kb
+            num[k] = get(k, 0) + ca * cb
+
+
 class Polynomial:
     """Polynomial in x, y, z with rational coefficients: integer
     numerators keyed by packed exponents over one positive denominator,
@@ -282,11 +293,7 @@ class Polynomial:
         if _degree(self._num) + _degree(other._num) > _MASK:
             raise OverflowError(f"degree above {_MASK}")
         num: dict = {}
-        get = num.get
-        for ka, ca in self._num.items():
-            for kb, cb in other._num.items():
-                k = ka + kb
-                num[k] = get(k, 0) + ca * cb
+        _multiply_into(num, self._num, other._num, 1)
         return _reduced(num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -389,6 +396,37 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts) or "0"
+
+
+def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """sum(p * q for p, q in pairs), zero for no pairs, with no partial
+    product or partial sum built: every product accumulates into one dict
+    of integer numerators over the lcm of the pairs' denominators, which
+    is reduced once.  A pair whose operands are the same object is a
+    square, and each of its cross terms is computed once and doubled.
+    Like *, it raises OverflowError for a product of degree above 65535
+    before forming any key."""
+    pairs = list(pairs)
+    den = math.lcm(*(p._den * q._den for p, q in pairs))
+    num: dict = {}
+    get = num.get
+    for p, q in pairs:
+        a, b = p._num, q._num
+        if _degree(a) + _degree(b) > _MASK:
+            raise OverflowError(f"degree above {_MASK}")
+        s = den // (p._den * q._den)
+        if a is b:
+            items = list(a.items())
+            for i, (ka, ca) in enumerate(items):
+                k = ka + ka
+                num[k] = get(k, 0) + ca * ca * s
+                ca *= 2 * s
+                for kb, cb in items[i + 1:]:
+                    k = ka + kb
+                    num[k] = get(k, 0) + ca * cb
+        else:
+            _multiply_into(num, a, b, s)
+    return _reduced(num, den)
 
 
 SimplePoles = tuple[tuple[Fraction, Fraction], ...]

@@ -29,7 +29,16 @@ which is I - x x^T on S^2 and kills x identically:
 
 So every mean is an exact Fraction.  A residual is the sphere mean of the
 square of an identity's defect, which is 0 exactly when the identity holds
-on S^2.
+on S^2.  Every sum of products (a slot projection sum_a P_ia T_..a.., a
+sum of squares, a contraction) is one algebra.dot call, which builds no
+partial product or partial sum.
+
+Two identities need no check of their own.  s^{ij} b_ij =
+2 (s^{ij} nabla_ij phi + nu phi) / (nu - 2), so the trace residual is
+4 / (nu - 2)^2 times the mean square of the defect of the eigenrelation.
+The double divergence nabla^{ij} b_ij is the divergence of the
+divergence identity's -nabla_j phi, which is -s^{ij} nabla_ij phi =
+nu phi.
 
 The annulus check is not one of them: it is specific to 2-sphere slices.
 There Gauss-Bonnet makes the total intrinsic curvature of a slice
@@ -55,7 +64,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import Polynomial
+from .algebra import Polynomial, dot
 from .integrals import gauss_legendre
 from .spectral import closed_forms
 
@@ -80,17 +89,24 @@ class NonzeroMean(ValueError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _monomial_mean(exponents: tuple[int, int, int]) -> Fraction:
-    if any(e % 2 for e in exponents):
-        return Fraction(0)
-    odd = math.prod(math.prod(range(e - 1, 0, -2)) for e in exponents)
-    return Fraction(odd, math.prod(range(3, sum(exponents) + 2, 2)))
+def _double_factorial(k: int) -> int:
+    """k!! = k (k - 2) (k - 4) ..., and 1 for k <= 0."""
+    return math.prod(range(k, 0, -2))
 
 
 def sphere_mean(p: Polynomial) -> Fraction:
-    """Mean of the polynomial p over the unit sphere S^2."""
-    return sum((c * _monomial_mean(e) for e, c in p.numerators()),
-               Fraction(0)) / p.denominator
+    """Mean of the polynomial p over the unit sphere S^2: the numerators
+    times (a-1)!! (b-1)!! (c-1)!! are summed in integers per total degree
+    d, and each sum is divided by (d+1)!! in one Fraction."""
+    sums: dict = {}
+    for (a, b, c), coeff in p.numerators():
+        if not (a % 2 or b % 2 or c % 2):
+            d = a + b + c
+            sums[d] = sums.get(d, 0) + coeff * (
+                _double_factorial(a - 1) * _double_factorial(b - 1)
+                * _double_factorial(c - 1))
+    return sum((Fraction(t, _double_factorial(d + 1))
+                for d, t in sums.items()), Fraction(0)) / p.denominator
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +168,8 @@ class HarmonicSpec(NamedTuple("HarmonicSpec", [("l", int), ("m", int)])):
 def _tangential(T: Mapping) -> dict:
     """T with every slot projected by P."""
     for s in range(len(next(iter(T)))):
-        T = {I: sum((_P[I[s], a] * T[I[:s] + (a,) + I[s + 1:]]
-                     for a in range(3)), _ZERO) for I in T}
+        T = {I: dot((_P[I[s], a], T[I[:s] + (a,) + I[s + 1:]])
+                    for a in range(3)) for I in T}
     return T
 
 
@@ -173,7 +189,7 @@ def _trace(T: Mapping, rest: tuple = ()):
 
 def _mean_square(*components) -> Fraction:
     """Sphere mean of the sum of the squares of the components."""
-    return sphere_mean(sum((c ** 2 for c in components), _ZERO))
+    return sphere_mean(dot((c, c) for c in components))
 
 
 def sphere_hessian(spec: HarmonicSpec) -> dict:
@@ -204,21 +220,9 @@ def b_derivative(spec: HarmonicSpec) -> MappingProxyType:
     return MappingProxyType(covariant_derivative(b_tensor(spec)))
 
 
-def _b_divergence(spec: HarmonicSpec) -> dict:
-    """nabla^i b_ij as the tangential covector {(j,): polynomial}."""
-    T = b_derivative(spec)
-    return {(j,): _trace(T, (j,)) for j in range(3)}
-
-
 # ---------------------------------------------------------------------------
 # Identity checks: residuals are sphere means of squared defects
 # ---------------------------------------------------------------------------
-
-def laplacian_check(spec: HarmonicSpec) -> Fraction:
-    """Mean of (s^{ij} nabla_ij phi + nu phi)^2 (sign convention
-    Delta = -div grad makes the trace of the Hessian equal -nu phi)."""
-    return _mean_square(_trace(sphere_hessian(spec)) + spec.nu * spec.poly)
-
 
 def b_trace_residual(spec: HarmonicSpec) -> Fraction:
     """Mean of (s^{ij} b_ij)^2."""
@@ -228,15 +232,8 @@ def b_trace_residual(spec: HarmonicSpec) -> Fraction:
 def b_divergence_residual(spec: HarmonicSpec) -> Fraction:
     """Mean of |nabla^i b_ij + nabla_j phi|^2."""
     grad = covariant_derivative({(): spec.poly})
-    div = _b_divergence(spec)
-    return _mean_square(*(div[j] + grad[j] for j in div))
-
-
-def b_double_divergence_residual(spec: HarmonicSpec) -> Fraction:
-    """Mean of (nabla^{ij} b_ij - nu phi)^2: the double divergence
-    reproduces the leading curvature part coefficient nu phi."""
-    dd = _trace(covariant_derivative(_b_divergence(spec)))
-    return _mean_square(dd - spec.nu * spec.poly)
+    T = b_derivative(spec)
+    return _mean_square(*(_trace(T, (j,)) + grad[j,] for j in range(3)))
 
 
 def qbc_closed_forms(nu, n) -> tuple:
@@ -264,12 +261,12 @@ def qbc_quadrature(spec: HarmonicSpec) -> tuple[Fraction, Fraction, Fraction]:
     B = mean int nabla^i b^jk nabla_j b_ik
     C = mean int nabla^k b^ij nabla_k b_ij
     """
-    b, T = b_tensor(spec), b_derivative(spec)
-    norm = sphere_mean(spec.poly ** 2)
-    sums = (sum((b[I] ** 2 for I in b), _ZERO),
-            sum((T[k, i, j] * T[i, k, j] for k, i, j in T), _ZERO),
-            sum((T[I] ** 2 for I in T), _ZERO))
-    return tuple(sphere_mean(s) / norm for s in sums)
+    T = b_derivative(spec)
+    means = (_mean_square(*b_tensor(spec).values()),
+             sphere_mean(dot((T[k, i, j], T[i, k, j]) for k, i, j in T)),
+             _mean_square(*T.values()))
+    norm = _mean_square(spec.poly)
+    return tuple(m / norm for m in means)
 
 
 def u_coefficient_from_qbc(nu, n, omega: int):
@@ -297,7 +294,7 @@ def i_s_functional(f, rbar, omega: int) -> Fraction:
         raise NonzeroMean(f"mean of f is {mean}")
     c_h1, c_l2, c_rbar = i_s_coefficients(3, omega)
     grad = covariant_derivative({(): f})
-    return sphere_mean(c_h1 * sum((g ** 2 for g in grad.values()), _ZERO)
+    return sphere_mean(c_h1 * dot((g, g) for g in grad.values())
                        + c_l2 * f ** 2 + c_rbar * f * rbar)
 
 
@@ -336,7 +333,7 @@ def zonal_b(l: int) -> tuple:
     are even in x, so reducing by x^2 + z^2 - 1 leaves polynomials in z.
     """
     b = b_tensor(HarmonicSpec(l, 0))
-    tt = Z ** 2 * b[0, 0] - 2 * X * Z * b[0, 2] + X ** 2 * b[2, 2]
+    tt = dot(((Z ** 2, b[0, 0]), (-2 * X * Z, b[0, 2]), (X ** 2, b[2, 2])))
     return tuple(p.on_meridian() for p in (tt, b[1, 1]))
 
 

@@ -19,6 +19,7 @@ from hvcert.algebra import (
     Polynomial,
     best_rational,
     count_roots_on_ray,
+    dot,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -77,9 +78,9 @@ class TestPolynomial:
         assert r.degree < d.degree
 
     def test_kernel_builds_no_fraction(self, monkeypatch):
-        # division, the Sturm chain and the shifted-coefficient ray test
-        # run on integer numerators: on polynomials built beforehand, and
-        # an int or a Fraction n0, none of them constructs a Fraction
+        # division, dot, the Sturm chain and the shifted-coefficient ray
+        # test run on integer numerators: on polynomials built beforehand,
+        # and an int or a Fraction n0, none of them constructs a Fraction
         n = Polynomial.x()
         p = (Fraction(3, 7) * n ** 2 - 5) * (n - Fraction(9, 2)) * (n + 11)
         d = Fraction(-4, 3) * n ** 2 + n - Fraction(1, 5)
@@ -97,6 +98,7 @@ class TestPolynomial:
         built = {}
         for name, call in [
                 ("divmod", lambda: p.divmod(d)),
+                ("dot", lambda: dot([(p, d), (d, d), (positive, p)])),
                 ("_sturm_numerators", lambda: _sturm_numerators(cs)),
                 ("nonnegative_on_ray int", lambda: nonnegative_on_ray(
                     positive, 38)),
