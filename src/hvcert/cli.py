@@ -17,8 +17,9 @@ in the same order, with the exact strings of x and y joined by ';'; it
 is an output format only, and nothing reads it back.
 
 The command line is read from one option table, _COMMAND_TABLE, which
-also writes --help.  parse_args accepts what the argparse parser it
-replaced accepted: --opt value and --opt=value, a long option shortened
+also writes --help, by one reader, _read, both before the command and
+after it.  parse_args accepts what the argparse parser it replaced
+accepted: --opt value and --opt=value, a long option shortened
 to a unique prefix, the last of a repeated option; everything else is a
 UsageError.  No argparse is imported, as building its parser took more
 of a short command's time than the command's own work.
@@ -68,13 +69,15 @@ class RunConfig(NamedTuple):
     output: Optional[str] = None
     jobs: int = 1
     seed: int = 0
+    input: Optional[str] = None
 
     def echo(self) -> dict:
         """The fields in order (_asdict()) without those that cannot
-        change a verdict (the parallelism degree and the output path), so
-        that a report is byte-identical whatever their values."""
+        change a verdict (the parallelism degree and the output and input
+        paths), so that a report is byte-identical whatever their
+        values."""
         d = self._asdict()
-        del d["jobs"], d["output"]
+        del d["jobs"], d["output"], d["input"]
         return d
 
 
@@ -289,8 +292,6 @@ def cmd_certify(config: RunConfig) -> tuple[dict, int]:
                    "valid_from": "n >= 2*omega + 6"}
         payload = report_payload(config, entries, summary)
         return payload, 0 if not failures else 1
-    if config.n is None:
-        raise UsageError("numeric certify requires --n")
     entries, summary = _scan_cells(config)
     summary["mode"] = "numeric"
     bad = summary["empty_cells"] or summary["undecided_cells"]
@@ -429,10 +430,13 @@ def cmd_sphere_check(config: RunConfig) -> tuple[dict, int]:
 
 
 def _is_payload(value) -> bool:
-    """A {decimal, exact} pair of strings whose exact parses as a
-    Fraction."""
+    """A {decimal, exact} pair of strings whose exact is num/den in
+    integers, as rational_payload writes it, and parses as a Fraction.
+    Fraction alone would also read exponents: '1e999999999' builds an
+    integer of a billion digits."""
     if not (isinstance(value, dict) and value.keys() == {"decimal", "exact"}
-            and all(isinstance(v, str) for v in value.values())):
+            and all(isinstance(v, str) for v in value.values())
+            and re.fullmatch(r"-?[0-9]+/[0-9]+", value["exact"])):
         return False
     try:
         Fraction(value["exact"])
@@ -487,15 +491,15 @@ def _is_report(payload) -> bool:
         and all(map(_is_coeff_row, summary["coefficients"])))
 
 
-def cmd_report(config: RunConfig, input_path: str) -> tuple[dict, int]:
+def cmd_report(config: RunConfig) -> tuple[dict, int]:
     try:
-        with open(input_path, encoding="utf-8") as fh:
+        with open(config.input, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers both JSONDecodeError and UnicodeDecodeError
-        raise UsageError(f"cannot read report {input_path}: {exc}") from exc
+        raise UsageError(f"cannot read report {config.input}: {exc}") from exc
     if not _is_report(payload):
-        raise UsageError(f"{input_path} is not an hvcert report: it needs "
+        raise UsageError(f"{config.input} is not an hvcert report: it needs "
                          f"a tool_version string, a summary object and a "
                          f"list of entries with the fields "
                          f"{', '.join(_CSV_COLUMNS)}, each of the type "
@@ -517,7 +521,7 @@ _COMMON = {"--format": ("json", "csv", "markdown"), "--output": str,
 
 # command -> (help, required options, options); an option's kind is str,
 # int, a tuple of its choices, or bool for a flag.  An option --x is read
-# into the RunConfig field x (--input into cmd_report's path)
+# into the RunConfig field x
 _COMMAND_TABLE = {
     "certify": ("certify cells or whole rays", ("--omega",),
                 {"--omega": str, "--n": str, "--symbolic": bool, **_COMMON}),
@@ -617,24 +621,34 @@ def _exit_printing(text: str) -> None:
     raise SystemExit(0)
 
 
-def _read_command(command: str, tokens: Sequence[str]) -> tuple[dict, list]:
-    """The options of one command read from tokens, left to right, and
-    the tokens that are none of them."""
-    _, required, kinds = _COMMAND_TABLE[command]
-    names = ("-h", "--help", *kinds)
-    # argparse reads every token after the first '--' as a value, and
-    # '--' itself as neither an option nor a value
+def _read(command: Optional[str],
+          tokens: Sequence[str]) -> tuple[dict, list, Sequence[str]]:
+    """The options of hvcert (command None) or of one command read from
+    tokens, left to right; the option-like tokens that are none of them;
+    and the tokens left from where reading stopped.  hvcert's options
+    stop at the first value, the command; a command's options stop at
+    '--', which argparse reads as neither an option nor a value, with
+    every token after it a value.  -h/--help and --version print to
+    stdout and raise SystemExit(0), once every token before the stop has
+    been classified."""
+    if command is None:
+        required, kinds, names = (), {}, ("-h", "--help", "--version")
+    else:
+        _, required, kinds = _COMMAND_TABLE[command]
+        names = ("-h", "--help", *kinds)
     marks = []
     for token in tokens:
         if token == "--":
             break
-        marks.append(_classify(token, names))
-    args = {"command": command}
+        mark = _classify(token, names)
+        if mark is None and command is None:
+            break
+        marks.append(mark)
+    args = {}
     strays = []
     i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        mark = marks[i] if i < len(marks) else None
+    while i < len(marks):
+        token, mark = tokens[i], marks[i]
         i += 1
         if mark is None or mark[0] is None:
             strays.append(token)
@@ -644,7 +658,8 @@ def _read_command(command: str, tokens: Sequence[str]) -> tuple[dict, list]:
         if kind is None or kind is bool:
             _check_flag(name, value)
             if kind is None:
-                _exit_printing(_help_text(command))
+                _exit_printing(f"{__version__}\n" if name == "--version"
+                               else _help_text(command))
             args[name[2:]] = True
             continue
         if value is None:
@@ -666,7 +681,7 @@ def _read_command(command: str, tokens: Sequence[str]) -> tuple[dict, list]:
     if missing:
         raise UsageError(f"the following arguments are required: "
                          f"{', '.join(missing)}")
-    return args, strays
+    return args, strays, tokens[len(marks):]
 
 
 def parse_args(argv: Sequence[str]) -> dict:
@@ -676,52 +691,35 @@ def parse_args(argv: Sequence[str]) -> dict:
     a field for each option given; -h/--help and --version print to
     stdout and raise SystemExit(0); anything else not in the table is a
     UsageError."""
-    # the options before the command, all read before any is acted on;
-    # argparse also reads the later tokens against them, but only a '--='
-    # token could fail there, and _read_command refuses it too
-    marks = []
-    for token in argv:
-        mark = None if token == "--" else _classify(
-            token, ("-h", "--help", "--version"))
-        if mark is None:
-            break
-        marks.append(mark)
-    strays = []
-    for token, (name, explicit) in zip(argv, marks):
-        if name is None:
-            strays.append(token)
-        else:
-            _check_flag(name, explicit)
-            _exit_printing(f"{__version__}\n" if name == "--version"
-                           else _help_text(None))
-    i = len(marks)
-    if i == len(argv):
+    _, strays, rest = _read(None, argv)
+    if not rest:
         raise UsageError("the following arguments are required: command")
-    if argv[i] not in _COMMAND_TABLE:
-        raise UsageError(f"argument command: invalid choice: {argv[i]!r} "
+    command = rest[0]
+    if command not in _COMMAND_TABLE:
+        raise UsageError(f"argument command: invalid choice: {command!r} "
                          f"(choose from {', '.join(_COMMAND_TABLE)})")
-    args, command_strays = _read_command(argv[i], argv[i + 1:])
-    strays += command_strays
+    args, command_strays, rest = _read(command, rest[1:])
+    strays += command_strays + list(rest)
     if strays:
         raise UsageError(f"unrecognized arguments: {' '.join(strays)}")
-    return args
+    return {"command": command, **args}
 
 
 def config_from_args(args: dict) -> RunConfig:
     """The RunConfig of what parse_args read, each option not given at
     its RunConfig default; omega and n arrive as text and are parsed
     here."""
-    config = RunConfig(**{key: value for key, value in args.items()
-                          if key != "input"})
+    config = RunConfig(**args)
     if config.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {config.jobs}")
     omega = None if config.omega is None else parse_range(config.omega)
     n = None if config.n is None else parse_range(config.n)
     if config.symbolic and n:
         raise UsageError("--symbolic covers every n and reads no --n")
-    if config.jobs > 1 and not (config.command == "scan" or
-                                (config.command == "certify"
-                                 and not config.symbolic)):
+    if config.command == "certify" and not (config.symbolic or n):
+        raise UsageError("numeric certify requires --n")
+    # only a run over an --n range evaluates cells
+    if config.jobs > 1 and not n:
         name = "certify --symbolic" if config.symbolic else config.command
         raise UsageError(f"{name} evaluates no cells and reads no --jobs "
                          f"above 1, got {config.jobs}")
@@ -729,17 +727,15 @@ def config_from_args(args: dict) -> RunConfig:
 
 
 _COMMANDS = {"certify": cmd_certify, "scan": cmd_scan, "coeffs": cmd_coeffs,
-             "integrals": cmd_integrals, "sphere-check": cmd_sphere_check}
+             "integrals": cmd_integrals, "sphere-check": cmd_sphere_check,
+             "report": cmd_report}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        config = config_from_args(args)
-        if config.command == "report":
-            payload, status = cmd_report(config, args["input"])
-        else:
-            payload, status = _COMMANDS[config.command](config)
+        config = config_from_args(parse_args(
+            sys.argv[1:] if argv is None else argv))
+        payload, status = _COMMANDS[config.command](config)
         emit_status = emit_report(payload, config.format, config.output)
     except (UsageError, HypothesisViolated, SpectralRangeError) as exc:
         print(f"hvcert: {exc}", file=sys.stderr)

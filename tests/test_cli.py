@@ -151,12 +151,17 @@ class TestExitCodes:
         ["certify", "--omega", "3", "--symbolic", "--jobs", "5"],
         ["sphere-check", "--jobs", "3"],
         ["integrals", "--jobs", "2"],
+        ["certify", "--omega", "3"],
+        ["certify", "--omega", "3", "--jobs", "2"],
+        ["report", "--input", "r.json", "--jobs", "2"],
     ], ids=["omega-1", "symbolic-omega-2", "jobs-0", "coeffs-omega-1",
             "unknown-option", "missing-required-option", "coeffs-csv",
             "symbolic-with-n", "symbolic-with-mu-branch", "empty-omega",
             "scan-with-mu-branch", "certify-with-mu-branch",
             "certify-below-ray", "scan-below-ray", "coeffs-jobs-7",
-            "symbolic-jobs-5", "sphere-check-jobs-3", "integrals-jobs-2"])
+            "symbolic-jobs-5", "sphere-check-jobs-3", "integrals-jobs-2",
+            "numeric-without-n", "numeric-without-n-jobs-2",
+            "report-jobs-2"])
     def test_out_of_range_input_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -684,12 +689,23 @@ class TestFormats:
          "markdown"),
         ('{"tool_version": "0", "entries": [], "summary": {"omega": true, '
          '"coefficients": []}}', "markdown"),
+        # exact is num/den in integers: Fraction would also read exponents
+        # and decimals, and 1e999999999 as an integer of 10^9 digits
+        ('{"tool_version": "0", "entries": [{"omega": 3, "n": 20, '
+         '"nonempty": true, "x": [], "y": [], "chosen_c": {"decimal": '
+         '"1e400", "exact": "1e400"}, "status": "certified"}], '
+         '"summary": {"mode": "scan"}}', "csv"),
+        ('{"tool_version": "0", "entries": [], "summary": {"omega": 5, '
+         '"coefficients": [{"k": 1, "nu": "n", "d": "n", "u_over_nu": "n", '
+         '"delta_polynomial_part": "n", "delta_simple_poles": [{'
+         '"root": {"decimal": "0.5", "exact": "0.5"}, '
+         '"residue": {"decimal": "1", "exact": "1/1"}}]}]}}', "markdown"),
     ], ids=["empty-json", "empty-markdown", "empty-csv", "list",
             "entries-not-list", "no-tool-version", "summary-not-object",
             "entry-not-object", "entry-missing-fields", "x-not-list",
             "coefficients-not-list", "exact-not-a-number",
             "x-exact-not-a-number", "omega-and-n-bool", "n-bool", "k-bool",
-            "coefficients-omega-bool"])
+            "coefficients-omega-bool", "exact-exponent", "exact-decimal"])
     def test_report_input_of_wrong_shape_is_usage_error(
             self, tmp_path, capsys, text, fmt):
         src = tmp_path / "bad.json"
