@@ -8,10 +8,11 @@ the sphere oracle they are polynomials in x alone, which is n.  A
 rational function is a pair (num, den) of them.  Also here:
 partial-fraction decompositions of such a pair whose den has distinct
 rational roots, integer square-root enclosures, exact signs of sums of
-square roots decided in integers, and root counts and strict positivity
-on a ray ``[n0, +oo)``, both read off the integer numerators of the
-Taylor shift p(n0 + t) with at most one Sturm chain of primitive
-pseudo-remainders.
+square roots decided in integers, and strict positivity on a ray
+``[n0, +oo)``, read off the integer numerators of the Taylor shift
+p(n0 + t) and, when their signs do not settle it, a root count on that
+ray with one Sturm chain of primitive pseudo-remainders, which is
+internal to the positivity test.
 
 No floating point is used anywhere in this module.
 """
@@ -154,13 +155,12 @@ class Polynomial:
     constants; a float is refused.
 
     Polynomial(coeffs) is sum(coeffs[i] x^i).  The one-variable
-    operations (coeffs, degree, leading, divmod, derivative,
-    evaluation and str) read a polynomial in x alone, which is n
-    downstream, and raise AlgebraError on a y or z term.  The zero
-    polynomial has degree -1.  Arithmetic, division and evaluation run on
-    the integer numerators, as do the Taylor shift and Sturm chains
-    below; only the coeffs, leading and terms views, and a value, are
-    Fractions.
+    operations (coeffs, degree, leading, divmod, evaluation and str)
+    read a polynomial in x alone, which is n downstream, and raise
+    AlgebraError on a y or z term.  The zero polynomial has degree -1.
+    Arithmetic, division and evaluation run on the integer numerators, as
+    do the Taylor shift and Sturm chains below; only the coeffs, leading
+    and terms views, and a value, are Fractions.
     """
 
     __slots__ = ("_num", "_den")
@@ -231,9 +231,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.int_coeffs()) - 1
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     @property
     def leading(self) -> Fraction:
@@ -342,25 +339,6 @@ class Polynomial:
                 num[k - _UNITS[axis]] = c * e
         return _reduced(num, self._den)
 
-    def derivative(self) -> Polynomial:
-        return self.diff(0)
-
-    def on_meridian(self) -> Polynomial:
-        """The normal form on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
-        x^2 -> 1 - z^2, leaving at most the first power of x.  In lex order
-        this is sympy's p.subs(y, 0).rem(x^2 + z^2 - 1)."""
-        num: dict = {}
-        for k, c in self._num.items():
-            a, b, e = _exponents(k)
-            if b:
-                continue
-            # x^a z^e = x^(a mod 2) (1 - z^2)^(a // 2) z^e
-            j = a // 2
-            for i in range(j + 1):
-                key = _key(a % 2, 0, e + 2 * i)
-                num[key] = num.get(key, 0) + (-1) ** i * math.comb(j, i) * c
-        return _reduced(num, self._den)
-
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x: RationalLike) -> Fraction:
@@ -449,7 +427,7 @@ def partial_fractions(num: Polynomial, den: Polynomial,
             or any(den(r) for r in roots)):
         raise InvalidFactorization(
             f"the roots are not {den.degree} distinct roots of {den}")
-    slope = den.derivative()
+    slope = den.diff(0)
     return num // den, tuple((r, num(r) / slope(r)) for r in roots)
 
 
@@ -578,14 +556,6 @@ def _count_roots_from_zero(cs: list[int]) -> int:
     return at_zero - at_inf + (low > 0)
 
 
-def count_roots_on_ray(p: Polynomial, n0: RationalLike) -> int:
-    """Number of distinct real roots of p in [n0, +oo), counted as the
-    roots of p(n0 + t) in t >= 0 with one Sturm chain."""
-    if p.is_zero():
-        raise AlgebraError("root count of the zero polynomial")
-    return _count_roots_from_zero(_shifted_numerators(p.int_coeffs(), n0)[0])
-
-
 def nonnegative_on_ray(p: Polynomial,
                        n0: RationalLike) -> tuple[bool, RayPositivityWitness]:
     """Decide whether p(n) > 0 for every real n >= n0 (strict positivity;
@@ -598,7 +568,7 @@ def nonnegative_on_ray(p: Polynomial,
     q in t >= 0 with one Sturm chain, and only its witness holds
     Fractions: n0 and p(n0).
     """
-    if p.is_zero():
+    if not p:
         raise AlgebraError("positivity query on the zero polynomial")
     cs, scale = _shifted_numerators(p.int_coeffs(), n0)
     if cs[0] > 0 and all(c >= 0 for c in cs):

@@ -203,6 +203,12 @@ def emit_report(payload: dict, fmt: str, path: Optional[str]) -> int:
         text = _coeffs_markdown(payload)
     else:
         text = emit_markdown(payload)
+    return _write(text, path)
+
+
+def _write(text: str, path: Optional[str]) -> int:
+    """Write text to the file path, or to stdout when path is None: 0,
+    or 2 with one line on stderr when it cannot be written."""
     try:
         if path is None:
             sys.stdout.write(text)
@@ -616,11 +622,6 @@ def _help_text(command: Optional[str]) -> str:
     return "\n".join([f"usage: {usage}", "", *lines, ""])
 
 
-def _exit_printing(text: str) -> None:
-    sys.stdout.write(text)
-    raise SystemExit(0)
-
-
 def _read(command: Optional[str],
           tokens: Sequence[str]) -> tuple[dict, list, Sequence[str]]:
     """The options of hvcert (command None) or of one command read from
@@ -628,9 +629,9 @@ def _read(command: Optional[str],
     and the tokens left from where reading stopped.  hvcert's options
     stop at the first value, the command; a command's options stop at
     '--', which argparse reads as neither an option nor a value, with
-    every token after it a value.  -h/--help and --version print to
-    stdout and raise SystemExit(0), once every token before the stop has
-    been classified."""
+    every token after it a value.  -h/--help and --version write to
+    stdout as a report does and raise SystemExit with _write's status,
+    once every token before the stop has been classified."""
     if command is None:
         required, kinds, names = (), {}, ("-h", "--help", "--version")
     else:
@@ -658,8 +659,9 @@ def _read(command: Optional[str],
         if kind is None or kind is bool:
             _check_flag(name, value)
             if kind is None:
-                _exit_printing(f"{__version__}\n" if name == "--version"
-                               else _help_text(command))
+                raise SystemExit(_write(f"{__version__}\n"
+                                        if name == "--version"
+                                        else _help_text(command), None))
             args[name[2:]] = True
             continue
         if value is None:
@@ -688,9 +690,9 @@ def parse_args(argv: Sequence[str]) -> dict:
     """Read argv from the option table as argparse would: --opt value or
     --opt=value, an option abbreviated to a unique prefix, the last of a
     repeated option winning.  Returns {"command": name, field: value} with
-    a field for each option given; -h/--help and --version print to
-    stdout and raise SystemExit(0); anything else not in the table is a
-    UsageError."""
+    a field for each option given; -h/--help and --version write to
+    stdout and raise SystemExit(0), or SystemExit(2) when stdout cannot be
+    written; anything else not in the table is a UsageError."""
     _, strays, rest = _read(None, argv)
     if not rest:
         raise UsageError("the following arguments are required: command")

@@ -77,10 +77,7 @@ class ClosedForms(NamedTuple):
     B = -2n(n-2)^3 + 2(n^2-3n-2)(w+2)^2, and 4 a0 is the f^2 coefficient
     P_2(w+2) = 4(w+2)^2(n^2+n+2) - 4n(n-2)^2."""
 
-    a1: Any
     a0: Any
-    b1: Any
-    b0: Any
     A: Any
     B: Any
     C: Any
@@ -110,8 +107,7 @@ def closed_forms(omega: int, n) -> ClosedForms:
                              u_num=b1 * nu + b0, u_den=4 * (n - 2) * shifted,
                              delta_num=-((A * nu + B) * nu + C),
                              delta_den=(n - 2) * nu * shifted))
-    return ClosedForms(a1=a1, a0=a0, b1=b1, b0=b0, A=A, B=B, C=C,
-                       rows=tuple(rows))
+    return ClosedForms(a0=a0, A=A, B=B, C=C, rows=tuple(rows))
 
 
 @functools.cache

@@ -318,6 +318,16 @@ class AnnulusReport(NamedTuple):
     max_q_part_deviation: dict        # t -> the same deviation at tau = t against q_part
 
 
+def _on_meridian(p: Polynomial) -> Polynomial:
+    """The normal form of p on the circle y = 0, x^2 + z^2 = 1: y -> 0 and
+    x^2 -> 1 - z^2, leaving at most the first power of x.  In lex order
+    this is sympy's p.subs(y, 0).rem(x^2 + z^2 - 1)."""
+    # x^a z^e = x^(a mod 2) (1 - z^2)^(a // 2) z^e
+    return dot((c * X ** (a % 2) * Z ** e, (1 - Z ** 2) ** (a // 2))
+               for (a, b, e), c in p.numerators()
+               if not b) * Fraction(1, p.denominator)
+
+
 @lru_cache(maxsize=None)
 def zonal_b(l: int) -> tuple:
     """(beta, gamma) = (b_tt, b_pp / sin^2 theta) of the zonal (m = 0) b
@@ -330,11 +340,12 @@ def zonal_b(l: int) -> tuple:
     zonal b is invariant under rotations about the z axis, so these are
     its components at every phi, and it is even under y -> -y, so b_tp
     vanishes.  On that circle x^2 = 1 - z^2; b_tt and b_pp / sin^2 = b_yy
-    are even in x, so reducing by x^2 + z^2 - 1 leaves polynomials in z.
+    are even in x, so their normal forms on it (_on_meridian) are
+    polynomials in z.
     """
     b = b_tensor(HarmonicSpec(l, 0))
     tt = dot(((Z ** 2, b[0, 0]), (-2 * X * Z, b[0, 2]), (X ** 2, b[2, 2])))
-    return tuple(p.on_meridian() for p in (tt, b[1, 1]))
+    return tuple(_on_meridian(p) for p in (tt, b[1, 1]))
 
 
 # the amplitudes t of annulus_curvature_check, each a decade below the last

@@ -101,11 +101,18 @@ class TestExitCodes:
         assert err.startswith("hvcert: cannot write stdout: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("target", ["full-device", "closed-pipe"])
-    def test_unwritable_stdout_exit_status(self, target):
+    @pytest.mark.parametrize("target, argv", [
+        pytest.param(target, argv, id=f"{target}-{name}" if name else target)
+        for target in ("full-device", "closed-pipe")
+        for name, argv in (("", ["certify", "--omega", "3", "--symbolic"]),
+                           ("help", ["--help"]),
+                           ("version", ["--version"]),
+                           ("certify-help", ["certify", "--help"]))])
+    def test_unwritable_stdout_exit_status(self, target, argv):
         # a real process, with stdout block-buffered as when it is not a
         # terminal: the text left in the buffer must not be flushed again
-        # at interpreter exit (a second error, and exit status 120)
+        # at interpreter exit (a second error, and exit status 120).  Help
+        # and version text are written as a report is
         if target == "full-device" and not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this platform")
         src = str(Path(hvcert.__file__).resolve().parents[1])
@@ -120,9 +127,8 @@ class TestExitCodes:
             os.close(read_end)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "hvcert.cli", "certify", "--omega",
-                 "3", "--symbolic"], stdout=out, stderr=subprocess.PIPE,
-                env=env, text=True, timeout=120)
+                [sys.executable, "-m", "hvcert.cli", *argv], stdout=out,
+                stderr=subprocess.PIPE, env=env, text=True, timeout=120)
         finally:
             os.close(out)
         assert done.returncode == 2

@@ -89,7 +89,7 @@ class TestEigenvalueFamily:
         for omega in range(2, 16):
             for k in range(1, omega // 2 + 1):
                 diff = family_row(omega, k).nu - poly(0, 2)
-                if diff.is_zero():       # the last component of even omega
+                if not diff:  # the last component of even omega
                     continue
                 n0 = 2 * omega + 6
                 assert diff(n0) >= 0
