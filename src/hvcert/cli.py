@@ -244,22 +244,10 @@ def _discard_stdout() -> None:
 # Cell evaluation (worker-pool friendly)
 # ---------------------------------------------------------------------------
 
-def _evaluate_cells(cells: list[tuple[int, int]],
-                    jobs: int) -> list[IntervalCertificate]:
-    """Evaluate independent (omega, n) cells, preserving input order
-    regardless of the parallelism degree (deterministic reduction).  Both
-    paths read the module-level certify_at when they run."""
-    if jobs <= 1 or len(cells) < 4:
-        return [certify_at(omega, n) for omega, n in cells]
-    # imported here so that serial commands do not pay for the import
-    from concurrent.futures import ProcessPoolExecutor
-    # a fork pool starts every worker at once: start no more than cells
-    # or CPUs
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
-    omegas, ns = zip(*cells)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(cells) // (4 * workers))
-        return list(pool.map(certify_at, omegas, ns, chunksize=chunk))
+def _cell_entry(omega: int, n: int) -> dict:
+    """One cell certified and rendered, in the parent or in a pool worker;
+    it reads the module-level certify_at and entry_from_certificate."""
+    return entry_from_certificate(certify_at(omega, n))
 
 
 def _scan_cells(config: RunConfig) -> tuple[list[dict], dict]:
@@ -271,15 +259,25 @@ def _scan_cells(config: RunConfig) -> tuple[list[dict], dict]:
     if not cells:
         raise UsageError(f"no requested cell has n >= 2*omega + 6 (omega "
                          f"{omega_lo}..{omega_hi}, n {n_lo}..{n_hi})")
-    certs = _evaluate_cells(cells, config.jobs)
-    entries = [entry_from_certificate(c) for c in certs]
-    empty = [[c.omega, c.n] for c in certs if c.status == "empty"]
-    undecided = [[c.omega, c.n] for c in certs if c.status == "undecided"]
+    if config.jobs <= 1 or len(cells) < 4:
+        entries = [_cell_entry(omega, n) for omega, n in cells]
+    else:
+        # imported here so that serial commands do not pay for the import
+        from concurrent.futures import ProcessPoolExecutor
+        # a fork pool starts every worker at once: start no more than
+        # cells or CPUs
+        workers = min(config.jobs, len(cells), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(cells) // (4 * workers))
+            entries = list(pool.map(_cell_entry, *zip(*cells),
+                                    chunksize=chunk))
     summary = {
-        "cells": len(certs),
-        "certified": sum(1 for c in certs if c.nonempty),
-        "empty_cells": empty,
-        "undecided_cells": undecided,
+        "cells": len(entries),
+        "certified": sum(e["nonempty"] for e in entries),
+        "empty_cells": [[e["omega"], e["n"]] for e in entries
+                        if e["status"] == "empty"],
+        "undecided_cells": [[e["omega"], e["n"]] for e in entries
+                            if e["status"] == "undecided"],
     }
     return entries, summary
 
@@ -308,8 +306,8 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
     entries, summary = _scan_cells(config)
     summary["mode"] = "scan"
     if summary["empty_cells"]:
-        first = min(tuple(c) for c in summary["empty_cells"])
-        summary["smallest_empty"] = list(first)
+        # entries, serial or pooled, are omega-major with n ascending
+        summary["smallest_empty"] = summary["empty_cells"][0]
     # a scan that completes is a success even when it finds empty cells
     return report_payload(config, entries, summary), 0
 

@@ -25,6 +25,7 @@ import hvcert
 from hvcert.certify import certify_at
 from hvcert.cli import (
     _COMMAND_TABLE,
+    _CSV_COLUMNS,
     UsageError,
     config_from_args,
     entry_from_certificate,
@@ -408,12 +409,22 @@ class TestOptionTable:
         assert done.stdout == "[]\n"
 
 
+class _PoolLog(list):
+    """max_workers of each pool started; results holds what their maps
+    returned, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.results = []
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replace the process pool with a serial stand-in that starts no
-    process; the list it returns records max_workers of each pool."""
+    process; the list it returns records max_workers of each pool, and its
+    results what each map returned."""
     import concurrent.futures
-    asked = []
+    asked = _PoolLog()
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -426,11 +437,31 @@ def serial_pool(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+            results = list(map(fn, *iterables))
+            asked.results += results
+            return iter(results)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         SerialPool)
     return asked
+
+
+@pytest.fixture
+def real_pool(monkeypatch):
+    """Start real process pools, each with two workers whatever the CPU
+    count; the list it returns records max_workers of each pool."""
+    import concurrent.futures
+    pool_class = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool)
+    return started
 
 
 class TestDeterminism:
@@ -464,6 +495,29 @@ class TestDeterminism:
         # neither the parallelism degree nor the output path is echoed
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pooled_scan_across_threshold(self, tmp_path, real_pool):
+        # two workers return the entries of certified and empty cells on
+        # both sides of the omega = 16 threshold n = 1859 in cell order
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["scan", "--omega", "16", "--n", "1857..1861"]
+        assert main(base + ["--jobs", "1", "--output", str(a)]) == 0
+        assert main(base + ["--jobs", "2", "--output", str(b)]) == 0
+        assert real_pool == [2]
+        assert a.read_bytes() == b.read_bytes()
+        summary = json.loads(b.read_text())["summary"]
+        assert summary["certified"] == 2
+        assert summary["empty_cells"] == [[16, 1859], [16, 1860], [16, 1861]]
+        assert summary["smallest_empty"] == [16, 1859]
+
+    def test_pooled_certify_across_threshold(self, tmp_path, real_pool):
+        # four cells, the fewest that start a pool; the empty one exits 1
+        out = tmp_path / "r.json"
+        assert main(["certify", "--omega", "16", "--n", "1856..1859",
+                     "--jobs", "2", "--output", str(out)]) == 1
+        assert real_pool == [2]
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["empty_cells"] == [[16, 1859]]
+
     def test_jobs_capped_at_cell_count(self, serial_pool, monkeypatch,
                                        capsys):
         # a fork pool starts all of its workers at once
@@ -471,6 +525,9 @@ class TestDeterminism:
         args = ["scan", "--omega", "5", "--n", "16..20"]
         assert main(args + ["--jobs", "64"]) == 0
         assert serial_pool == [5]
+        # the workers return finished entries, not certificates
+        assert [tuple(e) for e in serial_pool.results
+                if type(e) is dict] == [_CSV_COLUMNS] * 5
         pooled = capsys.readouterr().out
         assert main(args + ["--jobs", "1"]) == 0
         assert capsys.readouterr().out == pooled
