@@ -79,9 +79,13 @@ def _degree(num: dict) -> int:
 def _reduced(num: dict, den: int) -> Polynomial:
     """The sum of num[k] times the monomial of key k, over den, with zero
     terms dropped and the common factor of the numerators and den divided
-    out."""
-    num = {k: c for k, c in num.items() if c}
-    g = math.gcd(den, *num.values())
+    out.  It takes over num, which every caller builds for it: num is
+    copied only to drop a term that cancelled to 0, and is then held as
+    the result's _num, which no operation mutates.  Over den = 1 there
+    is no common factor to look for."""
+    if 0 in num.values():
+        num = {k: c for k, c in num.items() if c}
+    g = 1 if den == 1 else math.gcd(den, *num.values())
     if g != 1:
         num = {k: c // g for k, c in num.items()}
         den //= g

@@ -29,10 +29,11 @@ n >= 2 omega + 6 at once via the lower bound
 sqrt(Delta_k) > sqrt(a_k) (n + b_k/(2 a_k)), where a_k n^2 + b_k n + c_k
 is the polynomial part of Delta_k (one pseudo-division of its integer
 numerators), and positivity on the ray.  Each of its inequalities is
-proved as one polynomial with integer coefficients, a stated positive
-multiple of it, built from the integer numerators of the family rows.
-Both read the terms of E_ij from one helper, _pair_terms.  Scans over
-many cells run through hvcert.cli.
+proved as one Polynomial with integer coefficients, a stated positive
+multiple of it, computed from the family rows.  Both layers read the
+terms of E_ij from one helper, _pair_terms, written once by ring
+operations: a cell passes its integers, the ray Polynomials in n.
+Scans over many cells run through hvcert.cli.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .algebra import (
     SimplePoles,
     _pseudo_divmod,
     best_rational,
+    dot,
     nonnegative_on_ray,
     partial_fractions,
     sign_with_sqrts,
@@ -204,35 +206,16 @@ def scaled_trinomial(pair: RootPair, p: int, q: int) -> int:
             + m2 * pair.u2_num * q * q)
 
 
-def _add(*lists: list[int]) -> list[int]:
-    """The sum of integer coefficient lists, lowest first."""
-    out = [0] * max(map(len, lists))
-    for cs in lists:
-        for i, c in enumerate(cs):
-            out[i] += c
-    return out
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    """The product of two nonempty integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _pair_terms(m: list[int], d_i: list[int], d_j: list[int]
-                ) -> tuple[list[int], list[int], list[int]]:
+def _pair_terms(m, d_i, d_j):
     """(A, c_i, c_j) of the pair quantity
 
         E_ij = A + c_i sqrt(Delta_i) + c_j sqrt(Delta_j),
         A = (n-2)(d_j - d_i),  c_i = d_j,  c_j = d_i,
 
-    as integer coefficient lists in n, lowest first, with m = n - 2
-    (times a positive scale, which A then carries too).  A cell's terms
-    are constants: one-entry lists at its integer n."""
-    return _mul(m, _add(d_j, [-c for c in d_i])), d_j, d_i
+    for m = n - 2 (times a positive scale, which A then carries too), by
+    ring operations only: a cell passes its integers, and the all-n
+    certificate Polynomials in n."""
+    return m * (d_j - d_i), d_j, d_i
 
 
 def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
@@ -245,7 +228,7 @@ def _pair_sign(pairs: Sequence[RootPair], i: int, j: int, n: int) -> int:
     whose sign sign_with_sqrts decides in integers.
     """
     pi, pj = pairs[i], pairs[j]
-    (a,), (c_i,), (c_j,) = _pair_terms([n - 2], [pi.d], [pj.d])
+    a, c_i, c_j = _pair_terms(n - 2, pi.d, pj.d)
     q_i, q_j = pi.delta_den, pj.delta_den
     return sign_with_sqrts(a * q_i * q_j, [
         (c_i * q_j, pi.delta_num * q_i), (c_j * q_i, pj.delta_num * q_j)])
@@ -317,6 +300,9 @@ def _exact_nonempty(pairs: Sequence[RootPair], n: int,
 # All-dimension symbolic certificates
 # ---------------------------------------------------------------------------
 
+_N = Polynomial.x()
+
+
 def delta_partial_fraction(omega: int,
                            row: RowForms) -> tuple[Polynomial, SimplePoles]:
     """Partial fractions of Delta_k = delta_num/delta_den of one row of
@@ -336,11 +322,11 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
     """Assemble the all-n certificate for one omega, or report the first
     failing ingredient as a value (omega = 16 is expected to fail).
 
-    Every stage runs on the integer numerators of the family rows (their
-    positive denominators are only scales), and each inequality goes to
-    nonnegative_on_ray as one Polynomial with integer coefficients, a
-    stated positive multiple of it.  No Fraction is computed with; the
-    records' Fractions are only constructed.
+    Every inequality goes to nonnegative_on_ray as one Polynomial with
+    integer coefficients, a stated positive multiple of it: the rows'
+    positive denominators are only scales, and the lower bounds
+    pseudo-divide the rows' integer numerators.  No Fraction is computed
+    with; the records' Fractions are only constructed.
     """
     if omega < 3:
         raise HypothesisViolated(
@@ -395,34 +381,34 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
         lo, _, lo_den = sqrt_enclosure(a_k.numerator, a_k.denominator,
                                        _GRID)
         h_num, h_den = _lowest(B, 2 * A)
-        sqrt_bounds[row.k] = (lo_den * h_den, [lo * h_num, lo * h_den],
+        sqrt_bounds[row.k] = (lo_den * h_den, lo * h_den * _N + lo * h_num,
                               Fraction(lo, lo_den))
 
     # the pair checks scale the sqrt(Delta) lower bounds by d_i and d_j and
     # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray.
-    # Over the common denominator L of the rows' d_k, each d_k is an
-    # integer list d[k] = L d_k, and the gaps are their differences
+    # Over the common denominator L of the rows' d_k, each d[k] = L d_k has
+    # integer coefficients, and so have the gaps, their differences
     common = math.lcm(*(row.d.denominator for row in rows))
-    d = {row.k: [c * (common // row.d.denominator)
-                 for c in row.d.int_coeffs()] for row in rows}
+    d = {row.k: row.d * common for row in rows}
     ks = sorted(d)
-    gaps = [_add(d[k], [-c for c in d[nxt]]) for k, nxt in zip(ks, ks[1:])]
+    gaps = [d[k] - d[nxt] for k, nxt in zip(ks, ks[1:])]
     for k, gap in zip(ks, gaps + [d[ks[-1]]]):
-        if not nonnegative_on_ray(Polynomial.from_int_coeffs(gap), n0)[0]:
+        if not nonnegative_on_ray(gap, n0)[0]:
             return verdict(("d_order", omega, k))
 
     # on the ray E_ij > A + c_i lin_i/g_i + c_j lin_j/g_j (see _pair_terms),
-    # and that bound times D L, D = lcm(g_i, g_j), is the integer list
-    # proved: the terms of D (n - 2) and the d[k], and each lin times D/g
+    # and that bound times D L, D = lcm(g_i, g_j), is the integer
+    # polynomial proved: the terms of D (n - 2) and the d[k], and each lin
+    # times D/g
     for i in range(1, omega // 2 + 1):
         for j in range(i + 1, omega // 2 + 1):
             g_i, lin_i, sa_i = sqrt_bounds[i]
             g_j, lin_j, sa_j = sqrt_bounds[j]
             scale = math.lcm(g_i, g_j)
-            const, c_i, c_j = _pair_terms([-2 * scale, scale], d[i], d[j])
-            bound = _add(const, _mul(c_i, [scale // g_i * c for c in lin_i]),
-                         _mul(c_j, [scale // g_j * c for c in lin_j]))
-            ok, wit = nonnegative_on_ray(Polynomial.from_int_coeffs(bound), n0)
+            const, c_i, c_j = _pair_terms(scale * (_N - 2), d[i], d[j])
+            bound = const + dot(((c_i, lin_i * (scale // g_i)),
+                                 (c_j, lin_j * (scale // g_j))))
+            ok, wit = nonnegative_on_ray(bound, n0)
             pair_checks.append(PairCheck(i=i, j=j, lb_i_sqrt_a=sa_i,
                                          lb_j_sqrt_a=sa_j, witness=wit))
             if not ok:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import decimal
 import json
+import math
 import os
 import re
 import sys
@@ -495,12 +496,24 @@ def _is_report(payload) -> bool:
         and all(map(_is_coeff_row, summary["coefficients"])))
 
 
+def _finite(text: str) -> float:
+    """A JSON number with a fraction or exponent, or a NaN or Infinity
+    constant, as a float; ValueError unless it is finite, since JSON has
+    no NaN or Infinity and json.dumps would write them bare."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def cmd_report(config: RunConfig) -> tuple[dict, int]:
     try:
         with open(config.input, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_float=_finite,
+                                parse_constant=_finite)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers both JSONDecodeError and UnicodeDecodeError
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and a
+        # number _finite refuses
         raise UsageError(f"cannot read report {config.input}: {exc}") from exc
     if not _is_report(payload):
         raise UsageError(f"{config.input} is not an hvcert report: it needs "
@@ -508,9 +521,11 @@ def cmd_report(config: RunConfig) -> tuple[dict, int]:
                          f"list of entries with the fields "
                          f"{', '.join(_CSV_COLUMNS)}, each of the type "
                          f"hvcert writes")
-    payload["config_echo"] = config.echo() | {
-        "source": payload.get("config_echo")}
-    return payload, 0
+    return {"tool_version": payload["tool_version"],
+            "config_echo": config.echo() | {
+                "source": payload.get("config_echo")},
+            "entries": payload["entries"],
+            "summary": payload["summary"]}, 0
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,45 @@ class TestSymbolicCertificate:
         sturm = witnesses[-1]
         assert sturm.sample_point == 38 and sturm.sample_value > 0
 
+    def test_proved_polynomials_are_fixed(self, monkeypatch):
+        # every polynomial the all-n certificates of omega = 3..16 hand to
+        # nonnegative_on_ray, in call order, as its integer numerators,
+        # denominator and ray start: the lower bounds and their
+        # denominators, the d-order gaps and the pair bounds, each the
+        # stated positive multiple of its inequality, coefficient for
+        # coefficient
+        calls = []
+
+        def recording(p, n0):
+            calls.append(repr((p.int_coeffs(), p.denominator, n0)))
+            return nonnegative_on_ray(p, n0)
+
+        monkeypatch.setattr(certify, "nonnegative_on_ray", recording)
+        for omega in range(3, 17):
+            symbolic_certificate(omega)
+        assert len(calls) == 307
+        assert hashlib.sha256("\n".join(calls).encode()).hexdigest() == (
+            "ef17134e43ffdcb9a5a07f74680e8c75ead504cd56382e8b8d10485c259fd978")
+
+    @given(st.data(), st.integers(min_value=3, max_value=20))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_terms_agree_on_ray_and_cell(self, data, omega):
+        # the all-n certificate reads _pair_terms on Polynomials in n and
+        # a cell reads it on the cell's integers: (A, c_i, c_j) built from
+        # the family rows with m = n - 2 as a Polynomial, evaluated at n,
+        # are the cell's integer terms for every ordered pair i != j
+        n = data.draw(st.integers(min_value=2 * omega + 6, max_value=3000))
+        m = Polynomial.x() - 2
+        rows, pairs = spectral_family(omega), roots_at(omega, n)
+        for i, (row_i, pair_i) in enumerate(zip(rows, pairs)):
+            for j, (row_j, pair_j) in enumerate(zip(rows, pairs)):
+                if i == j:
+                    continue
+                ray = certify._pair_terms(m, row_i.d, row_j.d)
+                cell = certify._pair_terms(n - 2, pair_i.d, pair_j.d)
+                assert [term(n) for term in ray] == list(cell), (omega, n,
+                                                                 i, j)
+
     def test_decided_without_fraction_arithmetic(self, monkeypatch):
         # the all-n certificates and exact emptiness compute in integers:
         # with every arithmetic and comparison operator of Fraction

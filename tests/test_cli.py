@@ -763,12 +763,19 @@ class TestFormats:
          '"delta_polynomial_part": "n", "delta_simple_poles": [{'
          '"root": {"decimal": "0.5", "exact": "0.5"}, '
          '"residue": {"decimal": "1", "exact": "1/1"}}]}]}}', "markdown"),
+        # NaN, Infinity and a number beyond a float's range are not JSON
+        # values: re-emitted, they would be bare NaN and Infinity
+        ('{"tool_version": "0", "entries": [], "summary": {"x": NaN}}',
+         "json"),
+        ('{"tool_version": "0", "entries": [], "summary": {"x": 1e400}}',
+         "json"),
     ], ids=["empty-json", "empty-markdown", "empty-csv", "list",
             "entries-not-list", "no-tool-version", "summary-not-object",
             "entry-not-object", "entry-missing-fields", "x-not-list",
             "coefficients-not-list", "exact-not-a-number",
             "x-exact-not-a-number", "omega-and-n-bool", "n-bool", "k-bool",
-            "coefficients-omega-bool", "exact-exponent", "exact-decimal"])
+            "coefficients-omega-bool", "exact-exponent", "exact-decimal",
+            "nonfinite-summary", "overflowing-summary"])
     def test_report_input_of_wrong_shape_is_usage_error(
             self, tmp_path, capsys, text, fmt):
         src = tmp_path / "bad.json"
@@ -778,6 +785,22 @@ class TestFormats:
         assert captured.out == ""
         assert captured.err.startswith("hvcert: ")
         assert captured.err.count("\n") == 1
+
+    def test_report_reemits_the_four_report_keys(self, tmp_path, capsys):
+        # the re-emitted payload is {tool_version, config_echo, entries,
+        # summary} in that order, whatever the input's key order: a
+        # missing config_echo is echoed as a null source, and a key
+        # hvcert does not write is dropped
+        src = tmp_path / "saved.json"
+        src.write_text('{"summary": {"mode": "scan"}, "extra": 1, '
+                       '"entries": [], "tool_version": "0"}')
+        assert main(["report", "--input", str(src)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["tool_version", "config_echo", "entries",
+                             "summary"]
+        assert out["config_echo"]["source"] is None
+        assert (out["tool_version"], out["entries"], out["summary"]) == (
+            "0", [], {"mode": "scan"})
 
     def test_report_reemits_coeffs_markdown(self, tmp_path, capsys):
         src = tmp_path / "coeffs.json"
