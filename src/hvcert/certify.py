@@ -29,8 +29,9 @@ n >= 2 omega + 6 at once via the lower bound
 sqrt(Delta_k) > sqrt(a_k) (n + b_k/(2 a_k)), where a_k n^2 + b_k n + c_k
 is the polynomial part of Delta_k (one pseudo-division of its integer
 numerators), and positivity on the ray.  Each of its inequalities is
-proved as one Polynomial with integer coefficients, a stated positive
-multiple of it, computed from the family rows.  Both layers read the
+one Polynomial expression of the family rows, written as the inequality
+reads, whose integer numerators nonnegative_on_ray decides over their
+positive denominator.  Both layers read the
 terms of E_ij from one helper, _pair_terms, written once by ring
 operations: a cell passes its integers, the ray Polynomials in n.
 Scans over many cells run through hvcert.cli.
@@ -117,9 +118,8 @@ class IntervalCertificate(NamedTuple):
 class PairCheck(NamedTuple):
     """One (i, j) inequality of the all-n certificate: the lower bound of
     E_ij (see _pair_terms) that the lower bounds of sqrt(Delta_i) and
-    sqrt(Delta_j) give is positive on the ray.  The witness is for the
-    polynomial actually proved, that bound times a positive integer (D L
-    in symbolic_certificate)."""
+    sqrt(Delta_j) give is positive on the ray.  The witness is for that
+    bound itself: a Sturm witness holds its value at n0."""
 
     i: int
     j: int
@@ -212,9 +212,8 @@ def _pair_terms(m, d_i, d_j):
         E_ij = A + c_i sqrt(Delta_i) + c_j sqrt(Delta_j),
         A = (n-2)(d_j - d_i),  c_i = d_j,  c_j = d_i,
 
-    for m = n - 2 (times a positive scale, which A then carries too), by
-    ring operations only: a cell passes its integers, and the all-n
-    certificate Polynomials in n."""
+    for m = n - 2, by ring operations only: a cell passes its integers,
+    and the all-n certificate Polynomials in n."""
     return m * (d_j - d_i), d_j, d_i
 
 
@@ -322,11 +321,13 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
     """Assemble the all-n certificate for one omega, or report the first
     failing ingredient as a value (omega = 16 is expected to fail).
 
-    Every inequality goes to nonnegative_on_ray as one Polynomial with
-    integer coefficients, a stated positive multiple of it: the rows'
-    positive denominators are only scales, and the lower bounds
-    pseudo-divide the rows' integer numerators.  No Fraction is computed
-    with; the records' Fractions are only constructed.
+    Every inequality goes to nonnegative_on_ray as one Polynomial
+    expression of the rows, as it reads: the d-order gaps are differences
+    of the d_k, and each pair bound is E_ij with sqrt(Delta_k) replaced by
+    lin_k = (n + b_k/(2 a_k)) times the sqrt(a_k) bound.  Only the lower
+    bounds, pseudo-divided in integers, prove a positive multiple of their
+    inequality.  No Fraction is computed with: the records' Fractions are
+    only constructed, and enter Polynomial arithmetic as right operands.
     """
     if omega < 3:
         raise HypothesisViolated(
@@ -340,10 +341,9 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
             pair_checks=tuple(pair_checks), failure=failure)
 
     rows = spectral_family(omega)
-    # k -> (g, lin, sqrt(a_k) bound) with sqrt(Delta_k) > lin(n) / g on the
-    # ray once row k's checks hold: lin = lo (h_den n + h_num) and
-    # g = lo_den h_den, for lo/lo_den the sqrt_enclosure lower bound of
-    # sqrt(a_k) and h_num/h_den = b_k/(2 a_k) in lowest terms
+    # k -> (lin, sqrt(a_k) bound) with sqrt(Delta_k) > lin(n) on the ray
+    # once row k's checks hold: lin = (n + b_k/(2 a_k)) lo/lo_den, for
+    # lo/lo_den the sqrt_enclosure lower bound of sqrt(a_k)
     sqrt_bounds = {}
     for row in rows:
         den = row.delta_den.int_coeffs()
@@ -380,34 +380,26 @@ def symbolic_certificate(omega: int) -> SymbolicCertificate:
             return verdict(("lower_bound", omega, row.k))
         lo, _, lo_den = sqrt_enclosure(a_k.numerator, a_k.denominator,
                                        _GRID)
-        h_num, h_den = _lowest(B, 2 * A)
-        sqrt_bounds[row.k] = (lo_den * h_den, lo * h_den * _N + lo * h_num,
-                              Fraction(lo, lo_den))
+        sqrt_a = Fraction(lo, lo_den)
+        sqrt_bounds[row.k] = ((_N + Fraction(B, 2 * A)) * sqrt_a, sqrt_a)
 
     # the pair checks scale the sqrt(Delta) lower bounds by d_i and d_j and
-    # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray.
-    # Over the common denominator L of the rows' d_k, each d[k] = L d_k has
-    # integer coefficients, and so have the gaps, their differences
-    common = math.lcm(*(row.d.denominator for row in rows))
-    d = {row.k: row.d * common for row in rows}
+    # take only i < j, which needs d_1 > d_2 > ... > d_last > 0 on the ray
+    d = {row.k: row.d for row in rows}
     ks = sorted(d)
     gaps = [d[k] - d[nxt] for k, nxt in zip(ks, ks[1:])]
     for k, gap in zip(ks, gaps + [d[ks[-1]]]):
         if not nonnegative_on_ray(gap, n0)[0]:
             return verdict(("d_order", omega, k))
 
-    # on the ray E_ij > A + c_i lin_i/g_i + c_j lin_j/g_j (see _pair_terms),
-    # and that bound times D L, D = lcm(g_i, g_j), is the integer
-    # polynomial proved: the terms of D (n - 2) and the d[k], and each lin
-    # times D/g
+    # on the ray E_ij > A + c_i lin_i + c_j lin_j (see _pair_terms), the
+    # bound that is proved positive
     for i in range(1, omega // 2 + 1):
         for j in range(i + 1, omega // 2 + 1):
-            g_i, lin_i, sa_i = sqrt_bounds[i]
-            g_j, lin_j, sa_j = sqrt_bounds[j]
-            scale = math.lcm(g_i, g_j)
-            const, c_i, c_j = _pair_terms(scale * (_N - 2), d[i], d[j])
-            bound = const + dot(((c_i, lin_i * (scale // g_i)),
-                                 (c_j, lin_j * (scale // g_j))))
+            lin_i, sa_i = sqrt_bounds[i]
+            lin_j, sa_j = sqrt_bounds[j]
+            const, c_i, c_j = _pair_terms(_N - 2, d[i], d[j])
+            bound = const + dot(((c_i, lin_i), (c_j, lin_j)))
             ok, wit = nonnegative_on_ray(bound, n0)
             pair_checks.append(PairCheck(i=i, j=j, lb_i_sqrt_a=sa_i,
                                          lb_j_sqrt_a=sa_j, witness=wit))

@@ -4,6 +4,7 @@ and are tested in test_cli.py."""
 
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -260,17 +261,38 @@ class TestSymbolicCertificate:
         sturm = witnesses[-1]
         assert sturm.sample_point == 38 and sturm.sample_value > 0
 
+    def test_failing_witness_is_the_pair_bound(self):
+        # the Sturm witness of omega = 16's failing pair (1, 7) holds the
+        # value at n0 = 38 of the lower bound of E_17 itself,
+        # (n-2)(d_7 - d_1) + d_7 lin_1 + d_1 lin_7, lin_k the record's
+        # lower bound of sqrt(a_k) times n + b_k/(2 a_k), in Fractions from
+        # the records and the family rows
+        cert = symbolic_certificate(16)
+        check = cert.pair_checks[-1]
+        assert (check.i, check.j) == (1, 7)
+        lbs = {lb.k: lb for lb in cert.lower_bounds}
+        rows = {row.k: row for row in spectral_family(16)}
+        n = F(38)
+        d_1, d_7 = rows[1].d(n), rows[7].d(n)
+        lin_1 = check.lb_i_sqrt_a * (n + lbs[1].b / (2 * lbs[1].a))
+        lin_7 = check.lb_j_sqrt_a * (n + lbs[7].b / (2 * lbs[7].a))
+        assert check.witness.sample_point == n
+        assert check.witness.sample_value == (
+            (n - 2) * (d_7 - d_1) + d_7 * lin_1 + d_1 * lin_7)
+
     def test_proved_polynomials_are_fixed(self, monkeypatch):
         # every polynomial the all-n certificates of omega = 3..16 hand to
-        # nonnegative_on_ray, in call order, as its integer numerators,
-        # denominator and ray start: the lower bounds and their
-        # denominators, the d-order gaps and the pair bounds, each the
-        # stated positive multiple of its inequality, coefficient for
+        # nonnegative_on_ray, in call order, as its primitive part (the
+        # integer numerators over their positive gcd) and ray start: the
+        # lower bounds and their denominators, the d-order gaps and the
+        # pair bounds, each fixed up to a positive factor, coefficient for
         # coefficient
         calls = []
 
         def recording(p, n0):
-            calls.append(repr((p.int_coeffs(), p.denominator, n0)))
+            cs = p.int_coeffs()
+            g = math.gcd(*cs)
+            calls.append(repr(([c // g for c in cs], n0)))
             return nonnegative_on_ray(p, n0)
 
         monkeypatch.setattr(certify, "nonnegative_on_ray", recording)
@@ -278,7 +300,7 @@ class TestSymbolicCertificate:
             symbolic_certificate(omega)
         assert len(calls) == 307
         assert hashlib.sha256("\n".join(calls).encode()).hexdigest() == (
-            "ef17134e43ffdcb9a5a07f74680e8c75ead504cd56382e8b8d10485c259fd978")
+            "c995436f3e94ad118975a74a13b95c430f28b0784731ef2c53dc150cdc7d3b1c")
 
     @given(st.data(), st.integers(min_value=3, max_value=20))
     @settings(max_examples=60, deadline=None)
