@@ -16,6 +16,15 @@ and scan reports can be written as, has the JSON entry fields as columns
 in the same order, with the exact strings of x and y joined by ';'; it
 is an output format only, and nothing reads it back.
 
+Every JSON text hvcert writes, the JSON report and the summary block of
+a markdown one, is written by one function, json_text, in exactly the
+bytes of json.dumps(value, indent=2).  It writes the indent=2 layout
+itself and each leaf with a C or builtin primitive: strings and keys
+with json.encoder.encode_basestring_ascii, ints with int.__repr__,
+finite floats with float.__repr__, and NaN and the infinities as json
+does.  Any indent makes json drop its C encoder for a pure-Python one,
+which took as long as certifying the cells of a short command.
+
 The command line is read from one option table, _COMMAND_TABLE, which
 also writes --help, by one reader, _read, both before the command and
 after it.  parse_args accepts what the argparse parser it replaced
@@ -37,6 +46,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -139,8 +149,44 @@ def report_payload(config: RunConfig, entries: list[dict], summary: dict) -> dic
             "summary": summary}
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """value in the bytes of json.dumps(value, indent=2), with indent the
+    line break and indentation of value's own nesting level.  A value json
+    cannot write, or a dict key that is not a str, raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(k)}: {json_text(v, inner)}"
+                 for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    f"serializable")
+
+
 def emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json_text(payload) + "\n"
 
 
 _CSV_COLUMNS = ("omega", "n", "nonempty", "x", "y", "chosen_c", "status")
@@ -186,7 +232,7 @@ def emit_markdown(payload: dict) -> str:
         lines.append("## Summary")
         lines.append("")
         lines.append("```json")
-        lines.append(json.dumps(summary, indent=2))
+        lines.append(json_text(summary))
         lines.append("```")
         lines.append("")
     return "\n".join(lines)

@@ -232,9 +232,11 @@ class TestSymbolicCertificate:
         # method and root count, byte for byte: the report pins only the
         # failure tuple.  All 180 proved inequalities fire the shifted-
         # coefficient test; the one Sturm witness is omega = 16's failing
-        # pair (1, 7), with one root on the ray.  A witness is for the
-        # polynomial actually proved, a positive multiple of the
-        # inequality, so of its value at n0 = 38 only the sign is pinned
+        # pair (1, 7), with one root on the ray.  A pair check's witness
+        # is for the pair bound itself, whose value at n0 = 38
+        # test_failing_witness_is_the_pair_bound pins; a lower bound's
+        # witness is for a positive multiple of its inequality.  Here only
+        # the sign of the Sturm witness's value at n0 is checked
         certs = [symbolic_certificate(omega) for omega in range(3, 17)]
         lines, witnesses = [], []
         for cert in certs:

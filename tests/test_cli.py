@@ -18,17 +18,21 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hvcert
 from hvcert.certify import certify_at
 from hvcert.cli import (
     _COMMAND_TABLE,
+    _COMMANDS,
     _CSV_COLUMNS,
     UsageError,
     config_from_args,
+    emit_json,
+    emit_markdown,
     entry_from_certificate,
+    json_text,
     main,
     parse_args,
     parse_range,
@@ -36,6 +40,17 @@ from hvcert.cli import (
 )
 from hvcert.spectral import spectral_family
 from fractions import Fraction
+
+
+def _argv(args: str, tmp_path) -> list[str]:
+    """The tokens of args, with THRESHOLD the path of the omega = 16
+    threshold scan, written into tmp_path first."""
+    if "THRESHOLD" not in args:
+        return args.split()
+    threshold = tmp_path / "threshold.json"
+    main(["scan", "--omega", "16", "--n", "1853..1864",
+          "--output", str(threshold)])
+    return [str(threshold) if a == "THRESHOLD" else a for a in args.split()]
 
 
 class TestConfig:
@@ -582,10 +597,20 @@ class TestDeterminism:
          "2e09b60cfebb1ea2896ba478933214b1d92de263f1ec4c039684676de162c692"),
         ("scan --omega 3..15 --n 1000..1001",
          "08cecb195f702f31ea11962f753561b67139a83b44f3916261147fe01554d055"),
+        ("integrals --seed 1",
+         "22e845e2ece2dfca70da1903f40294aeb359273e4375377722894be64743403e"),
+        ("scan --omega 16 --n 1853..1864 --format markdown",
+         "bfbc80e4660519ffb3c5d414d7f57e673782b50e672539b80a5c71365117a17c"),
+        ("sphere-check --format markdown",
+         "1a270b4556b6f38b66fc3539b8de0f373698e0ef06fc7dd5ad62435847510d3a"),
+        ("report --input THRESHOLD",
+         "ee17771f745a0f8ea6d56d83b9cf5b2c12b9e407df91e569482ad5f363326354"),
     ], ids=["scan-16-threshold", "certify-16-threshold", "certify-3",
             "certify-7", "certify-11", "certify-15", "coeffs-5", "coeffs-7",
             "coeffs-16", "symbolic-3-16", "coeffs-7-markdown",
-            "coeffs-16-markdown", "sphere-check", "scan-3-15-n1000"])
+            "coeffs-16-markdown", "sphere-check", "scan-3-15-n1000",
+            "integrals-1", "scan-16-threshold-markdown",
+            "sphere-check-markdown", "report-scan-16-threshold"])
     def test_report_digest_is_fixed(self, tmp_path, args, digest):
         # sha256 of the whole JSON report: every cell's enclosure
         # midpoints, chosen c and verdict, byte for byte, on both sides of
@@ -598,9 +623,12 @@ class TestDeterminism:
         # sphere-check report pins the annulus deviations to the last
         # digit; at n = 1000..1001 for omega 3..15 about half the x and y
         # midpoints have a denominator above 10^40 and are rounded, the
-        # others are only reduced
+        # others are only reduced; the integrals report pins its float
+        # radial concentration, the markdown scan and sphere-check reports
+        # their JSON summary block, and report --input (THRESHOLD, the
+        # saved threshold scan) the re-emitted scan with its source echo
         out = tmp_path / "r.json"
-        main(args.split() + ["--jobs", "1", "--output", str(out)])
+        main(_argv(args, tmp_path) + ["--jobs", "1", "--output", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_entries_round_midpoints_in_integers(self, monkeypatch):
@@ -810,6 +838,54 @@ class TestFormats:
         assert main(["report", "--input", str(src),
                      "--format", "markdown"]) == 0
         assert capsys.readouterr().out == direct
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_TREES)
+    @example({"a": {}, "b": [], "c": (), "d": [[], {}, ()],
+              "e": {"f": [1, ({"g": []},)]}})
+    @example(["", "\u00e9\u2028\U0001d525\ud800", "\x00\x1f\x7f\n\t",
+              '"quoted" \\ back/slash', {"\u00e9\"\\\x01": "k"}])
+    @example([2 ** 200, -(10 ** 40), -1, 0, True, False, None])
+    @example([-0.0, 0.0, 1e300, -1e-300, 5e-324, 0.1, float("nan"),
+              float("inf"), float("-inf")])
+    def test_matches_json_dumps_indent_2(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, Fraction(1, 3), {1: "one"}, {None: 0}, {(1, 2): 0},
+        [{"a": [frozenset()]}],
+    ], ids=["set", "fraction", "int-key", "none-key", "tuple-key",
+            "nested-frozenset"])
+    def test_refuses_what_hvcert_never_writes(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+    @pytest.mark.parametrize("args", [
+        "certify --omega 16 --n 1857..1860",
+        "certify --omega 3..16 --symbolic",
+        "scan --omega 16 --n 1853..1864",
+        "coeffs --omega 5",
+        "integrals --seed 1",
+        "sphere-check",
+        "report --input THRESHOLD",
+    ])
+    def test_every_command_writes_json_dumps_text(self, tmp_path, args):
+        # the JSON report and the markdown summary block of every
+        # command's payload are json.dumps(indent=2)'s text
+        config = config_from_args(parse_args(_argv(args, tmp_path)))
+        payload, _ = _COMMANDS[config.command](config)
+        assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
+        block = f"```json\n{json.dumps(payload['summary'], indent=2)}\n```\n"
+        assert block in emit_markdown(payload)
 
 
 class TestOracleCommands:
