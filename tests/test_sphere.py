@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from hvcert.algebra import AlgebraError, Polynomial, dot, nonnegative_on_ray
+from hvcert.algebra import (
+    AlgebraError,
+    Polynomial,
+    _multiply_into,
+    dot,
+    nonnegative_on_ray,
+)
 from hvcert.cli import main
 from hvcert.spectral import p2_value, spectral_family
 from hvcert.sphere import (
@@ -34,6 +40,7 @@ from hvcert.sphere import (
     i_s_coefficients,
     i_s_functional,
     i_s_minimizer_reference,
+    mean_of_products,
     qbc_closed_forms,
     qbc_quadrature,
     real_harmonic,
@@ -225,6 +232,75 @@ class TestXYZPoly:
             dot([(high, high)])
         with pytest.raises(ValueError):
             X ** -1
+
+
+# coefficients of either sign up to about 10^40, over small denominators
+_BIG = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 12))
+_WIDE_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                              _FRACTIONS | _BIG, max_size=6)
+# (f, g, kind): the pair (f, g), the square of f as one object, or f with
+# an equal but distinct copy of itself
+_MEAN_PAIRS = st.lists(st.tuples(_WIDE_POLYS, _WIDE_POLYS,
+                                 st.sampled_from(("pair", "square", "copy"))),
+                       max_size=4)
+_ONES = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
+
+
+class TestMeanOfProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(_MEAN_PAIRS)
+    @example([])
+    @example([({}, {(1, 0, 0): Fraction(3)}, "pair"),
+              ({(1, 0, 0): Fraction(2, 3)}, {}, "square")])
+    # (x^2 + y^2 + z^2)(x^2 - y^2 + z^2): the slots of y^2 z^2 and x^2 y^2
+    # cancel to 0 between nonzero neighbours
+    @example([(_ONES, {**_ONES, (0, 2, 0): -1}, "pair")])
+    # -2 y^2 + x^2: the slot of y^2 is negative below the positive one of
+    # x^2, so the digits borrow
+    @example([({(0, 1, 0): 2}, {(0, 1, 0): -1}, "pair"),
+              ({(1, 0, 0): 1}, {}, "square")])
+    def test_matches_surface_integrals(self, drawn):
+        # operands of mixed degrees and parity classes, over mixed
+        # denominators, zero operands, squares of one object and equal
+        # but distinct operands
+        pairs, ref = [], RING(0)
+        for f, g, kind in drawn:
+            p, P = both(f)
+            q, Q = {"pair": lambda: both(g), "square": lambda: (p, P),
+                    "copy": lambda: both(f)}[kind]()
+            pairs.append((p, q))
+            ref += P * Q
+        mean = mean_of_products(pairs)
+        assert isinstance(mean, Fraction)
+        assert mean == sphere_mean(dot(pairs))
+        assert sp.Rational(mean.numerator, mean.denominator) == \
+            mean_reference(ref)
+        assert mean_of_products(iter(pairs)) == mean
+
+    def test_sparse_pair_goes_term_by_term(self, monkeypatch):
+        # 9 term pairs of degree 4000 against a box of about 4 10^6 slots:
+        # the pair is multiplied term by term and no group is packed
+        p = X ** 2000 + Y ** 2000 + Z ** 2000
+        products = []
+
+        def spy(num, a, b, s):
+            products.append((len(a), len(b), s))
+            _multiply_into(num, a, b, s)
+
+        def refuse(*args):
+            raise AssertionError("a sparse group was packed")
+
+        with monkeypatch.context() as m:
+            m.setattr("hvcert.sphere._multiply_into", spy)
+            m.setattr("hvcert.sphere._kronecker", refuse)
+            assert mean_of_products([(p, p)]) == sphere_mean(dot([(p, p)]))
+        assert products == [(3, 3, 1)]
+        # beside a dense pair, into the same sums
+        pairs = [(p, p), (X, 2 * X), (p, Fraction(1, 3) * Z ** 2000)]
+        assert mean_of_products(pairs) == sphere_mean(dot(pairs))
+        # a product of degree above 65535 is refused, as by dot
+        with pytest.raises(OverflowError):
+            mean_of_products([(X ** 65535, Z)])
 
 
 class TestGridAndHarmonics:
